@@ -6,7 +6,11 @@
 // rest of the timeline replay.
 package serve
 
-import "github.com/hipe-sim/hipe/internal/stats"
+import (
+	"fmt"
+
+	"github.com/hipe-sim/hipe/internal/stats"
+)
 
 // ClassSpec declares one admission class.
 type ClassSpec struct {
@@ -97,14 +101,21 @@ type ShedTrace struct {
 	QueueCycles uint64
 }
 
+// checkClass is the class check every admission path shares: a class
+// indexes a load spec's class table, so it is never negative. Load tests
+// further bound it by the table they declare.
+func checkClass(req Request) error {
+	if req.Class < 0 {
+		return fmt.Errorf("serve: negative admission class %d", req.Class)
+	}
+	return nil
+}
+
 // classAccum accumulates one class's report row during the replay.
 type classAccum struct {
-	hist stats.LogHist
-	slo  stats.Attainment
-	row  ClassStats
-	// recovering marks a faulted/recovering replay: coverage and error
-	// means are derived (and emitted) only then.
-	recovering  bool
+	hist        stats.LogHist
+	slo         stats.Attainment
+	row         ClassStats
 	coverageSum float64
 	errSum      float64
 }
@@ -121,25 +132,14 @@ func newClassAccums(classes []ClassSpec) []classAccum {
 	return out
 }
 
-// observe folds one completed request into the class's row.
-func (a *classAccum) observe(latency uint64, hasSLO bool) {
+// observe folds one completed request into the class's row: latency and
+// SLO accounting, except that a degraded (partial) answer counts as an
+// SLO miss no matter how quickly the fleet gave up — a wrong answer
+// inside the latency bound is still a broken objective.
+func (a *classAccum) observe(latency uint64, degraded bool, coverage, answerErr float64) {
 	a.row.Completed++
 	a.hist.Observe(latency)
-	if hasSLO {
-		a.slo.Observe(latency)
-	}
-}
-
-// observeRecovered folds one completed request of a faulted/recovering
-// replay into the row: latency and SLO accounting as usual, except
-// that a degraded (partial) answer counts as an SLO miss no matter how
-// quickly the fleet gave up — a wrong answer inside the latency bound
-// is still a broken objective.
-func (a *classAccum) observeRecovered(latency uint64, hasSLO, degraded bool, coverage, answerErr float64) {
-	a.recovering = true
-	a.row.Completed++
-	a.hist.Observe(latency)
-	if hasSLO {
+	if a.row.SLOCycles > 0 {
 		if degraded {
 			a.slo.Miss()
 		} else {
@@ -153,8 +153,9 @@ func (a *classAccum) observeRecovered(latency uint64, hasSLO, degraded bool, cov
 	a.errSum += answerErr
 }
 
-// finish freezes the row.
-func (a *classAccum) finish() ClassStats {
+// finish freezes the row. Coverage and answer-error means are emitted
+// only for faulted (recovering) reports.
+func (a *classAccum) finish(recovering bool) ClassStats {
 	a.row.LatencyP50 = a.hist.Quantile(0.50)
 	a.row.LatencyP95 = a.hist.Quantile(0.95)
 	a.row.LatencyP99 = a.hist.Quantile(0.99)
@@ -162,7 +163,7 @@ func (a *classAccum) finish() ClassStats {
 		a.row.Attained = int(a.slo.Met)
 		a.row.Attainment = a.slo.Fraction()
 	}
-	if a.recovering && a.row.Completed > 0 {
+	if recovering && a.row.Completed > 0 {
 		a.row.MeanCoverage = a.coverageSum / float64(a.row.Completed)
 		a.row.MeanAnswerErr = a.errSum / float64(a.row.Completed)
 	}

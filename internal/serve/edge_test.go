@@ -58,10 +58,18 @@ func TestAdmitEdgeCases(t *testing.T) {
 		{"zero unroll", Request{Plan: query.Plan{
 			Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 0, Q: q,
 		}}, "unroll"},
+		{"negative class", Request{Plan: DefaultPlan(query.HIPE, q), Class: -1}, "class"},
+		{"negative class auto", Request{Plan: DefaultPlan(query.ArchAuto, q), Class: -1}, "class"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := c.Admit(tc.req)
+			if tc.wantErr != "" && err != nil {
+				// Query admits through the same check.
+				if _, qerr := c.Query(tc.req, Options{Workers: 1}); qerr == nil {
+					t.Fatal("Query served a request Admit rejects")
+				}
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)

@@ -6,20 +6,18 @@
 //
 // Replicas hold the same data, so a (plan, shard) service time is
 // identical on every pool that can run the plan; the fleet therefore
-// shares the Cluster's executor pool and memoised shard simulations,
-// and only the virtual-time replay — which is single-threaded — knows
-// about pools. Reports stay byte-identical at any worker count.
+// shares the Cluster's executor pool, memoised shard simulations and
+// replay (replay.go), in which only the single-threaded virtual-time
+// timeline knows about pools. Reports stay byte-identical at any
+// worker count.
 package serve
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
-	"github.com/hipe-sim/hipe/internal/fault"
-	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/sweep"
 )
@@ -83,15 +81,6 @@ func (f *Fleet) Calibrate(p cost.Params) {
 	f.estMu.Unlock()
 }
 
-// fleetCand is one routable (replica pool, plan) pair with its cached
-// cost estimate.
-type fleetCand struct {
-	pool int
-	plan query.Plan
-	est  cost.Estimate
-	sel  float64
-}
-
 // estimate returns the sharded estimate for one plan, cached.
 func (f *Fleet) estimate(p query.Plan) (cost.Estimate, float64, error) {
 	f.estMu.Lock()
@@ -116,24 +105,16 @@ func (f *Fleet) estimate(p query.Plan) (cost.Estimate, float64, error) {
 // request's predicate); a fixed-architecture request only on pools
 // pinned to that architecture. Pools whose plan the envelope rejects
 // are skipped; an error is returned only when no pool survives.
-func (f *Fleet) candidatesFor(req Request) ([]fleetCand, error) {
+func (f *Fleet) candidatesFor(req Request) ([]candidate, error) {
 	maxRows := f.maxShardRows()
-	var cands []fleetCand
+	var cands []candidate
 	for pi, arch := range f.pools {
-		var p query.Plan
-		if req.Plan.Auto() {
+		p := req.Plan
+		if p.Auto() {
 			b, _ := query.BackendFor(arch)
-			if req.Plan.Kind == query.Q1Agg {
-				p = DefaultQ1Plan(arch, req.Plan.Q1)
-			} else {
-				p = DefaultPlan(arch, req.Plan.Q)
-				p.Aggregate = req.Plan.Aggregate && b.Caps().Aggregate
-			}
-		} else {
-			if req.Plan.Arch != arch {
-				continue
-			}
-			p = req.Plan
+			p = servingShape(b, req.Plan)
+		} else if p.Arch != arch {
+			continue
 		}
 		if p.ValidateFor(maxRows) != nil {
 			continue
@@ -142,7 +123,7 @@ func (f *Fleet) candidatesFor(req Request) ([]fleetCand, error) {
 		if err != nil {
 			continue
 		}
-		cands = append(cands, fleetCand{pool: pi, plan: p, est: est, sel: sel})
+		cands = append(cands, candidate{pool: pi, plan: p, est: est, sel: sel})
 	}
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("serve: no replica pool can serve %s", req.Plan)
@@ -154,51 +135,16 @@ func (f *Fleet) candidatesFor(req Request) ([]fleetCand, error) {
 // non-negative and at least one replica pool must be able to execute
 // it.
 func (f *Fleet) Admit(req Request) error {
-	if req.Class < 0 {
-		return fmt.Errorf("serve: negative admission class %d", req.Class)
-	}
-	_, err := f.candidatesFor(req)
+	_, err := f.admit(req)
 	return err
 }
 
-// route ranks one request's candidates under the given queue penalties
-// and returns the decision plus the chosen candidate. With adaptive
-// routing on (ad non-nil), each candidate's analytic prior is blended
-// with the observed-cycles EWMA of its (kind, backend, selectivity
-// bucket) cell, and the deterministic exploration floor may override
-// the pick for this request index; the decision records the blend and
-// the override so every adaptive pick stays auditable.
-func (f *Fleet) route(ad *cost.Adaptive, index int, cands []fleetCand, queue []float64) (*cost.Decision, fleetCand, error) {
-	ests := make([]cost.Estimate, len(cands))
-	for i, c := range cands {
-		ests[i] = c.est
+// admit is Admit returning the request's routable candidates.
+func (f *Fleet) admit(req Request) ([]candidate, error) {
+	if err := checkClass(req); err != nil {
+		return nil, err
 	}
-	var obsCycles []float64
-	var samples []uint64
-	if ad != nil {
-		obsCycles = make([]float64, len(cands))
-		samples = make([]uint64, len(cands))
-		for i, c := range cands {
-			blended, _, n := ad.Blended(c.plan.Kind, c.plan.Arch, c.sel, c.est.Cycles)
-			if n > 0 {
-				obsCycles[i] = blended
-			}
-			samples[i] = n
-		}
-	}
-	d, err := cost.RankLoaded(cands[0].sel, ests, queue, obsCycles)
-	if err != nil {
-		return nil, fleetCand{}, err
-	}
-	if ad != nil {
-		d.BucketSamples = samples
-		if j, ok := ad.ExplorePick(index, len(cands)); ok {
-			d.ChosenIndex = j
-			d.Chosen = d.Estimates[j].Plan
-			d.Explored = true
-		}
-	}
-	return d, cands[d.ChosenIndex], nil
+	return f.candidatesFor(req)
 }
 
 // Query routes one request across the fleet's replica pools — on an
@@ -210,10 +156,7 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if err := f.Admit(req); err != nil {
-		return nil, err
-	}
-	cands, err := f.candidatesFor(req)
+	cands, err := f.admit(req)
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +170,12 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 		adIndex = f.adaptSeq
 		f.adaptSeq++
 	}
-	d, chosen, err := f.route(ad, adIndex, cands, make([]float64, len(cands)))
+	d, err := rank(ad, adIndex, cands, make([]float64, len(cands)), nil)
 	f.adaptMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	chosen := cands[d.ChosenIndex]
 	resp, err := f.Cluster.Query(Request{Plan: chosen.plan, Class: req.Class}, opt)
 	if err != nil {
 		return nil, err
@@ -249,431 +193,22 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 	return resp, nil
 }
 
-// LoadTest runs the load spec against the fleet. The compute stage is
-// shared with the cluster path: every distinct candidate plan's (plan,
-// shard) service times are computed once on the bounded executor pool
-// and each plan's merged answer is verified against the unsharded
-// reference evaluator. The serving timeline is then replayed
-// single-threaded in virtual time — per arrival, the router ranks the
-// request's (pool, plan) candidates by predicted critical path plus
-// the candidate replica's current backlog; admission control (Shed)
-// refuses requests whose class's patience even the least-loaded
-// candidate exceeds; the pick dispatches FIFO onto the chosen
-// replica's shard queues. Reports are byte-identical at any worker
-// count.
+// LoadTest runs the load spec against the fleet: the one serving
+// replay (see Cluster.LoadTest) with one pool per replica. Every
+// distinct candidate plan's (plan, shard) service times are computed
+// once on the bounded executor pool and each plan's merged answer is
+// verified against the unsharded reference evaluator. The serving
+// timeline is then replayed single-threaded in virtual time — per
+// arrival, the router ranks the request's (pool, plan) candidates by
+// predicted critical path plus the candidate replica's current
+// backlog; admission control (Shed) refuses requests whose class's
+// patience even the least-loaded candidate exceeds; the pick dispatches
+// FIFO onto the chosen replica's shard queues, under the spec's faults
+// and recovery policy when set. Reports are byte-identical at any
+// worker count.
 func (f *Fleet) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	classes := spec.Classes
-	if len(classes) == 0 {
-		classes = []ClassSpec{{Name: "default"}}
-	}
-	cands := make([][]fleetCand, len(spec.Requests))
-	for i, req := range spec.Requests {
-		if req.Class < 0 || req.Class >= len(classes) {
-			return nil, fmt.Errorf("serve: request %d: class %d outside the %d declared classes",
-				i, req.Class, len(classes))
-		}
+	return f.loadTest(spec, opt, f.pools, func(req Request) ([]candidate, *cost.Decision, error) {
 		cs, err := f.candidatesFor(req)
-		if err != nil {
-			return nil, fmt.Errorf("serve: request %d: %w", i, err)
-		}
-		cands[i] = cs
-	}
-
-	// Open loop fixes the issued set (and arrival times) up front;
-	// closed loop issues every request.
-	reqs := spec.Requests
-	offered := len(reqs)
-	var arrivalTimes []uint64
-	if spec.Mode == Open {
-		arrivalTimes = spec.arrivals()
-		reqs = reqs[:len(arrivalTimes)]
-		cands = cands[:len(arrivalTimes)]
-		if len(reqs) == 0 {
-			return nil, fmt.Errorf("serve: no request arrives inside %d cycles", spec.DurationCycles)
-		}
-	}
-
-	// Compute stage: every distinct candidate plan, first-occurrence
-	// order, each (plan, shard) simulated exactly once; merge + verify
-	// once per plan.
-	planIndex := make(map[query.Plan]int)
-	var plans []query.Plan
-	for _, cs := range cands {
-		for _, c := range cs {
-			if _, ok := planIndex[c.plan]; !ok {
-				planIndex[c.plan] = len(plans)
-				plans = append(plans, c.plan)
-			}
-		}
-	}
-	byPlan, err := f.runPlanSet(plans, opt)
-	if err != nil {
-		return nil, err
-	}
-	planResp := make([]*Response, len(plans))
-	for pi, p := range plans {
-		resp, err := f.merge(Request{Plan: p}, byPlan[pi])
-		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s: %w", p, err)
-		}
-		planResp[pi] = resp
-	}
-
-	// Virtual-time replay, single-threaded.
-	r := &Report{
-		Mode:    spec.Mode.String(),
-		Shards:  len(f.shards),
-		Rows:    f.whole.N,
-		Offered: offered,
-		Pools:   make([]PoolStats, len(f.pools)),
-	}
-	for i, a := range f.pools {
-		r.Pools[i] = PoolStats{Pool: i, Arch: a.String()}
-	}
-	if opt.Exec == sweep.ExecEstimate {
-		r.ExecMode = opt.Exec.String()
-	}
-	// Counter totals sum each distinct (plan, shard) simulation once —
-	// replica pools share the memoised runs, so per-request summing
-	// would double-count them.
-	if opt.Counters {
-		r.Counters = sumPlanCounters(byPlan)
-	}
-	var tr *obs.Trace
-	if opt.Trace {
-		tr = obs.NewTrace()
-		tr.NameProcess(0, "requests")
-		for pi, a := range f.pools {
-			tr.NameProcess(1+pi, fmt.Sprintf("pool %d (%s)", pi, a))
-			for s := range f.shards {
-				tr.NameThread(1+pi, s, fmt.Sprintf("shard %d", s))
-			}
-		}
-	}
-	rp := &fleetReplay{
-		fleet:     f,
-		report:    r,
-		classes:   classes,
-		accums:    newClassAccums(classes),
-		shed:      spec.Shed,
-		planIndex: planIndex,
-		byPlan:    byPlan,
-		planResp:  planResp,
-		poolFree:  make([][]uint64, len(f.pools)),
-		tr:        tr,
-	}
-	// Adaptive routing state is built fresh per load test from the spec:
-	// the replay is single-threaded, so observations fold in arrival
-	// order and the report is byte-identical at any worker count.
-	if spec.Adaptive != nil {
-		ad, err := cost.NewAdaptive(*spec.Adaptive)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		rp.ad = ad
-	}
-	for i := range rp.poolFree {
-		rp.poolFree[i] = make([]uint64, len(f.shards))
-	}
-	// Fault injection and the recovery policy switch the replay onto the
-	// dispatchRecover path; without either, the legacy dispatch runs
-	// untouched and reports stay byte-identical to the pre-fault layer.
-	if spec.Faults != nil {
-		inj, err := fault.New(*spec.Faults, len(f.pools), len(f.shards))
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		rp.inj = inj
-	}
-	rp.rec = spec.Recovery
-	if rp.recovering() {
-		rp.fstats = &FaultStats{}
-		rp.slow = make([]float64, len(f.pools))
-		for i := range rp.slow {
-			rp.slow[i] = 1
-		}
-		rp.done = make([]bool, len(f.shards))
-	}
-	dispatch := rp.dispatch
-	if rp.recovering() {
-		dispatch = rp.dispatchRecover
-	}
-	switch spec.Mode {
-	case Open:
-		for i := range reqs {
-			if _, err := dispatch(i, -1, arrivalTimes[i], reqs[i], cands[i]); err != nil {
-				return nil, err
-			}
-		}
-	case Closed:
-		concurrency := spec.Concurrency
-		if concurrency > len(reqs) {
-			concurrency = len(reqs)
-		}
-		clientFree := make([]uint64, concurrency)
-		for i := range reqs {
-			// The next issue slot is the earliest-free client; ties break
-			// on client index, keeping the replay fully deterministic.
-			client := 0
-			for cl := 1; cl < concurrency; cl++ {
-				if clientFree[cl] < clientFree[client] {
-					client = cl
-				}
-			}
-			tr, err := dispatch(i, client, clientFree[client], reqs[i], cands[i])
-			if err != nil {
-				return nil, err
-			}
-			clientFree[client] = tr.Completion
-		}
-		r.Concurrency = concurrency
-	}
-	r.Trace = tr
-	r.finish()
-	r.finishFleet(rp.accums)
-	if rp.fstats != nil {
-		r.Faults = rp.fstats
-		r.Degraded = rp.fstats.Degraded
-		if opt.Counters && r.Counters != nil {
-			r.Counters.Add(rp.fstats.recoveryCounters(r.Shed))
-		}
-	}
-	if rp.ad != nil && opt.Counters && r.Counters != nil {
-		r.Counters.Add(obs.NewCounters(map[string]uint64{
-			"serve.adaptive_routed":       rp.adRouted,
-			"serve.adaptive_explored":     rp.adExplored,
-			"serve.adaptive_observations": rp.adObserved,
-		}))
-	}
-	return r, nil
-}
-
-// fleetReplay is the single-threaded virtual-time state of one fleet
-// load test.
-type fleetReplay struct {
-	fleet     *Fleet
-	report    *Report
-	classes   []ClassSpec
-	accums    []classAccum
-	shed      bool
-	planIndex map[query.Plan]int
-	byPlan    [][]ShardPartial
-	planResp  []*Response
-	// poolFree is each replica pool's per-shard free time, in virtual
-	// cycles — the router's queue-depth signal and the FIFO state.
-	poolFree [][]uint64
-	// tr records the request span tree when tracing is on (nil when
-	// off). The replay is single-threaded, so recording is race-free
-	// and byte-deterministic.
-	tr *obs.Trace
-
-	// ad is the per-run adaptive routing state (LoadSpec.Adaptive); nil
-	// keeps routing fully static and the replay byte-identical to the
-	// pre-adaptive layer. adRouted/adExplored/adObserved total the
-	// feedback loop's events for the serve.* counter roll-up.
-	ad         *cost.Adaptive
-	adRouted   uint64
-	adExplored uint64
-	adObserved uint64
-
-	// Fault/recovery state (recovery.go); all nil on the legacy path.
-	// inj injects the scheduled faults; rec is the recovery policy;
-	// fstats totals fault events and recovery actions; slow is the
-	// per-pool observed-slowdown EWMA the failover router penalises
-	// stragglers by; done is dispatchRecover's per-shard first-completion
-	// scratch (coverage accounting).
-	inj    *fault.Injector
-	rec    *RecoverySpec
-	fstats *FaultStats
-	slow   []float64
-	done   []bool
-}
-
-// dispatch routes and queues one arrival. A shed request produces a
-// zero trace (and false-equivalent Completion) but is fully accounted
-// in the report; a served request's trace lands in report.Requests.
-func (rp *fleetReplay) dispatch(index, client int, arrival uint64, req Request, cands []fleetCand) (RequestTrace, error) {
-	// Each candidate's queue penalty is the critical-path backlog its
-	// replica would impose on this arrival: the worst per-shard excess
-	// of free time over the arrival cycle.
-	queue := make([]float64, len(cands))
-	var minBacklog uint64
-	for ci, c := range cands {
-		var backlog uint64
-		for _, free := range rp.poolFree[c.pool] {
-			if free > arrival && free-arrival > backlog {
-				backlog = free - arrival
-			}
-		}
-		queue[ci] = float64(backlog)
-		if ci == 0 || backlog < minBacklog {
-			minBacklog = backlog
-		}
-	}
-	acc := &rp.accums[req.Class]
-	acc.row.Offered++
-	spec := rp.classes[req.Class]
-	if rp.shed && spec.PatienceCycles > 0 && minBacklog > spec.PatienceCycles {
-		acc.row.Shed++
-		rp.report.Shed++
-		rp.report.ShedRequests = append(rp.report.ShedRequests, ShedTrace{
-			Index: index, Class: req.Class, Arrival: arrival, QueueCycles: minBacklog,
-		})
-		if rp.tr.On() {
-			rp.tr.Instant("shed", "admission", 0, 0, arrival,
-				obs.Arg{Key: "class", Val: spec.Name},
-				obs.Arg{Key: "backlog_cycles", Val: strconv.FormatUint(minBacklog, 10)})
-		}
-		return RequestTrace{}, nil
-	}
-
-	d, chosen, err := rp.fleet.route(rp.ad, index, cands, queue)
-	if err != nil {
-		return RequestTrace{}, fmt.Errorf("serve: request %d: %w", index, err)
-	}
-	if rp.ad != nil {
-		rp.adRouted++
-		if d.Explored {
-			rp.adExplored++
-		}
-	}
-	pi := rp.planIndex[chosen.plan]
-	parts := rp.byPlan[pi]
-	free := rp.poolFree[chosen.pool]
-	pool := &rp.report.Pools[chosen.pool]
-	// The request's span tree: async span on the router track (pid 0),
-	// a routing instant carrying the pick and candidate count, shard
-	// tasks on the chosen pool's track (pid 1+pool, tid = shard).
-	var reqName string
-	if rp.tr.On() {
-		reqName = fmt.Sprintf("q%d %s", index, chosen.plan.Arch)
-		rp.tr.Begin(reqName, "request", 0, index, arrival,
-			obs.Arg{Key: "class", Val: spec.Name})
-		rp.tr.Instant("route", "routing", 0, 0, arrival,
-			obs.Arg{Key: "pool", Val: strconv.Itoa(chosen.pool)},
-			obs.Arg{Key: "arch", Val: rp.fleet.pools[chosen.pool].String()},
-			obs.Arg{Key: "candidates", Val: strconv.Itoa(len(cands))},
-			obs.Arg{Key: "queue_cycles", Val: strconv.FormatUint(uint64(queue[d.ChosenIndex]), 10)})
-	}
-	var completion uint64
-	for s, p := range parts {
-		start := arrival
-		if free[s] > start {
-			start = free[s]
-		}
-		end := start + p.Cycles
-		free[s] = end
-		pool.Tasks++
-		pool.BusyCycles += p.Cycles
-		if end > completion {
-			completion = end
-		}
-		if rp.tr.On() {
-			rp.tr.Complete(reqName, "shard", 1+chosen.pool, s, start, end,
-				obs.Arg{Key: "matches", Val: strconv.Itoa(p.Matches)})
-		}
-	}
-	pool.Requests++
-	if rp.tr.On() {
-		rp.tr.Instant("merge", "merge", 0, 0, completion,
-			obs.Arg{Key: "matches", Val: strconv.Itoa(rp.planResp[pi].Matches)})
-		rp.tr.End(reqName, "request", 0, index, completion,
-			obs.Arg{Key: "latency_cycles", Val: strconv.FormatUint(completion-arrival, 10)})
-	}
-	resp := rp.planResp[pi]
-	latency := completion - arrival
-	acc.observe(latency, spec.SLOCycles > 0)
-	rp.observeAdaptive(d, chosen, float64(resp.Cycles))
-	tr := RequestTrace{
-		Index:   index,
-		Client:  client,
-		Plan:    chosen.plan,
-		Routing: d,
-		Class:   req.Class,
-		Pool: &PoolPick{
-			Pool: chosen.pool, Arch: rp.fleet.pools[chosen.pool].String(),
-			QueueCycles: uint64(queue[d.ChosenIndex]), EstCycles: chosen.est.Cycles,
-		},
-		Arrival:    arrival,
-		Completion: completion,
-		Latency:    latency,
-		Service:    resp.Cycles,
-		Work:       resp.WorkCycles,
-		Matches:    resp.Matches,
-		Revenue:    resp.Revenue,
-	}
-	rp.report.Requests = append(rp.report.Requests, tr)
-	return tr, nil
-}
-
-// adaptiveInputs computes the per-candidate blended observed cycles
-// and bucket sample counts for one routing decision. Nil, nil when
-// adaptive routing is off, which keeps static ranking byte-identical.
-func (rp *fleetReplay) adaptiveInputs(cands []fleetCand) ([]float64, []uint64) {
-	if rp.ad == nil {
-		return nil, nil
-	}
-	obsCycles := make([]float64, len(cands))
-	samples := make([]uint64, len(cands))
-	for i, c := range cands {
-		blended, _, n := rp.ad.Blended(c.plan.Kind, c.plan.Arch, c.sel, c.est.Cycles)
-		if n > 0 {
-			obsCycles[i] = blended
-		}
-		samples[i] = n
-	}
-	return obsCycles, samples
-}
-
-// adaptivePick finalises one adaptive decision: records the bucket
-// sample counts and applies the deterministic exploration floor. An
-// exploration draw that lands on a down replica is dropped rather than
-// redirected, so the draw stays a pure function of (seed, index).
-func (rp *fleetReplay) adaptivePick(d *cost.Decision, index int, health []cost.Health, samples []uint64) {
-	if rp.ad == nil {
-		return
-	}
-	d.BucketSamples = samples
-	rp.adRouted++
-	if j, ok := rp.ad.ExplorePick(index, len(d.Estimates)); ok && (health == nil || !health[j].Down) {
-		d.ChosenIndex = j
-		d.Chosen = d.Estimates[j].Plan
-		d.Explored = true
-		rp.adExplored++
-	}
-}
-
-// observeAdaptive closes the feedback loop for one completed request:
-// the chosen backend's (kind, selectivity-bucket) cell absorbs the
-// observed nominal service cycles. Fault-driven inflation stays out of
-// the cells on purpose — the slowdown EWMA and health-aware routing
-// already carry it — so adaptive state converges on the workload, not
-// on transient faults.
-func (rp *fleetReplay) observeAdaptive(d *cost.Decision, chosen fleetCand, cycles float64) {
-	if rp.ad == nil || d == nil {
-		return
-	}
-	rp.ad.Observe(chosen.plan.Kind, chosen.plan.Arch, chosen.sel, cycles)
-	rp.adObserved++
-}
-
-// finishFleet derives the fleet-only aggregates: per-class rows and
-// per-pool utilisation (each pool runs len(shards) engines, so its
-// denominator is makespan x shards).
-func (r *Report) finishFleet(accums []classAccum) {
-	for i := range accums {
-		r.Classes = append(r.Classes, accums[i].finish())
-	}
-	if r.MakespanCycles > 0 && r.Shards > 0 {
-		denom := float64(r.MakespanCycles) * float64(r.Shards)
-		for i := range r.Pools {
-			r.Pools[i].Utilisation = float64(r.Pools[i].BusyCycles) / denom
-		}
-	}
+		return cs, nil, err
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -309,7 +310,8 @@ func TestFleetQueryRecordsRouting(t *testing.T) {
 }
 
 // TestClusterLoadTestRejectsFleetFields: classes and shedding need the
-// replicated fleet; the single-replica path refuses them loudly.
+// replicated fleet; the single-replica path refuses them loudly, and
+// with no declared classes it refuses any request class but 0.
 func TestClusterLoadTestRejectsFleetFields(t *testing.T) {
 	c := testCluster(t, 2)
 	spec := OpenLoop(testStream(t, 4), 1000, 0, 1)
@@ -321,6 +323,14 @@ func TestClusterLoadTestRejectsFleetFields(t *testing.T) {
 	spec.Shed = true
 	if _, err := c.LoadTest(spec, Options{Workers: 1}); err == nil {
 		t.Fatal("cluster load test accepted shedding")
+	}
+	for _, class := range []int{3, -1} {
+		reqs := testStream(t, 4)
+		reqs[2].Class = class
+		_, err := c.LoadTest(OpenLoop(reqs, 1000, 0, 1), Options{Workers: 1})
+		if want := fmt.Sprintf("class %d outside", class); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("cluster load test with undeclared class %d: err %v, want %q", class, err, want)
+		}
 	}
 }
 

@@ -4,22 +4,21 @@
 // the retry budget runs out — graceful degradation to a partial result
 // with exact coverage and answer-error accounting.
 //
-// The whole mechanism lives inside the fleet's single-threaded
-// virtual-time replay, so faulted runs are exactly as deterministic —
-// and as worker-count-independent — as healthy ones. The replay keeps
-// arrival-order priority: a request's retries and hedges book shard
-// capacity when the request is processed, ahead of later arrivals —
-// a deterministic simplification of real contention between retried
-// and fresh work.
+// The whole mechanism lives inside the single-threaded virtual-time
+// replay (replay.go), so faulted runs are exactly as deterministic —
+// and as worker-count-independent — as healthy ones: a healthy run is
+// the same dispatcher with a nil injector and no policy. The replay
+// keeps arrival-order priority: a request's retries and hedges book
+// shard capacity when the request is processed, ahead of later
+// arrivals — a deterministic simplification of real contention between
+// retried and fresh work.
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 
-	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/obs"
 )
 
@@ -98,12 +97,6 @@ func (fs *FaultStats) recoveryCounters(shed int) *obs.Counters {
 	})
 }
 
-// recovering reports whether this replay runs the fault/recovery path.
-// False — the only state reachable without a fault spec or recovery
-// policy — keeps the legacy dispatch byte-for-byte, allocation-free on
-// the gate itself.
-func (rp *fleetReplay) recovering() bool { return rp.inj != nil || rp.rec != nil }
-
 // coverage accumulates the shards a request actually scanned across
 // all its attempts. Any attempt's completion of shard s yields the
 // identical verified partial (candidate plans share the predicate), so
@@ -114,123 +107,37 @@ type coverage struct {
 	revenue int64
 }
 
-// attemptOutcome is one attempt's resolution: success when every shard
-// completed inside the deadline with no crash kill; completion is the
-// slowest completed shard's end; resolve is the cycle the outcome is
-// known (completion on success, the last kill/deadline otherwise).
+// attemptOutcome is one attempt's resolution on candidate cand: success
+// when every shard completed inside the deadline with no crash kill;
+// completion is the slowest completed shard's end; resolve is the cycle
+// the outcome is known (completion on success, the last kill/deadline
+// otherwise).
 type attemptOutcome struct {
-	pool       int
+	cand       candidate
 	success    bool
 	completion uint64
 	resolve    uint64
 }
 
-// backlogAt is one candidate's booked critical-path backlog at cycle t
-// — the same signal the legacy dispatch uses, exclusive of outages.
-func (rp *fleetReplay) backlogAt(c fleetCand, t uint64) uint64 {
-	var backlog uint64
-	for _, free := range rp.poolFree[c.pool] {
-		if free > t && free-t > backlog {
-			backlog = free - t
-		}
-	}
-	return backlog
-}
-
-// routeHealth ranks one request's candidates at cycle t. With failover
-// on, down pools are excluded and straggling pools penalised by the
-// observed slowdown; when every candidate is down the pick falls back
-// to queue-for-earliest-recovery: health-blind ranking with the outage
-// wait folded into each queue penalty. Adaptive routing (rp.ad) blends
-// the observed-cycles EWMA into every leg, next to the health EWMA,
-// and may explore — never onto a down replica. Returns the decision,
-// the chosen candidate, and whether the pick failed over (excluded at
-// least one down pool).
-func (rp *fleetReplay) routeHealth(index int, cands []fleetCand, t uint64) (*cost.Decision, fleetCand, bool, error) {
-	ests := make([]cost.Estimate, len(cands))
-	queue := make([]float64, len(cands))
-	for ci, c := range cands {
-		ests[ci] = c.est
-		queue[ci] = float64(rp.backlogAt(c, t))
-	}
-	obsCycles, samples := rp.adaptiveInputs(cands)
-	failover := rp.rec != nil && rp.rec.Failover
-	if !failover {
-		d, err := cost.RankLoaded(cands[0].sel, ests, queue, obsCycles)
-		if err != nil {
-			return nil, fleetCand{}, false, err
-		}
-		rp.adaptivePick(d, index, nil, samples)
-		return d, cands[d.ChosenIndex], false, nil
-	}
-	health := make([]cost.Health, len(cands))
-	nDown := 0
-	for ci, c := range cands {
-		until, down := rp.inj.DownUntil(c.pool, t)
-		health[ci] = cost.Health{Down: down, Slowdown: rp.slow[c.pool]}
-		if down {
-			nDown++
-			// Pre-fold the outage wait so the all-down fallback ranks by
-			// earliest recovery plus backlog.
-			queue[ci] += float64(until - t)
-		}
-	}
-	d, err := cost.RankLoadedHealth(cands[0].sel, ests, queue, health, obsCycles)
-	if errors.Is(err, cost.ErrAllDown) {
-		d, err = cost.RankLoaded(cands[0].sel, ests, queue, obsCycles)
-	}
-	if err != nil {
-		return nil, fleetCand{}, false, err
-	}
-	rp.adaptivePick(d, index, health, samples)
-	return d, cands[d.ChosenIndex], nDown > 0 && !health[d.ChosenIndex].Down, nil
-}
-
-// hedgeCandidate picks the hedge attempt's target: the best-scored
-// candidate on a pool distinct from primary (healthy pools only under
-// failover), or ok=false when no distinct pool can serve.
-func (rp *fleetReplay) hedgeCandidate(cands []fleetCand, primary int, t uint64) (fleetCand, bool) {
-	failover := rp.rec != nil && rp.rec.Failover
-	best, found := fleetCand{}, false
-	var bestScore float64
-	for _, c := range cands {
-		if c.pool == primary {
-			continue
-		}
-		if failover {
-			if _, down := rp.inj.DownUntil(c.pool, t); down {
-				continue
-			}
-		}
-		score := c.est.Cycles + float64(rp.backlogAt(c, t))
-		if failover && rp.slow[c.pool] > 1 {
-			score = c.est.Cycles*rp.slow[c.pool] + float64(rp.backlogAt(c, t))
-		}
-		if !found || score < bestScore {
-			best, bestScore, found = c, score, true
-		}
-	}
-	return best, found
-}
-
-// runAttempt books one attempt of request index on candidate c's pool,
-// dispatched at cycle t under the class timeout. Per shard it applies,
-// in order: FIFO queueing behind the pool's booked work, transient
-// stall delay, outage wait, straggler service inflation; then resolves
-// the task as completed, killed by a crash beginning mid-execution, or
-// cancelled at the deadline. Booked busy cycles — including wasted
-// work of killed and cancelled tasks — land on the pool's accounting,
-// and first-time shard completions accumulate into cov.
-func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t uint64,
-	timeout uint64, done []bool, cov *coverage) attemptOutcome {
+// runAttempt books one attempt of a request on candidate c's pool,
+// dispatched at cycle t under the attempt timeout (0: none) — the
+// dispatcher's shard-FIFO booking step. Per shard it applies, in order:
+// FIFO queueing behind the pool's booked work, transient stall delay,
+// outage wait, straggler service inflation; then resolves the task as
+// completed, killed by a crash beginning mid-execution, or cancelled at
+// the deadline. Booked busy cycles — including wasted work of killed
+// and cancelled tasks — land on the (pool, shard) accounting, and
+// first-time shard completions accumulate into cov. With a nil injector
+// and no timeout every task completes and nothing allocates.
+func (rp *replay) runAttempt(reqName string, c candidate, t, timeout uint64, cov *coverage) attemptOutcome {
 	parts := rp.byPlan[rp.planIndex[c.plan]]
-	free := rp.poolFree[c.pool]
-	pool := &rp.report.Pools[c.pool]
+	free := rp.free[c.pool]
+	lanes := rp.lanes[c.pool]
 	deadline := uint64(math.MaxUint64)
 	if timeout > 0 {
 		deadline = t + timeout
 	}
-	out := attemptOutcome{pool: c.pool, success: true}
+	out := attemptOutcome{cand: c, success: true}
 	maxRatio := 0.0
 	for s, p := range parts {
 		start := t
@@ -239,7 +146,7 @@ func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t uint64,
 		}
 		if st := rp.inj.StallUntil(c.pool, s, start); st > start {
 			start = st
-			rp.fstats.StallDelays++
+			rp.report.Faults.StallDelays++
 		}
 		if until, down := rp.inj.DownUntil(c.pool, start); down {
 			start = until
@@ -256,18 +163,18 @@ func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t uint64,
 		svc := p.Cycles
 		if slow := rp.inj.Slowdown(c.pool, s, start); slow > 1 {
 			svc = uint64(math.Ceil(float64(svc) * slow))
-			rp.fstats.Straggles++
+			rp.report.Faults.Straggles++
 		}
 		end := start + svc
-		pool.Tasks++
+		lanes[s].Tasks++
 		switch crashAt, _, killed := rp.inj.NextCrash(c.pool, start, end); {
 		case killed:
 			// The outage kills the task mid-flight; work up to the crash
 			// is wasted. Later starts on this shard pass through
 			// DownUntil, which parks them past the recovery.
-			pool.BusyCycles += crashAt - start
+			lanes[s].BusyCycles += crashAt - start
 			free[s] = crashAt
-			rp.fstats.CrashKills++
+			rp.report.Faults.CrashKills++
 			out.success = false
 			if crashAt > out.resolve {
 				out.resolve = crashAt
@@ -278,7 +185,7 @@ func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t uint64,
 			}
 		case end > deadline:
 			// Cancelled at the class deadline; partial work is wasted.
-			pool.BusyCycles += deadline - start
+			lanes[s].BusyCycles += deadline - start
 			free[s] = deadline
 			out.success = false
 			if deadline > out.resolve {
@@ -289,7 +196,7 @@ func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t uint64,
 					obs.Arg{Key: "fault", Val: "timeout"})
 			}
 		default:
-			pool.BusyCycles += svc
+			lanes[s].BusyCycles += svc
 			free[s] = end
 			if end > out.completion {
 				out.completion = end
@@ -300,9 +207,9 @@ func (rp *fleetReplay) runAttempt(reqName string, c fleetCand, t uint64,
 			if ratio := float64(svc) / float64(p.Cycles); ratio > maxRatio {
 				maxRatio = ratio
 			}
-			if !done[s] {
-				done[s] = true
-				cov.rows += rp.fleet.shards[s].N
+			if !rp.done[s] {
+				rp.done[s] = true
+				cov.rows += rp.c.shards[s].N
 				cov.matches += p.Matches
 				cov.revenue += p.Revenue
 			}
@@ -330,217 +237,4 @@ func relErr(seen, ref float64) float64 {
 		den = 1
 	}
 	return math.Abs(ref-seen) / den
-}
-
-// dispatchRecover is the fault/recovery twin of dispatch: it sheds,
-// routes (health-aware under failover), and then drives the attempt
-// loop — timeout, capped-backoff retries, optional hedging — until the
-// request completes or its budget degrades it to a partial result.
-func (rp *fleetReplay) dispatchRecover(index, client int, arrival uint64, req Request, cands []fleetCand) (RequestTrace, error) {
-	spec := rp.classes[req.Class]
-	acc := &rp.accums[req.Class]
-	acc.row.Offered++
-
-	// Admission: identical policy to the healthy path — the class's
-	// patience against the least-loaded candidate's booked backlog.
-	// Under failover, down pools cannot absorb the request, so the
-	// bound is taken over the healthy candidates (all-down keeps every
-	// candidate, extended by its outage wait).
-	failover := rp.rec != nil && rp.rec.Failover
-	minBacklog, seen := uint64(0), false
-	allDownMin, allSeen := uint64(0), false
-	for _, c := range cands {
-		backlog := rp.backlogAt(c, arrival)
-		if until, down := rp.inj.DownUntil(c.pool, arrival); down && failover {
-			wait := until - arrival + backlog
-			if !allSeen || wait < allDownMin {
-				allDownMin, allSeen = wait, true
-			}
-			continue
-		}
-		if !seen || backlog < minBacklog {
-			minBacklog, seen = backlog, true
-		}
-	}
-	if !seen && allSeen {
-		minBacklog = allDownMin
-	}
-	if rp.shed && spec.PatienceCycles > 0 && minBacklog > spec.PatienceCycles {
-		acc.row.Shed++
-		rp.report.Shed++
-		rp.report.ShedRequests = append(rp.report.ShedRequests, ShedTrace{
-			Index: index, Class: req.Class, Arrival: arrival, QueueCycles: minBacklog,
-		})
-		if rp.tr.On() {
-			rp.tr.Instant("shed", "admission", 0, 0, arrival,
-				obs.Arg{Key: "class", Val: spec.Name},
-				obs.Arg{Key: "backlog_cycles", Val: strconv.FormatUint(minBacklog, 10)})
-		}
-		return RequestTrace{}, nil
-	}
-
-	maxRetries := 0
-	var backoff, backoffCap uint64
-	hedging := false
-	if rp.rec != nil {
-		maxRetries = rp.rec.MaxRetries
-		backoff = rp.rec.BackoffCycles
-		backoffCap = rp.rec.BackoffCapCycles
-		hedging = rp.rec.Hedge && spec.HedgeCycles > 0
-	}
-
-	var reqName string
-	if rp.tr.On() {
-		reqName = fmt.Sprintf("q%d", index)
-		rp.tr.Begin(reqName, "request", 0, index, arrival,
-			obs.Arg{Key: "class", Val: spec.Name})
-	}
-
-	for s := range rp.done {
-		rp.done[s] = false
-	}
-	var cov coverage
-	t := arrival
-	attempts, hedges := 0, 0
-	hedgeWon, degraded := false, false
-	var completion uint64
-	var chosen fleetCand
-	var d *cost.Decision
-	for {
-		attempts++
-		dec, cand, failedOver, err := rp.routeHealth(index, cands, t)
-		if err != nil {
-			return RequestTrace{}, fmt.Errorf("serve: request %d: %w", index, err)
-		}
-		chosen, d = cand, dec
-		if failedOver {
-			rp.fstats.Failovers++
-			acc.row.Failovers++
-			if rp.tr.On() {
-				rp.tr.Instant("failover", "routing", 0, 0, t,
-					obs.Arg{Key: "pool", Val: strconv.Itoa(cand.pool)})
-			}
-		}
-		if rp.tr.On() {
-			rp.tr.Instant("route", "routing", 0, 0, t,
-				obs.Arg{Key: "pool", Val: strconv.Itoa(cand.pool)},
-				obs.Arg{Key: "arch", Val: rp.fleet.pools[cand.pool].String()},
-				obs.Arg{Key: "attempt", Val: strconv.Itoa(attempts)})
-		}
-		primary := rp.runAttempt(reqName, cand, t, spec.TimeoutCycles, rp.done, &cov)
-
-		var hedge attemptOutcome
-		hedged := false
-		if hedging && !(primary.success && primary.completion <= t+spec.HedgeCycles) {
-			if hc, ok := rp.hedgeCandidate(cands, cand.pool, t+spec.HedgeCycles); ok {
-				hedged = true
-				hedges++
-				rp.fstats.Hedges++
-				acc.row.Hedges++
-				if rp.tr.On() {
-					rp.tr.Instant("hedge", "recovery", 0, 0, t+spec.HedgeCycles,
-						obs.Arg{Key: "pool", Val: strconv.Itoa(hc.pool)})
-				}
-				hedge = rp.runAttempt(reqName, hc, t+spec.HedgeCycles, spec.TimeoutCycles, rp.done, &cov)
-			}
-		}
-
-		if primary.success || (hedged && hedge.success) {
-			completion = primary.completion
-			if hedged && hedge.success && (!primary.success || hedge.completion < primary.completion) {
-				completion = hedge.completion
-				hedgeWon = true
-				rp.fstats.HedgeWins++
-				acc.row.HedgeWins++
-				chosen = fleetCand{} // re-resolved below
-				for _, c := range cands {
-					if c.pool == hedge.pool {
-						chosen = c
-						break
-					}
-				}
-			}
-			break
-		}
-
-		failAt := primary.resolve
-		if hedged && hedge.resolve > failAt {
-			failAt = hedge.resolve
-		}
-		if attempts-1 >= maxRetries {
-			degraded = true
-			completion = failAt
-			break
-		}
-		rp.fstats.Retries++
-		acc.row.Retries++
-		t = failAt + backoff
-		if rp.tr.On() {
-			rp.tr.Instant("retry", "recovery", 0, 0, t,
-				obs.Arg{Key: "attempt", Val: strconv.Itoa(attempts + 1)},
-				obs.Arg{Key: "backoff_cycles", Val: strconv.FormatUint(backoff, 10)})
-		}
-		if next := backoff * 2; next > backoff {
-			backoff = next
-			if backoffCap > 0 && backoff > backoffCap {
-				backoff = backoffCap
-			}
-		}
-	}
-
-	pi := rp.planIndex[chosen.plan]
-	resp := rp.planResp[pi]
-	rp.report.Pools[chosen.pool].Requests++
-	latency := completion - arrival
-	totalRows := rp.fleet.whole.N
-	covFrac := 1.0
-	matches, revenue := resp.Matches, resp.Revenue
-	errMatches, errRevenue := 0.0, 0.0
-	if degraded {
-		rp.fstats.Degraded++
-		covFrac = float64(cov.rows) / float64(totalRows)
-		matches, revenue = cov.matches, cov.revenue
-		errMatches = relErr(float64(matches), float64(resp.Matches))
-		errRevenue = relErr(float64(revenue), float64(resp.Revenue))
-		if rp.tr.On() {
-			rp.tr.Instant("degraded", "recovery", 0, 0, completion,
-				obs.Arg{Key: "coverage", Val: strconv.FormatFloat(covFrac, 'g', -1, 64)})
-		}
-	}
-	acc.observeRecovered(latency, spec.SLOCycles > 0, degraded, covFrac, errRevenue)
-	rp.observeAdaptive(d, chosen, float64(resp.Cycles))
-	if rp.tr.On() {
-		rp.tr.Instant("merge", "merge", 0, 0, completion,
-			obs.Arg{Key: "matches", Val: strconv.Itoa(matches)})
-		rp.tr.End(reqName, "request", 0, index, completion,
-			obs.Arg{Key: "latency_cycles", Val: strconv.FormatUint(latency, 10)},
-			obs.Arg{Key: "attempts", Val: strconv.Itoa(attempts)})
-	}
-	tr := RequestTrace{
-		Index:   index,
-		Client:  client,
-		Plan:    chosen.plan,
-		Routing: d,
-		Class:   req.Class,
-		Pool: &PoolPick{
-			Pool: chosen.pool, Arch: rp.fleet.pools[chosen.pool].String(),
-			QueueCycles: uint64(d.QueueCycles[d.ChosenIndex]), EstCycles: chosen.est.Cycles,
-		},
-		Arrival:    arrival,
-		Completion: completion,
-		Latency:    latency,
-		Service:    resp.Cycles,
-		Work:       resp.WorkCycles,
-		Matches:    matches,
-		Revenue:    revenue,
-		Attempts:   attempts,
-		Hedges:     hedges,
-		HedgeWon:   hedgeWon,
-		Degraded:   degraded,
-		Coverage:   covFrac,
-		ErrMatches: errMatches,
-		ErrRevenue: errRevenue,
-	}
-	rp.report.Requests = append(rp.report.Requests, tr)
-	return tr, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/fault"
 	"github.com/hipe-sim/hipe/internal/query"
 )
@@ -90,7 +91,7 @@ func TestFleetFaultRecovery(t *testing.T) {
 
 // TestFleetFaultFreeByteIdentical: a disabled (zero) fault spec must
 // leave the whole report byte-identical to a plain fleet run — the
-// legacy dispatch path, not a faulty twin of it.
+// healthy path of the one dispatcher, with no recovery rendering.
 func TestFleetFaultFreeByteIdentical(t *testing.T) {
 	f := testFleet(t, 2, query.HIPE, query.X86)
 	spec := fleetSpecs(t)["poisson"]
@@ -419,22 +420,38 @@ func TestLoadSpecRejectsBadFaultFields(t *testing.T) {
 	}
 }
 
-// TestRecoveryGateZeroAlloc pins the faults-off fast path: the replay
-// gate plus a full set of health queries against the absent (nil)
-// injector must not allocate — the legacy dispatch stays exactly as
-// cheap as before the fault layer existed.
+// TestRecoveryGateZeroAlloc pins the healthy path of the one
+// dispatcher: booking one request's shard FIFO tasks with a nil
+// injector and no deadline must not allocate — the fault and recovery
+// machinery costs a fault-free replay nothing.
 func TestRecoveryGateZeroAlloc(t *testing.T) {
-	rp := &fleetReplay{}
-	var sink bool
+	c := testCluster(t, 4)
+	plan := DefaultPlan(query.HIPE, db.DefaultQ06())
+	parts := make([]ShardPartial, 4)
+	for s := range parts {
+		parts[s] = ShardPartial{Shard: s, Cycles: uint64(100 + s), Matches: s}
+	}
+	rp := &replay{
+		c:         c,
+		report:    &Report{},
+		planIndex: map[query.Plan]int{plan: 0},
+		byPlan:    [][]ShardPartial{parts},
+		free:      [][]uint64{make([]uint64, 4)},
+		lanes:     [][]ShardStats{newShardStats(4)},
+		slow:      []float64{1},
+		done:      make([]bool, 4),
+	}
+	var at uint64
 	allocs := testing.AllocsPerRun(200, func() {
-		sink = rp.recovering()
-		rp.inj.DownUntil(0, 1000)
-		rp.inj.NextCrash(0, 0, 1000)
-		rp.inj.Slowdown(0, 0, 1000)
-		rp.inj.StallUntil(0, 0, 1000)
+		var cov coverage
+		clear(rp.done)
+		out := rp.runAttempt("", candidate{plan: plan}, at, 0, &cov)
+		if !out.success || cov.rows != c.Rows() {
+			t.Fatalf("healthy booking failed: %+v, covered %d rows", out, cov.rows)
+		}
+		at = out.completion
 	})
-	_ = sink
 	if allocs != 0 {
-		t.Fatalf("faults-off gate allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("healthy shard-FIFO booking allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -10,8 +10,9 @@
 // The layer sits above internal/sweep in the stack: sweep answers "how
 // fast is one configuration", serve answers "what throughput and tail
 // latency does a fleet of such machines deliver under load". Its load
-// generators and latency accounting live in traffic.go; its exporters
-// in report.go.
+// generators and executor pool live in traffic.go, the virtual-time
+// replay that turns service times into latencies in replay.go, and its
+// exporters in report.go.
 //
 // Determinism: each shard simulation is single-threaded and
 // bit-reproducible, shard-task results are aggregated by (request,
@@ -89,6 +90,18 @@ func DefaultQ1Plan(arch query.Arch, q db.Q01) query.Plan {
 	p.Kind = query.Q1Agg
 	p.Q = db.Q06{}
 	p.Q1 = q
+	return p
+}
+
+// servingShape is backend b's best serving plan for an ArchAuto request
+// plan: its DefaultPlan or DefaultQ1Plan shape over the request's
+// predicate, with in-memory aggregation kept only where b supports it.
+func servingShape(b query.Backend, req query.Plan) query.Plan {
+	if req.Kind == query.Q1Agg {
+		return DefaultQ1Plan(b.Arch(), req.Q1)
+	}
+	p := DefaultPlan(b.Arch(), req.Q)
+	p.Aggregate = req.Aggregate && b.Caps().Aggregate
 	return p
 }
 
@@ -323,35 +336,6 @@ func (c *Cluster) Calibrate(p cost.Params) {
 	c.mu.Unlock()
 }
 
-// adaptiveRerank re-ranks a routing decision under adaptive state: the
-// candidate set and analytic estimates are reused, queue penalties are
-// zero (no replica backlog on a single cluster), and the blend and
-// exploration provenance land on a fresh decision, leaving the cached
-// static decision untouched.
-func adaptiveRerank(ad *cost.Adaptive, index int, d *cost.Decision) *cost.Decision {
-	kind := d.Chosen.Kind
-	obsCycles := make([]float64, len(d.Estimates))
-	samples := make([]uint64, len(d.Estimates))
-	for i := range d.Estimates {
-		blended, _, n := ad.Blended(kind, d.Estimates[i].Plan.Arch, d.Selectivity, d.Estimates[i].Cycles)
-		if n > 0 {
-			obsCycles[i] = blended
-		}
-		samples[i] = n
-	}
-	nd, err := cost.RankLoaded(d.Selectivity, d.Estimates, make([]float64, len(d.Estimates)), obsCycles)
-	if err != nil {
-		return d
-	}
-	nd.BucketSamples = samples
-	if j, ok := ad.ExplorePick(index, len(nd.Estimates)); ok {
-		nd.ChosenIndex = j
-		nd.Chosen = nd.Estimates[j].Plan
-		nd.Explored = true
-	}
-	return nd
-}
-
 // routeKey identifies one distinct routable query.
 type routeKey struct {
 	kind query.QueryKind
@@ -384,6 +368,9 @@ func (c *Cluster) Rows() int { return c.whole.N }
 // bounds, checked against the largest shard — and executable on every
 // shard. ArchAuto requests are validated through their resolution.
 func (c *Cluster) Admit(req Request) error {
+	if err := checkClass(req); err != nil {
+		return err
+	}
 	if req.Plan.Auto() {
 		_, _, err := c.resolve(req)
 		return err
@@ -425,17 +412,9 @@ func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
 		maxRows := c.maxShardRows()
 		var candidates []query.Plan
 		for _, b := range query.Backends() {
-			var p query.Plan
-			if req.Plan.Kind == query.Q1Agg {
-				p = DefaultQ1Plan(b.Arch(), req.Plan.Q1)
-			} else {
-				p = DefaultPlan(b.Arch(), req.Plan.Q)
-				p.Aggregate = req.Plan.Aggregate && b.Caps().Aggregate
+			if p := servingShape(b, req.Plan); p.ValidateFor(maxRows) == nil {
+				candidates = append(candidates, p)
 			}
-			if p.ValidateFor(maxRows) != nil {
-				continue
-			}
-			candidates = append(candidates, p)
 		}
 		var err error
 		d, err = cost.PickSharded(c.params, c.shards, candidates)
@@ -449,10 +428,18 @@ func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
 	// With online adaptive routing enabled, the cached static decision
 	// only supplies the candidate set and analytic priors; the pick
 	// itself is re-made against the current observation state, so it can
-	// evolve as completed queries feed cycles back in.
+	// evolve as completed queries feed cycles back in. Re-ranking builds a
+	// fresh decision (the cached one stays untouched) with zero queue
+	// penalties: a cluster has no replica backlog to weigh.
 	c.adaptMu.Lock()
 	if c.adapt != nil {
-		d = adaptiveRerank(c.adapt, c.adaptSeq, d)
+		cands := make([]candidate, len(d.Estimates))
+		for i, e := range d.Estimates {
+			cands[i] = candidate{plan: e.Plan, est: e, sel: d.Selectivity}
+		}
+		if nd, err := rank(c.adapt, c.adaptSeq, cands, make([]float64, len(cands)), nil); err == nil {
+			d = nd
+		}
 		c.adaptSeq++
 	}
 	c.adaptMu.Unlock()
@@ -640,10 +627,10 @@ func (c *Cluster) mergeQ1(req Request, resp *Response, parts []ShardPartial) (*R
 
 // Query admits one request — routing ArchAuto requests to the
 // predicted-fastest backend first — scatters it across every shard
-// (shard simulations run concurrently, bounded by opt's executor
-// pool), gathers the partials, and returns the merged answer verified
-// against the unsharded reference evaluator. Safe for concurrent
-// callers.
+// (shard simulations run concurrently on the load tests' bounded
+// executor pool, runPlanSet), gathers the partials, and returns the
+// merged answer verified against the unsharded reference evaluator.
+// Safe for concurrent callers.
 func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -655,42 +642,11 @@ func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
 	if err := c.Admit(req); err != nil {
 		return nil, err
 	}
-	parts := make([]ShardPartial, len(c.shards))
-	errs := make([]error, len(c.shards))
-	workers := opt.EffectiveWorkers()
-	if workers > len(c.shards) {
-		workers = len(c.shards)
+	byPlan, err := c.runPlanSet([]query.Plan{req.Plan}, opt)
+	if err != nil {
+		return nil, err
 	}
-	indices := make(chan int)
-	var done sync.WaitGroup
-	var progressMu sync.Mutex
-	completed := 0
-	for w := 0; w < workers; w++ {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			for s := range indices {
-				parts[s], errs[s] = c.runShard(s, req.Plan, opt)
-				if opt.OnTask != nil {
-					progressMu.Lock()
-					completed++
-					opt.OnTask(completed, len(c.shards))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for s := range c.shards {
-		indices <- s
-	}
-	close(indices)
-	done.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", s, err)
-		}
-	}
-	resp, err := c.merge(req, parts)
+	resp, err := c.merge(req, byPlan[0])
 	if err != nil {
 		return nil, err
 	}

@@ -1,27 +1,19 @@
 // The traffic layer: deterministic request-stream generation, open- and
-// closed-loop load specifications, and the virtual-time scheduler that
-// turns per-(request, shard) service times into a serving timeline.
-//
-// The split that keeps load tests deterministic: the executor pool
-// (real goroutines) only computes service times, indexed by (request,
-// shard); the timeline — arrivals, per-shard FIFO queues, completions,
-// latencies — is then replayed single-threaded in virtual simulated
-// cycles. Reports are therefore byte-identical at any worker count.
+// closed-loop load specifications with their arrival processes, and the
+// bounded executor pool that computes per-(plan, shard) service times
+// for the virtual-time replay (replay.go).
 package serve
 
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/fault"
-	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/stats"
-	"github.com/hipe-sim/hipe/internal/sweep"
 )
 
 // StreamSpec declares a mixed request stream: N requests drawn with a
@@ -423,21 +415,18 @@ func (s LoadSpec) arrivals() []uint64 {
 	return times
 }
 
-// LoadTest runs the load spec against the cluster: it admits the
-// stream — routing ArchAuto requests to their predicted-fastest
-// backend first — computes every (request, shard) service time on the
-// bounded executor pool, verifies every merged answer against the
-// unsharded reference evaluator, replays the serving timeline in
-// virtual time, and returns the report. Deterministic at any worker
-// count (routing happens once, single-threaded, before any worker
-// runs, and decisions are pure functions of the served table).
+// LoadTest runs the load spec against the cluster: the one serving
+// replay with a single pool that can run every registered backend. It
+// admits the stream — routing ArchAuto requests to their
+// predicted-fastest backend first — computes every distinct (plan,
+// shard) service time on the bounded executor pool, verifies every
+// merged answer against the unsharded reference evaluator, replays the
+// serving timeline in virtual time, and returns the report.
+// Deterministic at any worker count (routing happens once,
+// single-threaded, before any worker runs, and decisions are pure
+// functions of the served table). Admission classes, shedding, faults,
+// recovery and adaptive routing need a replicated Fleet.
 func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
 	if len(spec.Classes) > 0 || spec.Shed {
 		return nil, fmt.Errorf("serve: admission classes need a replicated fleet (use Fleet.LoadTest)")
 	}
@@ -447,101 +436,16 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if spec.Adaptive != nil {
 		return nil, fmt.Errorf("serve: adaptive routing needs a replicated fleet (use Fleet.LoadTest)")
 	}
-	resolved := make([]Request, len(spec.Requests))
-	routings := make([]*cost.Decision, len(spec.Requests))
-	for i, req := range spec.Requests {
+	return c.loadTest(spec, opt, nil, func(req Request) ([]candidate, *cost.Decision, error) {
 		r, d, err := c.resolve(req)
 		if err != nil {
-			return nil, fmt.Errorf("serve: request %d: %w", i, err)
+			return nil, nil, err
 		}
 		if err := c.Admit(r); err != nil {
-			return nil, fmt.Errorf("serve: request %d: %w", i, err)
+			return nil, nil, err
 		}
-		resolved[i], routings[i] = r, d
-	}
-
-	// Open loop fixes the issued set (and arrival times) up front;
-	// closed loop issues every request.
-	var arrivalTimes []uint64
-	reqs := resolved
-	offered := len(reqs)
-	if spec.Mode == Open {
-		arrivalTimes = spec.arrivals()
-		reqs = reqs[:len(arrivalTimes)]
-		if len(reqs) == 0 {
-			return nil, fmt.Errorf("serve: no request arrives inside %d cycles", spec.DurationCycles)
-		}
-	}
-
-	parts, byPlan, err := c.runAll(reqs, opt)
-	if err != nil {
-		return nil, err
-	}
-	responses := make([]*Response, len(reqs))
-	for i, req := range reqs {
-		resp, err := c.merge(req, parts[i])
-		if err != nil {
-			return nil, fmt.Errorf("serve: request %d: %w", i, err)
-		}
-		resp.Routing = routings[i]
-		if opt.Exec == sweep.ExecEstimate {
-			resp.ExecMode = opt.Exec.String()
-		}
-		responses[i] = resp
-	}
-
-	r := &Report{
-		Mode:    spec.Mode.String(),
-		Shards:  len(c.shards),
-		Rows:    c.whole.N,
-		Offered: offered,
-	}
-	if opt.Exec == sweep.ExecEstimate {
-		r.ExecMode = opt.Exec.String()
-	}
-	// The report's counter total sums each distinct (plan, shard)
-	// simulation exactly once — requests sharing a plan share one run,
-	// so summing per-request responses would double-count it.
-	if opt.Counters {
-		r.Counters = sumPlanCounters(byPlan)
-	}
-	var tr *obs.Trace
-	if opt.Trace {
-		tr = obs.NewTrace()
-		nameClusterTracks(tr, len(c.shards))
-	}
-	switch spec.Mode {
-	case Open:
-		c.scheduleOpen(r, responses, arrivalTimes, parts, tr)
-	case Closed:
-		c.scheduleClosed(r, responses, parts, spec.Concurrency, tr)
-	}
-	r.Trace = tr
-	r.finish()
-	return r, nil
-}
-
-// sumPlanCounters folds the per-(plan, shard) counter snapshots into
-// one total, each distinct simulation counted once.
-func sumPlanCounters(byPlan [][]ShardPartial) *obs.Counters {
-	total := &obs.Counters{}
-	for _, parts := range byPlan {
-		for _, p := range parts {
-			total.Add(p.Counters)
-		}
-	}
-	return total
-}
-
-// nameClusterTracks labels the trace's tracks: pid 0 is the
-// request/router timeline, pid 1 the (single-replica) cluster with one
-// thread per shard.
-func nameClusterTracks(tr *obs.Trace, shards int) {
-	tr.NameProcess(0, "requests")
-	tr.NameProcess(1, "cluster")
-	for s := 0; s < shards; s++ {
-		tr.NameThread(1, s, fmt.Sprintf("shard %d", s))
-	}
+		return []candidate{{plan: r.Plan}}, d, nil
+	})
 }
 
 // taskKey identifies one distinct shard simulation. Identical plans
@@ -553,41 +457,13 @@ type taskKey struct {
 	shard int
 }
 
-// runAll computes every (request, shard) service time and partial on
-// the executor pool, simulating each distinct (plan, shard) pair
-// exactly once. Task order is first occurrence in the request stream,
-// and results are indexed, so worker scheduling cannot leak into them.
-// Both views of the results are returned: per request (sharing slices
-// across requests with equal plans) and per distinct plan — the latter
-// is what counter totals must sum over to count each simulation once.
-func (c *Cluster) runAll(reqs []Request, opt Options) (parts, byPlan [][]ShardPartial, err error) {
-	index := map[query.Plan]int{}
-	var plans []query.Plan
-	for _, req := range reqs {
-		if _, ok := index[req.Plan]; !ok {
-			index[req.Plan] = len(plans)
-			plans = append(plans, req.Plan)
-		}
-	}
-	byPlan, err = c.runPlanSet(plans, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts = make([][]ShardPartial, len(reqs))
-	for ri, req := range reqs {
-		parts[ri] = byPlan[index[req.Plan]]
-	}
-	return parts, byPlan, nil
-}
-
 // runPlanSet computes the per-shard partials for a set of distinct
 // plans on the bounded executor pool, one task per (plan, shard). The
 // returned slice is indexed [plan][shard], in the caller's plan order;
 // results are slot-indexed so worker scheduling cannot leak into them,
 // and the returned error is the first failure in (plan, shard) order.
-// This is the shared compute stage under both Cluster.LoadTest (one
-// plan per distinct request plan) and Fleet.LoadTest (one plan per
-// distinct routing candidate across every pool).
+// This is the compute stage under every load test (one plan per
+// distinct routing candidate) and under Cluster.Query (one plan).
 func (c *Cluster) runPlanSet(plans []query.Plan, opt Options) ([][]ShardPartial, error) {
 	nShards := len(c.shards)
 	keys := make([]taskKey, 0, len(plans)*nShards)
@@ -640,105 +516,6 @@ func (c *Cluster) runPlanSet(plans []query.Plan, opt Options) ([][]ShardPartial,
 	return out, nil
 }
 
-// scheduleOpen replays the open-loop timeline: requests fan out to
-// every shard in arrival order, each shard serves its queue FIFO, and a
-// request completes when its slowest shard task does.
-func (c *Cluster) scheduleOpen(r *Report, responses []*Response, arrivals []uint64, parts [][]ShardPartial, tr *obs.Trace) {
-	shardFree := make([]uint64, len(c.shards))
-	r.PerShard = newShardStats(len(c.shards))
-	for i, resp := range responses {
-		r.Requests = append(r.Requests,
-			c.dispatch(resp, i, -1, arrivals[i], parts[i], shardFree, r.PerShard, tr))
-	}
-}
-
-// scheduleClosed replays the closed-loop timeline: concurrency clients
-// share the request stream; each client issues the next unissued
-// request the moment its previous one completes (zero think time).
-// Ties break on client index, so the replay is fully deterministic.
-func (c *Cluster) scheduleClosed(r *Report, responses []*Response, parts [][]ShardPartial, concurrency int, tr *obs.Trace) {
-	if concurrency > len(responses) {
-		concurrency = len(responses)
-	}
-	shardFree := make([]uint64, len(c.shards))
-	clientFree := make([]uint64, concurrency)
-	r.PerShard = newShardStats(len(c.shards))
-	for i, resp := range responses {
-		// The next issue slot is the earliest-free client; arrivals are
-		// therefore nondecreasing, which keeps shard FIFO order valid.
-		client := 0
-		for cl := 1; cl < concurrency; cl++ {
-			if clientFree[cl] < clientFree[client] {
-				client = cl
-			}
-		}
-		reqTr := c.dispatch(resp, i, client, clientFree[client], parts[i], shardFree, r.PerShard, tr)
-		clientFree[client] = reqTr.Completion
-		r.Requests = append(r.Requests, reqTr)
-	}
-	r.Concurrency = concurrency
-}
-
-// dispatch queues one request's shard tasks FIFO behind each shard's
-// earlier work and returns its trace. When tr is recording it emits
-// the request's span tree: an async request span on the router track
-// (pid 0) bracketing a routing instant, one complete span per shard
-// task on the cluster track (pid 1, tid = shard), and a merge instant
-// at completion. All span times are virtual cycles from this
-// single-threaded replay, so traces are byte-identical at any worker
-// count; the On() gates keep the disabled path allocation-free.
-func (c *Cluster) dispatch(resp *Response, index, client int, arrival uint64,
-	parts []ShardPartial, shardFree []uint64, perShard []ShardStats, tr *obs.Trace) RequestTrace {
-	var reqName string
-	if tr.On() {
-		reqName = fmt.Sprintf("q%d %s", index, resp.Request.Plan.Arch)
-		tr.Begin(reqName, "request", 0, index, arrival,
-			obs.Arg{Key: "arch", Val: resp.Request.Plan.Arch.String()})
-		if resp.Routing != nil {
-			tr.Instant("route", "routing", 0, 0, arrival,
-				obs.Arg{Key: "chosen", Val: resp.Routing.Chosen.Arch.String()},
-				obs.Arg{Key: "candidates", Val: strconv.Itoa(len(resp.Routing.Estimates))})
-		}
-	}
-	var completion uint64
-	for s, p := range parts {
-		start := arrival
-		if shardFree[s] > start {
-			start = shardFree[s]
-		}
-		end := start + p.Cycles
-		shardFree[s] = end
-		perShard[s].Tasks++
-		perShard[s].BusyCycles += p.Cycles
-		if end > completion {
-			completion = end
-		}
-		if tr.On() {
-			tr.Complete(reqName, "shard", 1, s, start, end,
-				obs.Arg{Key: "matches", Val: strconv.Itoa(p.Matches)})
-		}
-	}
-	if tr.On() {
-		tr.Instant("merge", "merge", 0, 0, completion,
-			obs.Arg{Key: "matches", Val: strconv.Itoa(resp.Matches)})
-		tr.End(reqName, "request", 0, index, completion,
-			obs.Arg{Key: "latency_cycles", Val: strconv.FormatUint(completion-arrival, 10)})
-	}
-	return RequestTrace{
-		Index:      index,
-		Client:     client,
-		Plan:       resp.Request.Plan,
-		Routing:    resp.Routing,
-		Arrival:    arrival,
-		Completion: completion,
-		Latency:    completion - arrival,
-		Service:    resp.Cycles,
-		Work:       resp.WorkCycles,
-		Matches:    resp.Matches,
-		Revenue:    resp.Revenue,
-	}
-}
-
 func newShardStats(n int) []ShardStats {
 	out := make([]ShardStats, n)
 	for i := range out {
@@ -747,8 +524,12 @@ func newShardStats(n int) []ShardStats {
 	return out
 }
 
-// finish derives the aggregate figures from the per-request traces.
-func (r *Report) finish() {
+// finish derives the aggregate figures from the per-request traces, the
+// replay's per-(pool, shard) load accounting and its class rows: a
+// cluster reports its one pool's shards, a fleet rolls each pool's
+// shards up (its utilisation denominator is makespan x shards) and adds
+// the per-class rows.
+func (r *Report) finish(lanes [][]ShardStats, accums []classAccum) {
 	var hist stats.LogHist
 	for _, tr := range r.Requests {
 		hist.Observe(tr.Latency)
@@ -762,10 +543,27 @@ func (r *Report) finish() {
 	r.LatencyP99 = hist.Quantile(0.99)
 	r.LatencyMean = hist.Mean()
 	r.LatencyMax = hist.Max()
+	if r.HasFleet() {
+		for p := range r.Pools {
+			for _, l := range lanes[p] {
+				r.Pools[p].Tasks += l.Tasks
+				r.Pools[p].BusyCycles += l.BusyCycles
+			}
+		}
+		for i := range accums {
+			r.Classes = append(r.Classes, accums[i].finish(r.HasFaults()))
+		}
+	} else {
+		r.PerShard = lanes[0]
+	}
 	if r.MakespanCycles > 0 {
 		r.ThroughputRPMC = float64(r.Completed) / (float64(r.MakespanCycles) / 1e6)
 		for i := range r.PerShard {
 			r.PerShard[i].Utilisation = float64(r.PerShard[i].BusyCycles) / float64(r.MakespanCycles)
+		}
+		denom := float64(r.MakespanCycles) * float64(r.Shards)
+		for i := range r.Pools {
+			r.Pools[i].Utilisation = float64(r.Pools[i].BusyCycles) / denom
 		}
 	}
 }

@@ -5,7 +5,8 @@
 # claim an explicit pipeline gate: it renders each artifact at 1 worker
 # and at all cores, and fails on the first byte of difference. The sweep
 # and serve runs include Q01 aggregation cells/requests so the grouped
-# workload family is gated alongside the Q06 selection scan.
+# workload family is gated alongside the Q06 selection scan, and the
+# auto-routing block gates the adaptive planner's routing decisions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +46,30 @@ serve 1
 serve "$many"
 cmp "$out/serve.1.csv" "$out/serve.$many.csv"
 cmp "$out/serve.1.json" "$out/serve.$many.json"
+
+echo "== auto routing (clustered serve report + auto-axis sweep): -workers 1 vs -workers $many =="
+# -archs auto routing decisions — the backend picks and every
+# candidate's estimate — must be byte-identical at any worker count; the
+# full-file cmp covers the routing columns.
+autoroute() {
+  go run ./cmd/hipe-serve -workers "$1" \
+    -shards 4 -requests 24 -tuples 4096 -archs auto -clustered \
+    -q1-every 3 -quiet \
+    -csv "$out/route.$1.csv" -json "$out/route.$1.json" >/dev/null
+  go run ./cmd/hipe-sweep -workers "$1" \
+    -archs auto,x86,hmc,hive,hipe -opsizes 64,256 -unrolls 8 \
+    -tuples 4096 -q1cuts 800 -quiet \
+    -csv "$out/autosweep.$1.csv" -json "$out/autosweep.$1.json" >/dev/null
+}
+autoroute 1
+autoroute "$many"
+cmp "$out/route.1.csv" "$out/route.$many.csv"
+cmp "$out/route.1.json" "$out/route.$many.json"
+cmp "$out/autosweep.1.csv" "$out/autosweep.$many.csv"
+cmp "$out/autosweep.1.json" "$out/autosweep.$many.json"
+awk -F, 'NR==1{for(i=1;i<=NF;i++) if($i=="routed") c=i; next} c && $c=="true"{found=1} END{exit !found}' \
+  "$out/route.1.csv" || { echo "no routed request in the auto report" >&2; exit 1; }
+grep -q ',auto,' "$out/autosweep.1.csv" || { echo "no auto cell in the sweep export" >&2; exit 1; }
 
 echo "== fleet report (replicas + classes + shed): -workers 1 vs -workers $many =="
 fleet() {
