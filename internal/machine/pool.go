@@ -3,8 +3,8 @@
 // used machine to a state bit-identical to a freshly built one
 // (machine_test.go pins this), so pooling changes wall-clock and
 // allocation cost only — never simulated results. The serving cluster
-// and the sweep engine's parallel shard path both draw per-task
-// machines from a Pool instead of rebuilding the world per task.
+// and the sweep engine's cell driver both draw per-task machines from a
+// Pool instead of rebuilding the world per task.
 package machine
 
 import "sync"

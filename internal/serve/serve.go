@@ -10,9 +10,10 @@
 // The layer sits above internal/sweep in the stack: sweep answers "how
 // fast is one configuration", serve answers "what throughput and tail
 // latency does a fleet of such machines deliver under load". Its load
-// generators and executor pool live in traffic.go, the virtual-time
-// replay that turns service times into latencies in replay.go, and its
-// exporters in report.go.
+// generators and the shard-task stage (runPlanSet, which fans out on
+// the sweep engine's worker pool, sweep.ForEach) live in traffic.go,
+// the virtual-time replay that turns service times into latencies in
+// replay.go, and its exporters in report.go.
 //
 // Determinism: each shard simulation is single-threaded and
 // bit-reproducible, shard-task results are aggregated by (request,

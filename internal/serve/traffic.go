@@ -1,7 +1,8 @@
 // The traffic layer: deterministic request-stream generation, open- and
 // closed-loop load specifications with their arrival processes, and the
-// bounded executor pool that computes per-(plan, shard) service times
-// for the virtual-time replay (replay.go).
+// shard-task stage that computes per-(plan, shard) service times for the
+// virtual-time replay (replay.go) on the sweep engine's bounded worker
+// pool.
 package serve
 
 import (
@@ -14,6 +15,7 @@ import (
 	"github.com/hipe-sim/hipe/internal/fault"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/stats"
+	"github.com/hipe-sim/hipe/internal/sweep"
 )
 
 // StreamSpec declares a mixed request stream: N requests drawn with a
@@ -448,61 +450,31 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	})
 }
 
-// taskKey identifies one distinct shard simulation. Identical plans
-// over the same shard are bit-identical runs, so mixed streams — which
-// repeat a small set of plans — dedupe to far fewer simulations than
-// (requests × shards).
-type taskKey struct {
-	plan  query.Plan
-	shard int
-}
-
 // runPlanSet computes the per-shard partials for a set of distinct
-// plans on the bounded executor pool, one task per (plan, shard). The
-// returned slice is indexed [plan][shard], in the caller's plan order;
-// results are slot-indexed so worker scheduling cannot leak into them,
-// and the returned error is the first failure in (plan, shard) order.
-// This is the compute stage under every load test (one plan per
-// distinct routing candidate) and under Cluster.Query (one plan).
+// plans, one task per (plan, shard), on the sweep engine's worker pool
+// (sweep.ForEach). Identical plans over the same shard are bit-identical
+// runs, so mixed streams — which repeat a small set of plans — dedupe to
+// far fewer simulations than (requests × shards). The returned slice is
+// indexed [plan][shard], in the caller's plan order; results are
+// slot-indexed so worker scheduling cannot leak into them, and the
+// returned error is the first failure in (plan, shard) order. This is
+// the compute stage under every load test (one plan per distinct
+// routing candidate) and under Cluster.Query (one plan).
 func (c *Cluster) runPlanSet(plans []query.Plan, opt Options) ([][]ShardPartial, error) {
 	nShards := len(c.shards)
-	keys := make([]taskKey, 0, len(plans)*nShards)
-	for _, p := range plans {
-		for s := 0; s < nShards; s++ {
-			keys = append(keys, taskKey{p, s})
-		}
-	}
-	results := make([]ShardPartial, len(keys))
-	errs := make([]error, len(keys))
-
-	indices := make(chan int)
-	var done sync.WaitGroup
+	results := make([]ShardPartial, len(plans)*nShards)
+	errs := make([]error, len(results))
 	var progressMu sync.Mutex
 	completed := 0
-	workers := opt.EffectiveWorkers()
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	for w := 0; w < workers; w++ {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			for t := range indices {
-				results[t], errs[t] = c.runShard(keys[t].shard, keys[t].plan, opt)
-				if opt.OnTask != nil {
-					progressMu.Lock()
-					completed++
-					opt.OnTask(completed, len(keys))
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for t := range keys {
-		indices <- t
-	}
-	close(indices)
-	done.Wait()
+	sweep.ForEach(len(results), opt.EffectiveWorkers(), func(t int) {
+		results[t], errs[t] = c.runShard(t%nShards, plans[t/nShards], opt)
+		if opt.OnTask != nil {
+			progressMu.Lock()
+			completed++
+			opt.OnTask(completed, len(results))
+			progressMu.Unlock()
+		}
+	})
 
 	out := make([][]ShardPartial, len(plans))
 	for pi := range plans {

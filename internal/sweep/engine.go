@@ -1,13 +1,18 @@
-// The worker pool: cells fan out over GOMAXPROCS goroutines, each
-// simulation runs single-threaded, and results land in an index-ordered
-// ResultSet so the outcome is independent of scheduling.
+// The cell driver: every cell is max(1, CellShards) (cell, shard)
+// tasks — a whole-table cell is the one-shard case — fanned out over one
+// worker pool (ForEach). Each simulation runs single-threaded, each
+// cell's partials merge in shard order when its last task finishes, and
+// results land in an index-ordered ResultSet, so the outcome is
+// independent of scheduling.
 package sweep
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
@@ -21,11 +26,11 @@ type Options struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
 	// The worker count never changes results, only wall-clock time.
 	Workers int
-	// OnCell, when non-nil, is called once per finished cell — failed
-	// cells included, with a zero Result — with the number of cells
-	// finished so far and the grid total. Calls are serialised but
-	// arrive in completion order, not index order — use it for
-	// progress reporting, not aggregation.
+	// OnCell, when non-nil, is called once per cell when the cell's
+	// last task finishes — failed cells included, with a zero Result —
+	// with the number of cells finished so far and the grid total.
+	// Calls are serialised but arrive in completion order, not index
+	// order — use it for progress reporting, not aggregation.
 	OnCell func(completed, total int, r CellResult)
 	// Counters enables machine-counter capture: each cell's machine
 	// registry (plus its event engine's scheduler accounting) is
@@ -40,13 +45,13 @@ type Options struct {
 	// every result with CellResult.Mode. Exact-mode results and exports
 	// are byte-identical to runs made before this knob existed.
 	Exec ExecMode
-	// CellShards, when above 1, runs each exact cell as a parallel
-	// shard simulation: the cell's table is partitioned into CellShards
-	// contiguous shards (db.Partition), the per-shard machines simulate
-	// concurrently on the worker pool, and the partials merge in shard
-	// order — cycles as the critical path (slowest shard), energy and
-	// counter totals summed — so results are byte-identical at any
-	// worker count. 0 or 1 keeps the whole-table single-machine path.
+	// CellShards is the number of contiguous shards (db.Partition)
+	// each exact cell's table is cut into. Every shard is one task on
+	// the worker pool with its own machine, and a cell's partials merge
+	// in shard order — cycles as the critical path (slowest shard),
+	// energy and counter totals summed — so results are byte-identical
+	// at any worker count. 0 or 1 runs each cell as one whole-table
+	// task.
 	CellShards int
 }
 
@@ -183,13 +188,14 @@ func Run(cfg Config, g Grid, opt Options) (*ResultSet, error) {
 	return RunCells(cfg, cells, opt)
 }
 
-// tableCache resolves each distinct workload's table and selectivity
-// exactly once per sweep, even when many workers ask concurrently. The
-// tables themselves come from the process-wide db memo, so repeated
-// sweeps and figure runs over the same (tuples, seed, clustering)
-// triples share one generated table.
+// tableCache resolves each distinct workload's table, selectivity and
+// shard split exactly once per sweep, even when many tasks ask
+// concurrently. The tables themselves come from the process-wide db
+// memo, so repeated sweeps and figure runs over the same (tuples, seed,
+// clustering) triples share one generated table.
 type tableCache struct {
 	mu     sync.Mutex
+	shards int
 	tables map[workload]*tableEntry
 }
 
@@ -197,9 +203,13 @@ type tableEntry struct {
 	once sync.Once
 	tab  *db.Table
 	sel  float64
+	// shards is tab cut into the sweep's shard count (tab itself at one
+	// shard); err is why it could not be cut.
+	shards []*db.Table
+	err    error
 }
 
-func (tc *tableCache) get(w workload) (*db.Table, float64) {
+func (tc *tableCache) get(w workload) *tableEntry {
 	tc.mu.Lock()
 	e, ok := tc.tables[w]
 	if !ok {
@@ -218,131 +228,222 @@ func (tc *tableCache) get(w workload) (*db.Table, float64) {
 		} else {
 			e.sel = db.Selectivity(e.tab, w.Q)
 		}
+		if tc.shards > 1 {
+			e.shards, e.err = db.Partition(e.tab, tc.shards)
+		} else {
+			e.shards = []*db.Table{e.tab}
+		}
 	})
-	return e.tab, e.sel
+	return e
 }
 
-// RunCells executes an explicit cell list through the worker pool. The
-// cells' Tuples/Seed fields select their tables; cfg contributes the
-// machine and energy models. Every cell runs even if another fails, and
-// the returned error is the first failure in cell order (deterministic
-// regardless of worker count); the ResultSet is nil on error.
+// RunCells executes an explicit cell list. The cells' Tuples/Seed
+// fields select their tables; cfg contributes the machine and energy
+// models. Each cell runs as max(1, opt.CellShards) (cell, shard) tasks
+// on one worker pool; a whole-table cell is the one-shard case. Every
+// cell runs even if another fails, and the returned error is the first
+// failure in cell order (deterministic regardless of worker count); the
+// ResultSet is nil on error.
 func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Exec == ExecEstimate {
-		return runCellsEstimate(cfg, cells, opt)
-	}
-	if opt.CellShards > 1 {
-		return runCellsSharded(cfg, cells, opt)
-	}
-	rs := &ResultSet{Cells: make([]CellResult, len(cells))}
-	errs := make([]error, len(cells))
-	cache := &tableCache{tables: map[workload]*tableEntry{}}
+	n := max(1, opt.CellShards)
 
-	// Size the default machine image to the sweep's largest workload
-	// instead of the full 64 MiB default: layouts bump-allocate from
-	// address zero, so the image size changes no addresses and no
-	// timing — only how many bytes each machine build and reset touches.
-	// An explicit cfg.Machine is honoured untouched.
+	// Size the default machine image to the largest shard a task
+	// simulates (at one shard, the largest table) instead of the full
+	// 64 MiB default: layouts bump-allocate from address zero, so the
+	// image size changes no addresses and no timing — only how many
+	// bytes each machine build and reset touches. An explicit
+	// cfg.Machine is honoured untouched.
 	mc := cfg.machineConfig()
 	if cfg.Machine == nil {
-		maxTuples := 0
+		rows := 0
 		for _, c := range cells {
-			if c.Tuples > maxTuples {
-				maxTuples = c.Tuples
-			}
+			rows = max(rows, shardRows(c.Tuples, n))
 		}
-		if ib := db.ImageBytesFor(maxTuples); ib < mc.ImageBytes {
+		if ib := db.ImageBytesFor(rows); ib < mc.ImageBytes {
 			mc.ImageBytes = ib
 		}
 	}
 	cfg.Machine = &mc
 
-	// The planner parameters for auto-arch cells, derived once from the
-	// sweep's machine and energy models. Resolution happens per cell
-	// inside the workers, but a decision is a pure function of (table,
-	// plan), so the outcome is independent of worker scheduling.
-	params := cost.ParamsFor(cfg.machineConfig(), cfg.energyModel())
-
-	indices := make(chan int)
-	var done sync.WaitGroup
-	var progressMu sync.Mutex
-	completed := 0
-	for w := 0; w < opt.EffectiveWorkers(); w++ {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			// Each worker builds one machine lazily and Reset-reuses it
-			// across its cells: a reset machine is bit-identical to a
-			// fresh one (machine.Reset), so reuse changes wall-clock
-			// only — the worker-count determinism tests double as reuse
-			// determinism tests.
-			var m *machine.Machine
-			for i := range indices {
-				cell := cells[i]
-				tab, sel := cache.get(cell.workload())
-				cr := CellResult{Index: i, Cell: cell, Selectivity: sel}
-				var res Result
-				var err error
-				plan := cell.Plan
-				if plan.Auto() {
-					// Resolve the auto cell: substitute each registered
-					// backend into the cell's shape and run the
-					// predicted-fastest.
-					var d *cost.Decision
-					d, err = cost.Pick(params, tab, plan.Candidates(cell.Tuples))
-					if err == nil {
-						plan = d.Chosen
-						cr.Routing = d
-					}
-				}
-				if err == nil {
-					if m == nil {
-						m, err = machine.New(cfg.machineConfig())
-					} else {
-						m.Reset()
-					}
-				}
-				if err == nil {
-					res, err = cfg.runOn(m, tab, plan)
-				}
-				if err == nil && opt.Counters {
-					// Snapshot before the next cell's Reset clears the
-					// registry. A snapshot is a pure function of the
-					// single-threaded cell run, so worker scheduling
-					// cannot leak into it.
-					cr.Counters = obs.Capture(m.Registry, m.Engine)
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("sweep: cell %d (%s): %w", i, cell, err)
-				} else {
-					cr.Result = res
-					rs.Cells[i] = cr
-				}
-				if opt.OnCell != nil {
-					progressMu.Lock()
-					completed++
-					opt.OnCell(completed, len(cells), cr)
-					progressMu.Unlock()
-				}
-			}
-		}()
+	r := &cellRun{cfg: cfg, cells: cells, opt: opt, n: n,
+		cache: tableCache{shards: n, tables: map[workload]*tableEntry{}},
+		// The planner parameters for auto-arch cells, derived once from
+		// the sweep's machine and energy models.
+		params: cost.ParamsFor(mc, cfg.energyModel()),
+		pool:   machine.NewPool(mc),
+		slots:  make([]CellResult, len(cells)*n),
+		errs:   make([]error, len(cells)*n),
+		setup:  make([]sync.Once, len(cells)),
+		done:   make([]atomic.Int32, len(cells)),
 	}
-	for i := range cells {
-		indices <- i
-	}
-	close(indices)
-	done.Wait()
+	ForEach(len(r.slots), opt.EffectiveWorkers(), r.task)
 
-	for _, err := range errs {
+	// Tasks are in (cell, shard) order, so the first task error is the
+	// first failing cell's.
+	for _, err := range r.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	// Each cell's result was built in its shard-0 slot.
+	rs := &ResultSet{Cells: r.slots[:len(cells):len(cells)]}
+	for c := range rs.Cells {
+		rs.Cells[c] = r.slots[c*n]
+	}
 	rs.computeSpeedups()
 	return rs, nil
+}
+
+// cellRun is one RunCells call's shared state. Task t is shard t%n of
+// cell t/n. Outcomes are slot-indexed and each cell merges in shard
+// order, so worker scheduling cannot leak into any result.
+type cellRun struct {
+	cfg    Config
+	cells  []Cell
+	opt    Options
+	n      int
+	cache  tableCache
+	params cost.Params
+	// pool recycles machines across tasks: a Reset machine is
+	// bit-identical to a fresh one (machine.Reset), so reuse changes
+	// wall-clock only — the worker-count determinism tests double as
+	// reuse determinism tests.
+	pool *machine.Pool
+
+	// Per task: its outcome (a cell's result is built in the cell's
+	// shard-0 slot) and its error.
+	slots []CellResult
+	errs  []error
+	// Per cell: the set-up guard and the number of finished tasks.
+	setup []sync.Once
+	done  []atomic.Int32
+
+	progressMu sync.Mutex
+	completed  int
+}
+
+// task runs one (cell, shard) task; the cell's last task to finish
+// merges it.
+func (r *cellRun) task(t int) {
+	c, s := t/r.n, t%r.n
+	cell := r.cells[c]
+	e := r.cache.get(cell.workload())
+	head := &r.slots[c*r.n]
+	r.setup[c].Do(func() { r.prepare(c, e, head) })
+	if r.errs[t] == nil {
+		plan := cell.Plan
+		if head.Routing != nil {
+			plan = head.Routing.Chosen
+		}
+		var err error
+		if r.opt.Exec == ExecEstimate {
+			err = r.estimate(e.shards[s], plan, head.Routing, &r.slots[t])
+		} else {
+			err = r.simulate(e.shards[s], plan, &r.slots[t])
+		}
+		switch {
+		case err == nil:
+		case r.n > 1:
+			r.errs[t] = fmt.Errorf("sweep: cell %d (%s) shard %d: %w", c, cell, s, err)
+		default:
+			r.errs[t] = fmt.Errorf("sweep: cell %d (%s): %w", c, cell, err)
+		}
+	}
+	if r.done[c].Add(1) == int32(r.n) {
+		r.finish(c)
+	}
+}
+
+// prepare is a cell's set-up, run by the first of its tasks. It fills
+// the cell's result header and, for an auto cell, decides the routing
+// on the whole table — the same cost.Pick call at every shard count,
+// so routing is independent of shard and worker counts. A failure (a
+// table too small to cut, no fitting candidate) is recorded against
+// every task of the cell, so each task reads only its own error slot.
+func (r *cellRun) prepare(c int, e *tableEntry, head *CellResult) {
+	cell := r.cells[c]
+	head.Index, head.Cell, head.Selectivity, head.Mode = c, cell, e.sel, r.opt.Exec
+	if r.n > 1 {
+		head.Shards = r.n
+	}
+	err := e.err
+	if err == nil && cell.Plan.Auto() {
+		// Substitute each registered backend into the cell's shape and
+		// run the predicted-fastest.
+		head.Routing, err = cost.Pick(r.params, e.tab, cell.Plan.Candidates(cell.Tuples))
+	}
+	if err != nil {
+		err = fmt.Errorf("sweep: cell %d (%s): %w", c, cell, err)
+		for t := c * r.n; t < (c+1)*r.n; t++ {
+			r.errs[t] = err
+		}
+	}
+}
+
+// simulate runs plan over one shard on a pooled machine.
+func (r *cellRun) simulate(shard *db.Table, plan query.Plan, out *CellResult) error {
+	m, err := r.pool.Get()
+	if err != nil {
+		return err
+	}
+	defer r.pool.Put(m)
+	if out.Result, err = r.cfg.runOn(m, shard, plan); err != nil {
+		return err
+	}
+	if r.opt.Counters {
+		// Snapshot before Put's Reset clears the registry. A snapshot
+		// is a pure function of the single-threaded run, so worker
+		// scheduling cannot leak into it.
+		out.Counters = obs.Capture(m.Registry, m.Engine)
+	}
+	return nil
+}
+
+// finish runs after a cell's last task: it folds the shard partials
+// into the cell's result in shard order (a failed cell keeps a zero
+// Result) and reports the cell's progress.
+func (r *cellRun) finish(c int) {
+	head := &r.slots[c*r.n]
+	if slices.ContainsFunc(r.errs[c*r.n:(c+1)*r.n], func(err error) bool { return err != nil }) {
+		head.Result, head.Counters = Result{}, nil
+	} else {
+		for _, p := range r.slots[c*r.n+1 : (c+1)*r.n] {
+			head.addShard(p)
+		}
+	}
+	if r.opt.OnCell != nil {
+		r.progressMu.Lock()
+		r.completed++
+		r.opt.OnCell(r.completed, len(r.cells), *head)
+		r.progressMu.Unlock()
+	}
+}
+
+// ForEach calls fn(i) for every i in [0, n) on a pool of workers
+// goroutines (capped at n, at least one) and returns once every call
+// has returned. fn must write its outcome to an index-addressed slot,
+// so results cannot depend on scheduling. It is the one fan-out under
+// every sweep cell and every serving shard task.
+func ForEach(n, workers int, fn func(i int)) {
+	indices := make(chan int)
+	var wg sync.WaitGroup
+	for range max(1, min(workers, n)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range indices {
+				fn(i)
+			}
+		}()
+	}
+	for i := range n {
+		indices <- i
+	}
+	close(indices)
+	wg.Wait()
 }
 
 // computeSpeedups fills the per-cell speedup against each workload

@@ -1,21 +1,22 @@
-// The estimate-mode fast path: no machines are built. Each cell's
-// cycle figure comes from the analytic cost model's structural
-// estimators (internal/cost) walking the query description the same way
-// the backend generators do, and its energy figure from the model's
-// DRAM+link prediction. Auto cells route through the identical
-// cost.Pick call the exact path uses, so routing decisions — and their
-// export columns — are byte-identical across modes. What estimate mode
-// cannot produce, it refuses up front (Options.validate): machine
-// counters and anything else that needs a real simulation.
+// The estimate-mode task leg: no machines are built. A task's cycle
+// figure comes from the analytic cost model's structural estimators
+// (internal/cost) walking the query description the same way the
+// backend generators do, and its energy figure from the model's
+// DRAM+link prediction. Estimate cells run through the same driver as
+// exact ones, so auto cells route through the identical whole-table
+// cost.Pick call and routing decisions — and their export columns — are
+// byte-identical across modes. What estimate mode cannot produce, it
+// refuses up front (Options.validate): machine counters, per-shard
+// machines and anything else that needs a real simulation.
 package sweep
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
+	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/energy"
+	"github.com/hipe-sim/hipe/internal/query"
 )
 
 // estimateBreakdown maps a cost estimate onto the energy-report shape:
@@ -27,77 +28,24 @@ func estimateBreakdown(pr cost.Params, est cost.Estimate) energy.Breakdown {
 	return energy.Breakdown{ReadPJ: dram, LinkPJ: est.EnergyPJ - dram}
 }
 
-// runCellsEstimate executes a cell list in estimate mode: the worker
-// pool fans the cells out, but each "run" is a profile walk plus a
-// closed-form estimate — typically orders of magnitude faster than
-// simulation. Results are slot-indexed by cell, so exports stay
-// byte-identical at any worker count, and the returned error is the
-// first failure in cell order, matching the exact path's contract.
-func runCellsEstimate(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
-	rs := &ResultSet{Cells: make([]CellResult, len(cells))}
-	errs := make([]error, len(cells))
-	cache := &tableCache{tables: map[workload]*tableEntry{}}
-	params := cost.ParamsFor(cfg.machineConfig(), cfg.energyModel())
-
-	indices := make(chan int)
-	var done sync.WaitGroup
-	var progressMu sync.Mutex
-	completed := 0
-	for w := 0; w < opt.EffectiveWorkers(); w++ {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			for i := range indices {
-				cell := cells[i]
-				tab, sel := cache.get(cell.workload())
-				cr := CellResult{Index: i, Cell: cell, Selectivity: sel, Mode: ExecEstimate}
-				plan := cell.Plan
-				var est cost.Estimate
-				var err error
-				if plan.Auto() {
-					// The same whole-table routing call the exact path
-					// makes, so a mixed exact/estimate pipeline sees one
-					// decision per cell shape.
-					var d *cost.Decision
-					d, err = cost.Pick(params, tab, plan.Candidates(cell.Tuples))
-					if err == nil {
-						plan = d.Chosen
-						cr.Routing = d
-						est = d.Estimates[d.ChosenIndex]
-					}
-				} else {
-					est, err = cost.EstimatePlan(params, plan, cost.ProfileFor(tab, plan))
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("sweep: cell %d (%s): %w", i, cell, err)
-				} else {
-					cr.Result = Result{
-						Plan:   plan,
-						Cycles: uint64(math.Round(est.Cycles)),
-						Energy: estimateBreakdown(params, est),
-					}
-					rs.Cells[i] = cr
-				}
-				if opt.OnCell != nil {
-					progressMu.Lock()
-					completed++
-					opt.OnCell(completed, len(cells), cr)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range cells {
-		indices <- i
-	}
-	close(indices)
-	done.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+// estimate prices plan over tab with the cost model instead of running
+// it — typically orders of magnitude faster than simulation. An auto
+// cell's routing decision d already priced its chosen plan on the whole
+// table, so that estimate is reused.
+func (r *cellRun) estimate(tab *db.Table, plan query.Plan, d *cost.Decision, out *CellResult) error {
+	var est cost.Estimate
+	if d != nil {
+		est = d.Estimates[d.ChosenIndex]
+	} else {
+		var err error
+		if est, err = cost.EstimatePlan(r.params, plan, cost.ProfileFor(tab, plan)); err != nil {
+			return err
 		}
 	}
-	rs.computeSpeedups()
-	return rs, nil
+	out.Result = Result{
+		Plan:   plan,
+		Cycles: uint64(math.Round(est.Cycles)),
+		Energy: estimateBreakdown(r.params, est),
+	}
+	return nil
 }

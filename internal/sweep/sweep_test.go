@@ -263,26 +263,44 @@ func TestErrorPropagation(t *testing.T) {
 		return Cell{Plan: query.Plan{Arch: query.HIPE, Strategy: query.TupleAtATime,
 			OpSize: 256, Unroll: u, Q: q}, Tuples: 128, Seed: 1}
 	}
-	for _, workers := range []int{1, 8} {
-		fired := 0
-		rs, err := RunCells(small(), []Cell{good, bad(1), bad(2)}, Options{
-			Workers: workers,
-			OnCell:  func(done, total int, r CellResult) { fired++ },
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: failing cell did not propagate", workers)
-		}
-		if rs != nil {
-			t.Fatalf("workers=%d: non-nil result set on error", workers)
-		}
-		// The reported failure is the first in cell order, whatever
-		// order the workers hit them in.
-		if !strings.Contains(err.Error(), "cell 1") {
-			t.Fatalf("workers=%d: error %q does not name cell 1", workers, err)
-		}
-		// Progress still reaches the total: failed cells count too.
-		if fired != 3 {
-			t.Fatalf("workers=%d: OnCell fired %d times, want 3", workers, fired)
+	// One 64-row block runs whole but cannot be cut into two shards.
+	tiny := good
+	tiny.Tuples = 64
+	cells := []Cell{good, tiny, bad(1), bad(2)}
+	for _, tc := range []struct {
+		shards    int
+		firstFail string
+	}{
+		{shards: 0, firstFail: "cell 2 ("},
+		{shards: 2, firstFail: "cell 1 ("},
+	} {
+		for _, workers := range []int{1, 8} {
+			fired := make([]int, len(cells))
+			rs, err := RunCells(small(), cells, Options{
+				Workers:    workers,
+				CellShards: tc.shards,
+				OnCell:     func(done, total int, r CellResult) { fired[r.Index]++ },
+			})
+			if err == nil {
+				t.Fatalf("shards=%d workers=%d: failing cell did not propagate", tc.shards, workers)
+			}
+			if rs != nil {
+				t.Fatalf("shards=%d workers=%d: non-nil result set on error", tc.shards, workers)
+			}
+			// The reported failure is the first in cell order, whatever
+			// order the workers hit them in.
+			if !strings.Contains(err.Error(), tc.firstFail) {
+				t.Fatalf("shards=%d workers=%d: error %q does not name %q",
+					tc.shards, workers, err, tc.firstFail)
+			}
+			// Progress still reaches the total: every cell reports once,
+			// failed cells included.
+			for i, n := range fired {
+				if n != 1 {
+					t.Fatalf("shards=%d workers=%d: OnCell fired %d times for cell %d, want 1",
+						tc.shards, workers, n, i)
+				}
+			}
 		}
 	}
 }
