@@ -118,7 +118,7 @@ type CellResult struct {
 	// Shards records the intra-cell shard count when the cell ran as a
 	// parallel shard simulation (Options.CellShards > 1): Result.Cycles
 	// is then the critical path over Shards concurrent machines. 0 —
-	// and JSON-omitted — for whole-table runs.
+	// and JSON-omitted — for one-shard (whole-table) cells.
 	Shards int `json:",omitempty"`
 }
 
@@ -288,7 +288,8 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 			return nil, err
 		}
 	}
-	// Each cell's result was built in its shard-0 slot.
+	// Each cell's result was built in its shard-0 slot; compact them in
+	// place (slot c*n >= c is read before any write reaches it).
 	rs := &ResultSet{Cells: r.slots[:len(cells):len(cells)]}
 	for c := range rs.Cells {
 		rs.Cells[c] = r.slots[c*n]

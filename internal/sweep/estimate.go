@@ -31,7 +31,8 @@ func estimateBreakdown(pr cost.Params, est cost.Estimate) energy.Breakdown {
 // estimate prices plan over tab with the cost model instead of running
 // it — typically orders of magnitude faster than simulation. An auto
 // cell's routing decision d already priced its chosen plan on the whole
-// table, so that estimate is reused.
+// table, which is tab (estimate cells are always one shard, see
+// Options.validate), so that estimate is reused.
 func (r *cellRun) estimate(tab *db.Table, plan query.Plan, d *cost.Decision, out *CellResult) error {
 	var est cost.Estimate
 	if d != nil {
