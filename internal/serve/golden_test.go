@@ -6,14 +6,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/fault"
+	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/sweep"
 )
@@ -26,6 +29,10 @@ import (
 //	go test ./internal/serve -run TestGoldenReports -update-golden
 //
 // only when an export change is intended and called out in the change.
+//
+// A run with counters on also pins "<run>/counters": the report's
+// counter total with the engine.* scheduler accounting dropped. How the scheduler gets through a run may change;
+// what the simulated machines counted may not.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_reports.json from the current replay")
 
 const (
@@ -146,7 +153,21 @@ func goldenDigests(t *testing.T, tab *db.Table, run goldenRun) map[string]string
 		sum := sha256.Sum256(b.Bytes())
 		out[run.name+"/"+name] = hex.EncodeToString(sum[:])
 	}
+	if run.opt.Counters {
+		out[run.name+"/counters"] = counterDigest(rep.Counters)
+	}
 	return out
+}
+
+// counterDigest hashes a counter snapshot, skipping the engine.* keys.
+func counterDigest(c *obs.Counters) string {
+	h := sha256.New()
+	for _, e := range c.Entries() {
+		if !strings.HasPrefix(e.Key, "engine.") {
+			fmt.Fprintf(h, "%s %d\n", e.Key, e.Value)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func goldenReportsPath() string { return filepath.Join("testdata", "golden_reports.json") }

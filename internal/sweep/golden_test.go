@@ -6,12 +6,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 )
 
@@ -23,6 +26,11 @@ import (
 //	go test ./internal/sweep -run TestGoldenExports -update-golden
 //
 // only when an export change is intended and called out in the change.
+//
+// A panel with counters on also pins "<panel>/counters": every cell's
+// counter snapshot with the engine.* scheduler accounting dropped. How
+// the scheduler gets through a run may change; what the simulated
+// machine counted may not.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_exports.json from the current driver")
 
 const goldenTuples = 4096
@@ -74,6 +82,12 @@ func goldenSweeps() []goldenSweep {
 			Queries:   []db.Q06{q6WithQty(1), db.DefaultQ06()},
 			Q1Queries: []db.Q01{db.DefaultQ01(), q1WithCut(1500)}, Clustered: bothLayouts}),
 			opt: Options{Workers: 2, Exec: ExecEstimate}},
+		// The Figure 3 shapes at unroll 1: HIVE has the most stalled
+		// sequencer cycles, x86 tuple-at-a-time is the ROB-full case.
+		{name: "figure-counters", grid: grid(Grid{Archs: allArchs,
+			Strategies: []query.Strategy{query.TupleAtATime, query.ColumnAtATime},
+			OpSizes:    []uint32{16, 256}, Unrolls: []int{1}}),
+			opt: Options{Workers: 2, Counters: true}},
 	}
 }
 
@@ -96,7 +110,29 @@ func goldenDigests(t *testing.T, g goldenSweep) map[string]string {
 		sum := sha256.Sum256(b.Bytes())
 		out[g.name+"/"+name] = hex.EncodeToString(sum[:])
 	}
+	if g.opt.Counters {
+		snaps := make([]*obs.Counters, len(rs.Cells))
+		for i := range rs.Cells {
+			snaps[i] = rs.Cells[i].Counters
+		}
+		out[g.name+"/counters"] = counterDigest(snaps)
+	}
 	return out
+}
+
+// counterDigest hashes counter snapshots in order, skipping the
+// engine.* keys.
+func counterDigest(snaps []*obs.Counters) string {
+	h := sha256.New()
+	for i, c := range snaps {
+		fmt.Fprintf(h, "#%d\n", i)
+		for _, e := range c.Entries() {
+			if !strings.HasPrefix(e.Key, "engine.") {
+				fmt.Fprintf(h, "%s %d\n", e.Key, e.Value)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func goldenExportsPath() string { return filepath.Join("testdata", "golden_exports.json") }
