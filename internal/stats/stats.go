@@ -15,9 +15,10 @@ import (
 
 // Registry holds all scopes for one simulated system instance.
 //
-// Scope creation and the registry-wide read paths (Lookup, Total,
-// Scopes, String, Reset) are safe for concurrent callers: observability
-// consumers snapshot registries while executor pools build machines.
+// Scope and counter creation, the registry-wide read paths (Lookup,
+// Total, Scopes, String, Reset) and a scope's Counters and Get are safe
+// for concurrent callers: observability consumers snapshot registries
+// while executor pools build machines.
 // Counter bumps through an obtained *Scope/*Counter stay unsynchronised
 // — each simulated machine is single-threaded, and keeping the hot path
 // lock-free is what keeps it free.
@@ -40,7 +41,7 @@ func (r *Registry) Scope(name string) *Scope {
 	if s, ok := r.scopes[name]; ok {
 		return s
 	}
-	s := &Scope{name: name, counters: make(map[string]*Counter)}
+	s := &Scope{name: name, mu: &r.mu, counters: make(map[string]*Counter)}
 	r.scopes[name] = s
 	r.order = append(r.order, name)
 	return s
@@ -133,6 +134,7 @@ func (r *Registry) String() string {
 // Scope is a named group of counters belonging to one component.
 type Scope struct {
 	name     string
+	mu       *sync.Mutex // the registry's lock, guarding counters and order
 	counters map[string]*Counter
 	order    []string
 }
@@ -142,6 +144,8 @@ func (s *Scope) Name() string { return s.name }
 
 // Counter returns (creating on first use) the named counter.
 func (s *Scope) Counter(name string) *Counter {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if c, ok := s.counters[name]; ok {
 		return c
 	}
@@ -152,10 +156,16 @@ func (s *Scope) Counter(name string) *Counter {
 }
 
 // Counters returns the scope's counter names in creation order.
-func (s *Scope) Counters() []string { return append([]string(nil), s.order...) }
+func (s *Scope) Counters() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.order...)
+}
 
 // Get returns the current value of a counter (0 if never created).
 func (s *Scope) Get(name string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if c, ok := s.counters[name]; ok {
 		return c.v
 	}
