@@ -340,6 +340,10 @@ func (c *Cache) Access(req *mem.Request) bool {
 
 var _ mem.Port = (*Cache)(nil)
 
+// CreditRefusals counts n accesses that full MSHRs would have refused,
+// for a stalled core's skipped ticks. A refusal changes nothing else.
+func (c *Cache) CreditRefusals(n uint64) { c.mshrStalls.Add(n) }
+
 // newMSHR draws a pooled MSHR, resetting it for line la.
 func (c *Cache) newMSHR(la mem.Addr) *mshr {
 	var m *mshr

@@ -307,6 +307,9 @@ type Engine struct {
 	locked            bool
 	outstandingStores int
 	domain            *sim.ClockDomain
+	// stalls counts this tick's interlock and predicate stalls; Credit
+	// adds them again for each tick the engine skipped.
+	stalls struct{ interlock, pred uint64 }
 
 	// Free lists for the pooled event objects of the hot instruction
 	// path, plus pre-bound shared callbacks and the mask scratch buffer
@@ -506,8 +509,11 @@ func (e *Engine) enqueue(q queued) {
 
 // Tick implements sim.Ticker: one engine cycle of in-order issue. A
 // predicated instruction costs extra issue slots (the predication match
-// logic's flag read).
-func (e *Engine) Tick(now sim.Cycle) bool {
+// logic's flag read). A tick that neither issues nor flushes the mask
+// buffer stalls on its queue head, which only a completion unblocks.
+func (e *Engine) Tick(now sim.Cycle) sim.TickResult {
+	e.stalls.interlock, e.stalls.pred = 0, 0
+	flushes := e.maskBufFlushes.Value()
 	issued := 0
 	for issued < e.cfg.Width {
 		if e.queue.Len() == 0 {
@@ -528,14 +534,32 @@ func (e *Engine) Tick(now sim.Cycle) bool {
 		e.issue(head, now)
 		issued += cost
 	}
-	return e.queue.Len() > 0
+	e.Credit(1)
+	switch {
+	case e.queue.Len() == 0:
+		return sim.Idle
+	case issued > 0 || e.maskBufFlushes.Value() != flushes:
+		return sim.Busy
+	}
+	return sim.Stalled
+}
+
+// Deadline implements sim.Ticker: a stalled sequencer waits only on
+// completions.
+func (e *Engine) Deadline(sim.Cycle) sim.Cycle { return sim.NoDeadline }
+
+// Credit implements sim.Ticker: it adds n times this tick's interlock
+// and predicate stalls.
+func (e *Engine) Credit(n uint64) {
+	e.interlockStall.Add(n * e.stalls.interlock)
+	e.predStall.Add(n * e.stalls.pred)
 }
 
 // canIssue applies the interlock and predication-readiness rules.
 func (e *Engine) canIssue(inst *isa.OffloadInst, now sim.Cycle) bool {
 	if inst.Pred.Valid && e.regs[inst.Pred.Reg].pending {
 		// Predication match logic needs the flag: data dependency.
-		e.predStall.Inc()
+		e.stalls.pred++
 		return false
 	}
 	switch inst.Op {
@@ -546,36 +570,36 @@ func (e *Engine) canIssue(inst *isa.OffloadInst, now sim.Cycle) bool {
 		// mask buffer flushed, and every store accepted by DRAM.
 		if e.maskBuf.dirty {
 			e.flushMaskBuf()
-			e.interlockStall.Inc()
+			e.stalls.interlock++
 			return false
 		}
 		if e.outstandingStores > 0 {
-			e.interlockStall.Inc()
+			e.stalls.interlock++
 			return false
 		}
 		for i := range e.regs {
 			if e.regs[i].pending {
-				e.interlockStall.Inc()
+				e.stalls.interlock++
 				return false
 			}
 		}
 		return true
 	case isa.VLoad, isa.VMaskLoad:
 		if e.regs[inst.Dst].pending {
-			e.interlockStall.Inc()
+			e.stalls.interlock++
 			return false
 		}
 		return true
 	case isa.VStore, isa.VMaskStore:
 		if e.regs[inst.Src1].pending {
-			e.interlockStall.Inc()
+			e.stalls.interlock++
 			return false
 		}
 		return true
 	case isa.VALU:
 		if e.regs[inst.Dst].pending || e.regs[inst.Src1].pending ||
 			(!inst.UseImm && e.regs[inst.Src2].pending) {
-			e.interlockStall.Inc()
+			e.stalls.interlock++
 			return false
 		}
 		return true

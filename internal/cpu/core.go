@@ -39,6 +39,29 @@ type OffloadPort interface {
 	Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool
 }
 
+// refusalCounter is a port whose refusals change nothing but its own
+// count of them, so a stalled core's skipped ticks can credit it in
+// bulk.
+type refusalCounter interface {
+	CreditRefusals(n uint64)
+}
+
+// The ports that can refuse a request, indexing stallCounts.refused.
+const (
+	portDCache = iota
+	portUMem
+	portOffload
+	numPorts
+)
+
+// stallCounts is one tick's increments of the counters a stalled tick
+// can bump. Every tick adds them once; Credit adds them again for each
+// tick the engine skipped.
+type stallCounts struct {
+	fetch, rob, mob, retry uint64
+	refused                [numPorts]uint64
+}
+
 type entryState uint8
 
 const (
@@ -132,6 +155,9 @@ type Core struct {
 	divBusyUntil    [fuClasses][]sim.Cycle
 	pred            *branchPredictor
 	domain          *sim.ClockDomain
+	refusers        [numPorts]refusalCounter // nil: the port cannot be credited
+	progressed      bool                     // this tick changed pipeline state
+	counts          stallCounts              // this tick's counter increments
 	startCycle      sim.Cycle
 	finishCycle     sim.Cycle
 	running         bool
@@ -185,6 +211,9 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 	c.stores = sc.Counter("stores")
 	c.offloads = sc.Counter("offload_insts")
 	c.cycles = sc.Counter("active_cycles")
+	c.refusers[portDCache], _ = dcache.(refusalCounter)
+	c.refusers[portUMem], _ = umem.(refusalCounter)
+	c.refusers[portOffload], _ = offloadPort.(refusalCounter)
 	c.domain = sim.NewClockDomain(engine, 1, c)
 	return c, nil
 }
@@ -277,18 +306,22 @@ func (c *Core) Cycles() sim.Cycle { return c.finishCycle - c.startCycle }
 // Committed reports total committed µops.
 func (c *Core) Committed() uint64 { return c.committed.Value() }
 
-// Tick implements sim.Ticker: one pipeline cycle.
-func (c *Core) Tick(now sim.Cycle) bool {
-	c.cycles.Inc()
+// Tick implements sim.Ticker: one pipeline cycle. The tick stalls when
+// no stage retires, issues, dispatches, decodes, fetches or drains a
+// store, and no non-pipelined unit is reserved.
+func (c *Core) Tick(now sim.Cycle) sim.TickResult {
 	for i := range c.issuedThisCycle {
 		c.issuedThisCycle[i] = 0
 	}
+	c.progressed = false
+	c.counts = stallCounts{}
 	c.commit(now)
 	c.issue(now)
 	c.dispatch()
 	c.decode()
 	c.fetch(now)
 	c.drainStores()
+	c.addCounts(1)
 
 	if c.idle() {
 		c.running = false
@@ -298,9 +331,59 @@ func (c *Core) Tick(now sim.Cycle) bool {
 			c.onFinish = nil
 			f()
 		}
-		return false
+		return sim.Idle
 	}
-	return true
+	if c.progressed {
+		return sim.Busy
+	}
+	return sim.Stalled
+}
+
+// Deadline implements sim.Ticker: a stalled core can move on its own
+// when a fetch bubble ends or a busy non-pipelined unit frees up.
+func (c *Core) Deadline(now sim.Cycle) sim.Cycle {
+	d := sim.NoDeadline
+	if c.fetchStallUntil > now {
+		d = c.fetchStallUntil
+	}
+	for _, units := range c.divBusyUntil {
+		for _, busy := range units {
+			if busy > now && busy < d {
+				d = busy
+			}
+		}
+	}
+	return d
+}
+
+// Credit implements sim.Ticker: n skipped stalled ticks count the
+// stalled tick's cycle, stalls, retries and port refusals n more times.
+func (c *Core) Credit(n uint64) {
+	c.addCounts(n)
+	for k, r := range c.counts.refused {
+		if r > 0 {
+			c.refusers[k].CreditRefusals(n * r)
+		}
+	}
+}
+
+// addCounts adds n times this tick's own counter increments.
+func (c *Core) addCounts(n uint64) {
+	c.cycles.Add(n)
+	c.fetchStalls.Add(n * c.counts.fetch)
+	c.robStalls.Add(n * c.counts.rob)
+	c.mobStalls.Add(n * c.counts.mob)
+	c.cacheRetry.Add(n * c.counts.retry)
+}
+
+// refused notes that port k turned a request away this tick. A port
+// that cannot be credited in bulk makes the tick count as progress, so
+// it is never skipped.
+func (c *Core) refused(k int) {
+	c.counts.refused[k]++
+	if c.refusers[k] == nil {
+		c.progressed = true
+	}
 }
 
 func (c *Core) idle() bool {
@@ -316,13 +399,14 @@ func (c *Core) fetch(now sim.Cycle) {
 		return
 	}
 	if now < c.fetchStallUntil {
-		c.fetchStalls.Inc()
+		c.counts.fetch++
 		return
 	}
 	budget := int(c.cfg.FetchBytes / c.cfg.InstBytes)
 	branches := 0
 	for budget > 0 && c.fetchBuf.Len() < c.cfg.FetchBufSize {
 		uop, ok := c.stream.Next()
+		c.progressed = true
 		if !ok {
 			c.streamDone = true
 			return
@@ -367,6 +451,7 @@ func (c *Core) decode() {
 	n := c.cfg.DecodeWidth
 	for n > 0 && c.fetchBuf.Len() > 0 && c.decodeBuf.Len() < c.cfg.DecodeBufSize {
 		c.decodeBuf.Push(c.fetchBuf.Pop())
+		c.progressed = true
 		n--
 	}
 }
@@ -376,7 +461,7 @@ func (c *Core) dispatch() {
 	n := c.cfg.IssueWidth
 	for n > 0 && c.decodeBuf.Len() > 0 {
 		if c.rob.Len() >= c.cfg.ROBSize {
-			c.robStalls.Inc()
+			c.counts.rob++
 			return
 		}
 		f := c.decodeBuf.Pop()
@@ -401,6 +486,7 @@ func (c *Core) dispatch() {
 			e.state = stReady
 			c.readyQ = append(c.readyQ, e)
 		}
+		c.progressed = true
 		n--
 	}
 }
@@ -423,6 +509,9 @@ func (c *Core) issue(now sim.Cycle) {
 	}
 	c.readyKeep = c.readyQ[:0]
 	c.readyQ = keep
+	if issued > 0 {
+		c.progressed = true
+	}
 }
 
 // tryIssue attempts to start execution of one µop.
@@ -445,21 +534,23 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 			return false
 		}
 		c.divBusyUntil[fu][unit] = now + fuCfg.Latency
+		c.progressed = true
 	}
 
 	switch e.uop.Class {
 	case isa.Load:
 		if c.mobReads >= c.cfg.MOBReads {
-			c.mobStalls.Inc()
+			c.counts.mob++
 			return false
 		}
-		port := c.dcache
+		port, k := c.dcache, portDCache
 		if e.uop.Uncacheable {
-			port = c.umem
+			port, k = c.umem, portUMem
 		}
 		e.req = mem.Request{Addr: e.uop.Addr, Size: e.uop.Size, Kind: mem.Read, Done: e.loadDone}
 		if !port.Access(&e.req) {
-			c.cacheRetry.Inc()
+			c.counts.retry++
+			c.refused(k)
 			return false
 		}
 		c.mobReads++
@@ -473,11 +564,12 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 			panic(fmt.Sprintf("cpu %s: offload µop without an offload port", c.cfg.Name))
 		}
 		if c.mobReads >= c.cfg.MOBReads {
-			c.mobStalls.Inc()
+			c.counts.mob++
 			return false
 		}
 		if !c.offload.Submit(e.uop.Offload, e.loadDone) {
-			c.cacheRetry.Inc()
+			c.counts.retry++
+			c.refused(portOffload)
 			return false
 		}
 		c.mobReads++
@@ -538,7 +630,7 @@ func (c *Core) commit(now sim.Cycle) {
 		}
 		if e.uop.Class == isa.Store {
 			if c.mobWrites >= c.cfg.MOBWrites {
-				c.mobStalls.Inc()
+				c.counts.mob++
 				return
 			}
 			c.mobWrites++
@@ -550,6 +642,7 @@ func (c *Core) commit(now sim.Cycle) {
 		c.rob.Pop()
 		e.inROB = false
 		c.committed.Inc()
+		c.progressed = true
 		if e.uop.Class != isa.Store {
 			c.release(e)
 		}
@@ -561,13 +654,15 @@ func (c *Core) commit(now sim.Cycle) {
 func (c *Core) drainStores() {
 	for c.pendingStores.Len() > 0 {
 		e := *c.pendingStores.Front()
-		port := c.dcache
+		port, k := c.dcache, portDCache
 		if e.uncacheable {
-			port = c.umem
+			port, k = c.umem, portUMem
 		}
 		if !port.Access(&e.req) {
+			c.refused(k)
 			return
 		}
 		c.pendingStores.Pop()
+		c.progressed = true
 	}
 }

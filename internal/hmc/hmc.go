@@ -181,6 +181,10 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	return true
 }
 
+// CreditRefusals counts n Submit calls the full window would have
+// refused, for a stalled core's skipped ticks.
+func (e *Engine) CreditRefusals(n uint64) { e.rejected.Add(n) }
+
 // exec runs cube-side on instruction arrival: issue the DRAM read.
 func (op *hmcOp) exec(*link.Packet) {
 	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(op.inst), Kind: mem.Read, Done: op.readDoneFn}

@@ -100,6 +100,9 @@ func (m *offloadMux) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) boo
 	}
 }
 
+// CreditRefusals credits HMC, the only engine whose window refuses.
+func (m *offloadMux) CreditRefusals(n uint64) { m.hmc.CreditRefusals(n) }
+
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
 	if cfg.ImageBytes == 0 {

@@ -29,6 +29,15 @@
 // cycle still fire in their scheduling order. See docs/ARCHITECTURE.md
 // for the full determinism argument.
 //
+// # Parked clock domains
+//
+// A ClockDomain whose tick stalls — changes nothing but counters — parks
+// instead of queueing its next tick. The engine holds that tick's
+// (cycle, seq) slot, fires it for real once any other event has fired,
+// and otherwise skips the stalled ticks of every clean parked domain
+// together, crediting their counters, so the firing order and every
+// counter match ticking every cycle (see Step and skip).
+//
 // Steady-state scheduling is allocation-free: bucket slices and the heap
 // array retain their high-water capacity, and both event forms — a
 // Handler implemented by a pre-bound model object, or a plain func —
@@ -126,6 +135,13 @@ type Engine struct {
 	// beyond the ring horizon.
 	heap []queuedEvent
 
+	// parked holds the clock domains whose last tick stalled, each
+	// with its next tick's reserved (cycle, seq) slot. activity counts
+	// fired events minus stalled ticks: a parked domain is clean while
+	// activity has not moved since the domain parked.
+	parked   []*ClockDomain
+	activity uint64
+
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
 	// scheduled counts events enqueued; ringEvents/heapEvents split it by
@@ -138,8 +154,10 @@ type Engine struct {
 
 // Stats is a snapshot of the scheduler's event accounting: how many
 // events were enqueued, how many fired, and which lane — the near-future
-// ring or the far-future heap — each enqueue routed to. The counters are
-// cumulative since construction or the last Reset.
+// ring or the far-future heap — each enqueue routed to. A parked clock
+// domain's reserved tick is not an enqueue, so it fires without being
+// counted as scheduled, and a skipped stalled tick is neither. The
+// counters are cumulative since construction or the last Reset.
 type Stats struct {
 	Scheduled  uint64
 	Executed   uint64
@@ -155,9 +173,11 @@ func NewEngine() *Engine {
 // Reset returns the engine to its post-NewEngine state — cycle 0, empty
 // queue, sequence numbers restarted — while keeping the ring buckets'
 // and heap's high-water capacity, so a reused engine schedules without
-// reallocating. Pending events are dropped.
+// reallocating. Pending events and parked clock domains are dropped.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.executed = 0, 0, 0
+	clear(e.parked)
+	e.parked, e.activity = e.parked[:0], 0
 	e.scheduled, e.ringEvents, e.heapEvents = 0, 0, 0
 	if e.ringCount != 0 {
 		for i := range e.ring {
@@ -182,10 +202,12 @@ func (e *Engine) Reset() {
 // Now reports the current simulation cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.ringCount + len(e.heap) }
+// Pending reports the number of events waiting to fire, counting each
+// parked clock domain's reserved tick.
+func (e *Engine) Pending() int { return e.ringCount + len(e.heap) + len(e.parked) }
 
-// Executed reports the total number of events that have fired.
+// Executed reports the total number of events that have fired. Skipped
+// stalled ticks never fire.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Stats reports the scheduler's cumulative event accounting.
@@ -294,46 +316,79 @@ func (e *Engine) nextRingBucket() int {
 	panic("sim: ringCount > 0 with empty occupancy bitmap")
 }
 
-// ringCycle converts an occupied bucket index to the absolute cycle its
-// events fire at. Ring events always lie in [now, now+ringSize), so the
-// offset is the index distance from now's slot, modulo the ring.
-func (e *Engine) ringCycle(i int) Cycle {
-	return e.now + Cycle((i-int(e.now&ringMask))&ringMask)
-}
-
-// Step fires the earliest pending event, advancing the clock to its cycle.
-// It reports false when no events remain.
+// Step fires the earliest pending event, advancing the clock to its
+// cycle. Stalled ticks of clean parked clock domains on the way are
+// skipped and credited, not fired. It reports false when no events
+// remain, and panics when every pending tick belongs to a clean parked
+// domain with no deadline: nothing could ever wake them.
 func (e *Engine) Step() bool {
-	ev, ok := e.dequeue()
-	if !ok {
-		return false
+	for {
+		if fired, pending := e.step(NoDeadline); fired || !pending {
+			return fired
+		}
 	}
-	e.now = ev.cycle
-	e.executed++
-	ev.h.OnEvent(ev.cycle, ev.tag)
-	return true
 }
 
-// dequeue removes and returns the globally earliest event under the
-// (cycle, seq) order, merging the ring and heap lanes.
-func (e *Engine) dequeue() (queuedEvent, bool) {
+// step fires the earliest pending event — a queued event or a parked
+// domain's reserved tick — unless that is a clean parked domain's
+// stalled tick, which it skips instead (never past horizon). It reports
+// whether an event fired and whether any is pending.
+func (e *Engine) step(horizon Cycle) (fired, pending bool) {
+	ev, i := e.head()
+	if d := e.due(); d != nil && (ev == nil || d.next < ev.cycle || d.next == ev.cycle && d.seq < ev.seq) {
+		if d.mark == e.activity && d.next < d.deadline {
+			e.skip(d, ev, horizon)
+			return false, true
+		}
+		e.unpark(d)
+		e.fire(d.next, d, 0)
+		return true, true
+	}
+	if ev == nil {
+		return false, false
+	}
+	q := e.pop(i)
+	e.fire(q.cycle, q.h, q.tag)
+	return true, true
+}
+
+func (e *Engine) fire(at Cycle, h Handler, tag uint64) {
+	e.now = at
+	e.executed++
+	e.activity++
+	h.OnEvent(at, tag)
+}
+
+// head returns the earliest queued event under the (cycle, seq) order,
+// merging the ring and heap lanes, and the ring bucket holding it (-1
+// for the heap root); nil when the queue is empty.
+func (e *Engine) head() (*queuedEvent, int) {
 	if e.ringCount == 0 {
 		if len(e.heap) == 0 {
-			return queuedEvent{}, false
+			return nil, -1
 		}
-		return e.heapPop(), true
+		return &e.heap[0], -1
 	}
 	i := e.nextRingBucket()
 	b := &e.ring[i]
-	ringEv := &b.evs[b.head]
+	ev := &b.evs[b.head]
 	// A heap event can precede the ring head: its cycle may have entered
 	// the ring window as now advanced, or tie the ring head's cycle with
 	// an earlier sequence number.
-	if len(e.heap) > 0 && e.heap[0].before(ringEv) {
-		return e.heapPop(), true
+	if len(e.heap) > 0 && e.heap[0].before(ev) {
+		return &e.heap[0], -1
 	}
-	ev := *ringEv
-	ringEv.h = nil // release the reference; the slot is reused
+	return ev, i
+}
+
+// pop removes and returns the queue head that head found in bucket i.
+func (e *Engine) pop(i int) queuedEvent {
+	if i < 0 {
+		return e.heapPop()
+	}
+	b := &e.ring[i]
+	ev := b.evs[b.head]
+	b.evs[b.head].h = nil // release the reference; the slot is reused
 	b.head++
 	if b.head == len(b.evs) {
 		b.evs = b.evs[:0]
@@ -341,22 +396,109 @@ func (e *Engine) dequeue() (queuedEvent, bool) {
 		e.occ[i>>6] &^= 1 << (uint(i) & 63)
 	}
 	e.ringCount--
-	return ev, true
+	return ev
 }
 
 // peekCycle reports the cycle of the earliest pending event.
 func (e *Engine) peekCycle() (Cycle, bool) {
-	var best Cycle
-	have := false
-	if e.ringCount > 0 {
-		best = e.ringCycle(e.nextRingBucket())
-		have = true
+	ev, _ := e.head()
+	if d := e.due(); d != nil && (ev == nil || d.next < ev.cycle) {
+		return d.next, true
 	}
-	if len(e.heap) > 0 && (!have || e.heap[0].cycle < best) {
-		best = e.heap[0].cycle
-		have = true
+	if ev == nil {
+		return 0, false
 	}
-	return best, have
+	return ev.cycle, true
+}
+
+// park holds a stalled domain's next tick out of the queue, in the slot
+// tick-every-cycle would have queued it in: one period on, with the
+// sequence number the re-arm would have taken now. The stalled tick
+// does not count as activity.
+func (e *Engine) park(d *ClockDomain, now Cycle) {
+	e.activity--
+	d.next, d.seq, d.mark = now+d.Period, e.seq, e.activity
+	d.deadline = d.T.Deadline(now)
+	e.seq++
+	e.parked = append(e.parked, d)
+}
+
+func (e *Engine) unpark(d *ClockDomain) {
+	for i, p := range e.parked {
+		if p == d {
+			last := len(e.parked) - 1
+			e.parked[i], e.parked[last] = e.parked[last], nil
+			e.parked = e.parked[:last]
+			return
+		}
+	}
+}
+
+// due returns the parked domain whose reserved tick comes first.
+func (e *Engine) due() *ClockDomain {
+	var due *ClockDomain
+	for _, d := range e.parked {
+		if due == nil || d.slotBefore(due) {
+			due = d
+		}
+	}
+	return due
+}
+
+// skip jumps every clean parked domain over its stalled ticks before
+// the next cycle at which anything can change: the next queued event, a
+// dirty parked domain's tick, any parked domain's deadline, or horizon.
+// Other clean domains' ticks do not bound it — they are stalled too.
+// Each skipped tick is credited to its ticker, and each domain lands on
+// its first tick at or after that cycle; due, whose tick comes first,
+// always skips at least one. Landed ticks take fresh sequence numbers
+// in the order tick-every-cycle would have queued them (landsBefore).
+func (e *Engine) skip(due *ClockDomain, ev *queuedEvent, horizon Cycle) {
+	until := horizon
+	if ev != nil && ev.cycle < until {
+		until = ev.cycle
+	}
+	for _, d := range e.parked {
+		w := d.deadline
+		if d.mark != e.activity || d.next >= w {
+			w = d.next // this tick runs for real
+		}
+		if w < until {
+			until = w
+		}
+	}
+	if until == NoDeadline {
+		panic("sim: every clock domain is parked with nothing queued and no deadline: nothing can wake them")
+	}
+	landing := 0
+	for _, d := range e.parked {
+		switch {
+		case d.mark != e.activity || d.next >= d.deadline:
+			continue
+		case d.next < until:
+			d.skip = uint64((until-d.next-1)/d.Period) + 1
+		case d == due:
+			d.skip = 1
+		default:
+			continue
+		}
+		landing++
+	}
+	for ; landing > 0; landing-- {
+		var first *ClockDomain
+		for _, d := range e.parked {
+			if d.skip > 0 && (first == nil || d.landsBefore(first)) {
+				first = d
+			}
+		}
+		first.T.Credit(first.skip)
+		last := first.lastSkipped()
+		if last > e.now {
+			e.now = last
+		}
+		first.next, first.seq, first.skip = last+first.Period, e.seq, 0
+		e.seq++
+	}
 }
 
 // heapPush inserts into the 4-ary min-heap.
@@ -416,13 +558,18 @@ func (e *Engine) Run() Cycle {
 	return e.now
 }
 
-// RunUntil fires every event with cycle <= limit, in order. It reports
-// true if that drained the queue, false if events at cycles beyond limit
-// remain. The clock is left at the cycle of the last event fired; it
-// does not advance to limit when no event lands exactly there (and does
-// not move at all if nothing fires), so after RunUntil(limit) the clock
-// reads the last real activity, not the probe horizon.
+// RunUntil fires every event with cycle <= limit, in order, and skips
+// the parked domains' stalled ticks up to limit. It reports true if that
+// drained the queue, false if events at cycles beyond limit remain. The
+// clock is left at the cycle of the last event fired or tick skipped;
+// it does not advance to limit when nothing lands exactly there (and
+// does not move at all if nothing fires), so after RunUntil(limit) the
+// clock reads the last real activity, not the probe horizon.
 func (e *Engine) RunUntil(limit Cycle) bool {
+	horizon := limit + 1
+	if horizon == 0 {
+		horizon = NoDeadline
+	}
 	for {
 		c, ok := e.peekCycle()
 		if !ok {
@@ -431,12 +578,13 @@ func (e *Engine) RunUntil(limit Cycle) bool {
 		if c > limit {
 			return false
 		}
-		e.Step()
+		e.step(horizon)
 	}
 }
 
 // RunLimit fires at most n events; it reports the number actually fired.
-// Useful as a watchdog in tests to catch livelock in timing models.
+// Skipped stalled ticks do not count. Useful as a watchdog in tests to
+// catch livelock in timing models.
 func (e *Engine) RunLimit(n uint64) uint64 {
 	var fired uint64
 	for fired < n && e.Step() {

@@ -188,11 +188,17 @@ type countdownTicker struct {
 	hit func()
 }
 
-func (c *countdownTicker) Tick(now Cycle) bool {
+func (c *countdownTicker) Tick(now Cycle) TickResult {
 	c.hit()
 	c.n--
-	return c.n > 0
+	if c.n > 0 {
+		return Busy
+	}
+	return Idle
 }
+
+func (c *countdownTicker) Deadline(Cycle) Cycle { return NoDeadline }
+func (c *countdownTicker) Credit(uint64)        {}
 
 func TestClockDomainZeroPeriodPanics(t *testing.T) {
 	defer func() {

@@ -4,6 +4,7 @@ package sweep
 // from a freshly constructed one — same cycles, same energy audit, same
 // full counter registry — for every architecture. This is the property
 // that lets the worker pool and the serving layer recycle machines.
+// Every run also checks the core's cycle conservation law.
 
 import (
 	"reflect"
@@ -23,6 +24,10 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		{Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Fused: true, Q: q},
 		{Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
 		{Arch: query.X86, Strategy: query.TupleAtATime, OpSize: 64, Unroll: 1, Q: q},
+		// Both clock domains parked: the core waits on the sequencer.
+		{Arch: query.HIVE, Strategy: query.TupleAtATime, OpSize: 16, Unroll: 1, Q: q},
+		// The core parked on a full HMC window, crediting its refusals.
+		{Arch: query.HMC, Strategy: query.TupleAtATime, OpSize: 16, Unroll: 1, Q: q},
 	}
 	tab := db.GenerateMemo(cfg.Tuples, cfg.Seed)
 
@@ -38,12 +43,13 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fresh %s: %v", p, err)
 		}
+		checkActiveCycles(t, m, fresh[i])
 		freshRegs[i] = m.Registry.String()
 	}
 
 	// One machine, Reset between plans — in two different orders, so a
 	// leak that only shows under a particular predecessor is caught.
-	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}} {
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}} {
 		m, err := machine.New(cfg.machineConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -56,6 +62,7 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reused %s: %v", plans[i], err)
 			}
+			checkActiveCycles(t, m, got)
 			if !reflect.DeepEqual(got, fresh[i]) {
 				t.Fatalf("plan %s on reused machine: %+v, fresh machine: %+v", plans[i], got, fresh[i])
 			}
@@ -84,8 +91,20 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkActiveCycles(t, m, got)
 		if !reflect.DeepEqual(got, fresh[1]) {
 			t.Fatalf("after mid-run reset: %+v, fresh: %+v", got, fresh[1])
 		}
+	}
+}
+
+// checkActiveCycles asserts the core's cycle conservation law: the core
+// counts one active cycle per tick from its start through its finishing
+// tick, fired or skipped, so cpu0.active_cycles is the run's cycles
+// plus one.
+func checkActiveCycles(t *testing.T, m *machine.Machine, r Result) {
+	t.Helper()
+	if got, _ := m.Registry.Lookup("cpu0.active_cycles"); got != r.Cycles+1 {
+		t.Fatalf("plan %s: cpu0.active_cycles = %d, want cycles + 1 = %d", r.Plan, got, r.Cycles+1)
 	}
 }
