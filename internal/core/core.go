@@ -534,7 +534,7 @@ func (e *Engine) Tick(now sim.Cycle) sim.TickResult {
 		e.issue(head, now)
 		issued += cost
 	}
-	e.Credit(1)
+	e.Credit(1) // this tick's own stalls
 	switch {
 	case e.queue.Len() == 0:
 		return sim.Idle

@@ -336,7 +336,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) step(horizon Cycle) (fired, pending bool) {
 	ev, i := e.head()
 	if d := e.due(); d != nil && (ev == nil || d.next < ev.cycle || d.next == ev.cycle && d.seq < ev.seq) {
-		if d.mark == e.activity && d.next < d.deadline {
+		if e.stalls(d) {
 			e.skip(d, ev, horizon)
 			return false, true
 		}
@@ -352,6 +352,8 @@ func (e *Engine) step(horizon Cycle) (fired, pending bool) {
 	return true, true
 }
 
+// fire runs one event at its cycle. Every fired event counts as
+// activity; a stalled tick takes its count back when it parks.
 func (e *Engine) fire(at Cycle, h Handler, tag uint64) {
 	e.now = at
 	e.executed++
@@ -423,6 +425,11 @@ func (e *Engine) park(d *ClockDomain, now Cycle) {
 	e.parked = append(e.parked, d)
 }
 
+// stalls reports whether parked domain d's reserved tick would stall
+// again: d is clean — nothing but stalled ticks has fired since it
+// parked — and the tick comes before its deadline.
+func (e *Engine) stalls(d *ClockDomain) bool { return d.mark == e.activity && d.next < d.deadline }
+
 func (e *Engine) unpark(d *ClockDomain) {
 	for i, p := range e.parked {
 		if p == d {
@@ -459,9 +466,9 @@ func (e *Engine) skip(due *ClockDomain, ev *queuedEvent, horizon Cycle) {
 		until = ev.cycle
 	}
 	for _, d := range e.parked {
-		w := d.deadline
-		if d.mark != e.activity || d.next >= w {
-			w = d.next // this tick runs for real
+		w := d.next // a tick that runs for real
+		if e.stalls(d) {
+			w = d.deadline
 		}
 		if w < until {
 			until = w
@@ -473,7 +480,7 @@ func (e *Engine) skip(due *ClockDomain, ev *queuedEvent, horizon Cycle) {
 	landing := 0
 	for _, d := range e.parked {
 		switch {
-		case d.mark != e.activity || d.next >= d.deadline:
+		case !e.stalls(d):
 			continue
 		case d.next < until:
 			d.skip = uint64((until-d.next-1)/d.Period) + 1
