@@ -61,6 +61,7 @@ type world struct {
 	tickers []*scriptTicker
 	log     []string
 	budget  int // spawned events and work items left
+	spawned int
 }
 
 func (w *world) record(kind string, id int, now Cycle) {
@@ -104,7 +105,8 @@ func (w *world) act(now Cycle, self *scriptTicker) {
 
 // spawn schedules an outside event that records itself and acts.
 func (w *world) spawn(at Cycle) {
-	id := len(w.log)*1000 + int(at)%1000
+	w.spawned++
+	id := w.spawned
 	w.e.Schedule(at, func() {
 		w.record("o", id, w.e.Now())
 		w.act(w.e.Now(), nil)
