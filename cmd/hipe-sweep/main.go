@@ -22,11 +22,12 @@
 // every exported row with an exec_mode column. Estimate mode cannot
 // produce machine counters, so -exec estimate -counters is refused.
 //
-// -cell-shards N (exact mode only) runs each cell as a parallel shard
-// simulation: the cell's table is cut into N contiguous shards whose
-// machines simulate concurrently, and the partials merge in shard
-// order — cycles as the critical path, energy and counters summed — so
-// exports stay byte-identical at any worker count.
+// -cell-shards N runs each cell as N parallel shard legs: the cell's
+// table is cut into N contiguous shards, each simulated on its own
+// machine (or, under -exec estimate, priced by the cost model), and the
+// partials merge in shard order — cycles as the critical path, energy
+// and counters summed — so exports stay byte-identical at any worker
+// count.
 //
 // -counters snapshots each cell's machine counters (cache hits, DRAM
 // activates, link packets, event-engine lanes…) after its run: the CSV
@@ -113,7 +114,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write per-cell results as JSON to this path (- for stdout)")
 	counters := flag.Bool("counters", false, "capture each cell's machine-counter snapshot; exports gain one ctr_<key> column / Counters field per counter")
 	execMode := flag.String("exec", "exact", "execution mode: exact simulates every cell, estimate prices it with the cost model (see docs/PERFORMANCE.md)")
-	cellShards := flag.Int("cell-shards", 0, "exact mode: split each cell into N shards simulated in parallel and merged deterministically (0 = whole-table)")
+	cellShards := flag.Int("cell-shards", 0, "split each cell into N shards run in parallel and merged deterministically (0 = whole-table)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (snapshotted after the sweep) to this path")
 	traceOut := flag.String("trace-out", "", "write a runtime execution trace of the sweep to this path")
@@ -144,13 +145,8 @@ func main() {
 	if *cellShards < 0 {
 		fail("-cell-shards %d must not be negative", *cellShards)
 	}
-	if mode == hipe.ExecEstimate {
-		if *counters {
-			fail("-exec estimate cannot capture machine counters (µop-level counters need exact simulation)")
-		}
-		if *cellShards > 1 {
-			fail("-exec estimate runs no shard machines; drop -cell-shards")
-		}
+	if mode == hipe.ExecEstimate && *counters {
+		fail("-exec estimate cannot capture machine counters (µop-level counters need exact simulation)")
 	}
 
 	grid := hipe.Grid{

@@ -83,26 +83,38 @@ func TestArchValidationListsRegistry(t *testing.T) {
 
 // TestExecFlagValidation pins the CLI-level exec-mode refusals: unknown
 // modes list the registry, and estimate mode rejects the outputs it
-// cannot produce before anything runs.
+// cannot produce before anything runs. Estimate mode with -cell-shards
+// is not refused: it prices every shard and exports both markers.
 func TestExecFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string
+		runs bool // the flags run a sweep instead of failing with usage status 2
 	}{
-		{"unknown mode", []string{"-exec", "psychic"}, `unknown exec mode "psychic"`},
-		{"mode choices listed", []string{"-exec", "psychic"}, "exact, estimate"},
-		{"estimate with counters", []string{"-exec", "estimate", "-counters"}, "cannot capture machine counters"},
-		{"estimate with shards", []string{"-exec", "estimate", "-cell-shards", "4"}, "no shard machines"},
-		{"negative shards", []string{"-cell-shards", "-2"}, "must not be negative"},
+		{"unknown mode", []string{"-exec", "psychic"}, `unknown exec mode "psychic"`, false},
+		{"mode choices listed", []string{"-exec", "psychic"}, "exact, estimate", false},
+		{"estimate with counters", []string{"-exec", "estimate", "-counters"}, "cannot capture machine counters", false},
+		{"estimate with shards", []string{"-exec", "estimate", "-cell-shards", "4",
+			"-archs", "hipe", "-opsizes", "256", "-unrolls", "32", "-tuples", "1024", "-quiet", "-csv", "-"},
+			"exec_mode", true},
+		{"negative shards", []string{"-cell-shards", "-2"}, "must not be negative", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out := runBinary(t, tc.args...)
-			if code == 0 {
+			switch {
+			case tc.runs:
+				if code != 0 {
+					t.Fatalf("sweep failed (%d)\n%s", code, out)
+				}
+				header := strings.SplitN(out, "\n", 2)[0]
+				if !strings.Contains(header, "shards") {
+					t.Fatalf("CSV header %q lacks the shards column", header)
+				}
+			case code == 0:
 				t.Fatalf("usage error exited 0\n%s", out)
-			}
-			if !strings.Contains(out, "exit status 2") {
+			case !strings.Contains(out, "exit status 2"):
 				t.Fatalf("child did not exit with usage status 2\n%s", out)
 			}
 			if !strings.Contains(out, tc.want) {

@@ -88,10 +88,11 @@ type (
 	SweepOptions = sweep.Options
 	// ExecMode selects exact machine simulation (ExecExact, the default)
 	// or the analytic cost model's calibrated fast path (ExecEstimate)
-	// for sweeps and serving replays. Estimate mode keeps answers exact,
-	// bounds cycle error (pinned by test; see docs/PERFORMANCE.md), and
-	// refuses outputs only real simulation can produce (machine
-	// counters, traces).
+	// for every sweep cell and serving shard leg, sharded or not.
+	// Estimate mode bounds cycle error (pinned by test; see
+	// docs/PERFORMANCE.md), keeps serving answers exact (sweep estimate
+	// cells compute no answers), and refuses outputs only real
+	// simulation can produce (machine counters, traces).
 	ExecMode = sweep.ExecMode
 	// Cluster is a sharded serving fleet: one table partitioned across
 	// simulated machines, answering concurrent Q06-family requests.
@@ -203,9 +204,9 @@ const (
 	// ExecExact runs full machine simulations — the default, and the
 	// only mode that produces machine counters and traces.
 	ExecExact = sweep.ExecExact
-	// ExecEstimate prices cells and shard replays with the analytic
-	// cost model instead of simulating — orders of magnitude faster,
-	// exact answers, bounded cycle error.
+	// ExecEstimate prices cells and shard legs with the analytic cost
+	// model instead of simulating — orders of magnitude faster, bounded
+	// cycle error.
 	ExecEstimate = sweep.ExecEstimate
 )
 
@@ -382,7 +383,8 @@ func Sweep(cfg Config, grid Grid) (*ResultSet, error) {
 // progress callback, counter capture, the execution mode (ExecEstimate
 // prices cells with the cost model instead of simulating), and
 // intra-cell shard parallelism (CellShards > 1 cuts each cell's table
-// into shards simulated concurrently and merged deterministically).
+// into shards run concurrently in either mode and merged
+// deterministically).
 func SweepWith(cfg Config, grid Grid, opt SweepOptions) (*ResultSet, error) {
 	return sweep.Run(cfg, grid, opt)
 }

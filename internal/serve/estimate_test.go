@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
@@ -182,5 +183,56 @@ func TestEstimateFleetLoadTest(t *testing.T) {
 	}
 	if !r.HasFleet() {
 		t.Error("report lost its pools")
+	}
+}
+
+// TestCalibrateDuringEstimateQueries runs Calibrate in a loop while
+// estimate-mode auto queries run on a cluster and on a fleet. Routing
+// and the estimate legs read the cost model Calibrate writes, so each
+// query takes one snapshot under the cluster lock; under -race an
+// unlocked read fails the test. Every answer must still verify.
+func TestCalibrateDuringEstimateQueries(t *testing.T) {
+	tab := db.GenerateMemo(1024, 42)
+	c, err := New(sweep.Config{Tuples: 1024, Seed: 42}, tab, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(sweep.Config{Tuples: 1024, Seed: 42}, tab, 2, []query.Arch{query.HIPE, query.X86})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := c.costParams()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := truth
+			if i%2 == 0 {
+				p = misCalibrate(truth, 3, true)
+			}
+			c.Calibrate(p)
+			f.Calibrate(p)
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	opt := Options{Exec: sweep.ExecEstimate, Workers: 2}
+	for i := range 30 {
+		q := db.DefaultQ06()
+		q.QtyHi = int32(10 + i%3*14)
+		for _, run := range []func(Request, Options) (*Response, error){c.Query, f.Query} {
+			if _, err := run(Request{Plan: DefaultPlan(ArchAuto, q)}, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

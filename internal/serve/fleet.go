@@ -81,15 +81,16 @@ func (f *Fleet) Calibrate(p cost.Params) {
 	f.estMu.Unlock()
 }
 
-// estimate returns the sharded estimate for one plan, cached.
-func (f *Fleet) estimate(p query.Plan) (cost.Estimate, float64, error) {
+// estimate returns the sharded estimate for one plan under cost-model
+// snapshot pr, cached.
+func (f *Fleet) estimate(p query.Plan, pr cost.Params) (cost.Estimate, float64, error) {
 	f.estMu.Lock()
 	e, ok := f.ests[p]
 	f.estMu.Unlock()
 	if ok {
 		return e.est, e.sel, nil
 	}
-	est, sel, err := cost.EstimateSharded(f.params, f.shards, p)
+	est, sel, err := cost.EstimateSharded(pr, f.shards, p)
 	if err != nil {
 		return cost.Estimate{}, 0, err
 	}
@@ -104,8 +105,9 @@ func (f *Fleet) estimate(p query.Plan) (cost.Estimate, float64, error) {
 // every pool (each pool's pinned backend's best serving shape over the
 // request's predicate); a fixed-architecture request only on pools
 // pinned to that architecture. Pools whose plan the envelope rejects
-// are skipped; an error is returned only when no pool survives.
-func (f *Fleet) candidatesFor(req Request) ([]candidate, error) {
+// are skipped; an error is returned only when no pool survives. pr is
+// the caller's cost-model snapshot.
+func (f *Fleet) candidatesFor(req Request, pr cost.Params) ([]candidate, error) {
 	maxRows := f.maxShardRows()
 	var cands []candidate
 	for pi, arch := range f.pools {
@@ -119,7 +121,7 @@ func (f *Fleet) candidatesFor(req Request) ([]candidate, error) {
 		if p.ValidateFor(maxRows) != nil {
 			continue
 		}
-		est, sel, err := f.estimate(p)
+		est, sel, err := f.estimate(p, pr)
 		if err != nil {
 			continue
 		}
@@ -135,16 +137,17 @@ func (f *Fleet) candidatesFor(req Request) ([]candidate, error) {
 // non-negative and at least one replica pool must be able to execute
 // it.
 func (f *Fleet) Admit(req Request) error {
-	_, err := f.admit(req)
+	_, err := f.admit(req, f.costParams())
 	return err
 }
 
-// admit is Admit returning the request's routable candidates.
-func (f *Fleet) admit(req Request) ([]candidate, error) {
+// admit is Admit returning the request's routable candidates under
+// cost-model snapshot pr.
+func (f *Fleet) admit(req Request, pr cost.Params) ([]candidate, error) {
 	if err := checkClass(req); err != nil {
 		return nil, err
 	}
-	return f.candidatesFor(req)
+	return f.candidatesFor(req, pr)
 }
 
 // Query routes one request across the fleet's replica pools — on an
@@ -156,35 +159,28 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	cands, err := f.admit(req)
+	pr := f.costParams()
+	cands, err := f.admit(req, pr)
 	if err != nil {
 		return nil, err
 	}
 	// Online adaptive state (EnableAdaptive): route under the lock so
-	// concurrent queries see a consistent observation snapshot, and take
-	// a sequence number for the deterministic exploration stream.
+	// concurrent queries see a consistent observation snapshot.
 	f.adaptMu.Lock()
-	ad := f.adapt
-	var adIndex int
-	if ad != nil {
-		adIndex = f.adaptSeq
-		f.adaptSeq++
-	}
-	d, err := rank(ad, adIndex, cands, make([]float64, len(cands)), nil)
+	rt := f.adapt
+	d, err := rt.rankNext(cands)
 	f.adaptMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	chosen := cands[d.ChosenIndex]
-	resp, err := f.Cluster.Query(Request{Plan: chosen.plan, Class: req.Class}, opt)
+	resp, err := f.run(Request{Plan: chosen.plan, Class: req.Class}, opt, pr)
 	if err != nil {
 		return nil, err
 	}
-	if ad != nil {
-		f.adaptMu.Lock()
-		ad.Observe(chosen.plan.Kind, chosen.plan.Arch, chosen.sel, float64(resp.Cycles))
-		f.adaptMu.Unlock()
-	}
+	f.adaptMu.Lock()
+	rt.observe(chosen.plan, chosen.sel, resp.Cycles)
+	f.adaptMu.Unlock()
 	resp.Routing = d
 	resp.Pool = &PoolPick{
 		Pool: chosen.pool, Arch: f.pools[chosen.pool].String(),
@@ -207,8 +203,9 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 // and recovery policy when set. Reports are byte-identical at any
 // worker count.
 func (f *Fleet) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
-	return f.loadTest(spec, opt, f.pools, func(req Request) ([]candidate, *cost.Decision, error) {
-		cs, err := f.candidatesFor(req)
+	pr := f.costParams()
+	return f.loadTest(spec, opt, pr, f.pools, func(req Request) ([]candidate, *cost.Decision, error) {
+		cs, err := f.candidatesFor(req, pr)
 		return cs, nil, err
 	})
 }

@@ -429,7 +429,8 @@ func TestRecoveryGateZeroAlloc(t *testing.T) {
 	plan := DefaultPlan(query.HIPE, db.DefaultQ06())
 	parts := make([]ShardPartial, 4)
 	for s := range parts {
-		parts[s] = ShardPartial{Shard: s, Cycles: uint64(100 + s), Matches: s}
+		parts[s] = ShardPartial{Shard: s, Matches: s}
+		parts[s].Cycles = uint64(100 + s)
 	}
 	rp := &replay{
 		c:         c,

@@ -40,13 +40,14 @@ type candidate struct {
 // the request is routed at dispatch, or needs no routing).
 type admitFunc func(Request) ([]candidate, *cost.Decision, error)
 
-// loadTest runs spec over the cluster's shards. pools names a fleet's
-// replica pools; nil makes the run a single-replica cluster report. It
-// admits the whole stream, computes every distinct candidate plan's
-// (plan, shard) service times once on the bounded executor pool,
-// verifies each plan's merged answer against the unsharded reference
-// evaluator, and replays the timeline.
-func (c *Cluster) loadTest(spec LoadSpec, opt Options, pools []query.Arch, admit admitFunc) (*Report, error) {
+// loadTest runs spec over the cluster's shards with cost-model snapshot
+// pr, the one admit routes with. pools names a fleet's replica pools;
+// nil makes the run a single-replica cluster report. It admits the
+// whole stream, computes every distinct candidate plan's (plan, shard)
+// service times once on the bounded executor pool, verifies each plan's
+// merged answer against the unsharded reference evaluator, and replays
+// the timeline.
+func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []query.Arch, admit admitFunc) (*Report, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +97,7 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pools []query.Arch, admit
 			}
 		}
 	}
-	byPlan, err := c.runPlanSet(plans, opt)
+	byPlan, err := c.runPlanSet(plans, opt, pr)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +165,11 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pools []query.Arch, admit
 	// the replay is single-threaded, so observations fold in arrival
 	// order and the report is byte-identical at any worker count.
 	if spec.Adaptive != nil {
-		if rp.ad, err = cost.NewAdaptive(*spec.Adaptive); err != nil {
+		ad, err := cost.NewAdaptive(*spec.Adaptive)
+		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
+		rp.ad = &router{ad: ad}
 	}
 	if opt.Trace {
 		rp.tr = obs.NewTrace()
@@ -221,9 +224,9 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pools []query.Arch, admit
 	}
 	if rp.ad != nil && opt.Counters {
 		r.Counters.Add(obs.NewCounters(map[string]uint64{
-			"serve.adaptive_routed":       rp.adRouted,
-			"serve.adaptive_explored":     rp.adExplored,
-			"serve.adaptive_observations": rp.adObserved,
+			"serve.adaptive_routed":       rp.ad.routed,
+			"serve.adaptive_explored":     rp.ad.explored,
+			"serve.adaptive_observations": rp.ad.observed,
 		}))
 	}
 	return r, nil
@@ -266,12 +269,8 @@ type replay struct {
 	tr *obs.Trace
 
 	// ad is the per-run adaptive routing state (LoadSpec.Adaptive; nil
-	// keeps routing static). adRouted/adExplored/adObserved total the
-	// feedback loop's events for the serve.* counter roll-up.
-	ad         *cost.Adaptive
-	adRouted   uint64
-	adExplored uint64
-	adObserved uint64
+	// keeps routing static).
+	ad *router
 
 	// inj injects the scheduled faults and rec is the recovery policy;
 	// both nil on a healthy run. slow is the per-pool observed-slowdown
@@ -283,27 +282,40 @@ type replay struct {
 	done []bool
 }
 
+// router is one adaptive-routing state: the observation cells, the
+// online exploration sequence and the feedback loop's event totals for
+// the serve.* counter roll-up. A load-test replay holds one per
+// adaptive run; a Cluster holds one under adaptMu for EnableAdaptive's
+// online queries. A nil router ranks statically and observes nothing.
+type router struct {
+	ad *cost.Adaptive
+	// seq numbers online routes for the exploration stream; a replay
+	// passes request indices instead.
+	seq                        int
+	routed, explored, observed uint64
+}
+
 // rank is the one candidate-ranking policy: cost.RankLoadedHealth over
 // the candidates' estimates under the given queue penalties and replica
-// health (nil: health-blind). With adaptive state (ad non-nil) each
-// candidate's analytic prior is blended with the observed-cycles EWMA of
-// its (kind, backend, selectivity bucket) cell, and the deterministic
-// exploration floor may override the pick for this request index —
-// never onto a down replica, so the draw stays a pure function of (seed,
-// index). When every candidate is down the pick falls back to
-// health-blind ranking: queue for the earliest recovery.
-func rank(ad *cost.Adaptive, index int, cands []candidate, queue []float64, health []cost.Health) (*cost.Decision, error) {
+// health (nil: health-blind). With adaptive state each candidate's
+// analytic prior is blended with the observed-cycles EWMA of its (kind,
+// backend, selectivity bucket) cell, and the deterministic exploration
+// floor may override the pick for this request index — never onto a
+// down replica, so the draw stays a pure function of (seed, index).
+// When every candidate is down the pick falls back to health-blind
+// ranking: queue for the earliest recovery.
+func (rt *router) rank(index int, cands []candidate, queue []float64, health []cost.Health) (*cost.Decision, error) {
 	ests := make([]cost.Estimate, len(cands))
 	var obsCycles []float64
 	var samples []uint64
-	if ad != nil {
+	if rt != nil {
 		obsCycles = make([]float64, len(cands))
 		samples = make([]uint64, len(cands))
 	}
 	for i, c := range cands {
 		ests[i] = c.est
-		if ad != nil {
-			blended, _, n := ad.Blended(c.plan.Kind, c.plan.Arch, c.sel, c.est.Cycles)
+		if rt != nil {
+			blended, _, n := rt.ad.Blended(c.plan.Kind, c.plan.Arch, c.sel, c.est.Cycles)
 			if n > 0 {
 				obsCycles[i] = blended
 			}
@@ -317,13 +329,37 @@ func rank(ad *cost.Adaptive, index int, cands []candidate, queue []float64, heal
 	if err != nil {
 		return nil, err
 	}
-	if ad != nil {
+	if rt != nil {
 		d.BucketSamples = samples
-		if j, ok := ad.ExplorePick(index, len(cands)); ok && (health == nil || !health[j].Down) {
+		if j, ok := rt.ad.ExplorePick(index, len(cands)); ok && (health == nil || !health[j].Down) {
 			d.ChosenIndex, d.Chosen, d.Explored = j, d.Estimates[j].Plan, true
+		}
+		rt.routed++
+		if d.Explored {
+			rt.explored++
 		}
 	}
 	return d, nil
+}
+
+// rankNext ranks one online query's candidates as on an idle fleet —
+// no queue penalties, health-blind — under the next sequence number.
+func (rt *router) rankNext(cands []candidate) (*cost.Decision, error) {
+	index := 0
+	if rt != nil {
+		index = rt.seq
+		rt.seq++
+	}
+	return rt.rank(index, cands, make([]float64, len(cands)), nil)
+}
+
+// observe feeds one completed request's service cycles into the cell of
+// its plan's (kind, backend) at selectivity sel.
+func (rt *router) observe(p query.Plan, sel float64, cycles uint64) {
+	if rt != nil {
+		rt.ad.Observe(p.Kind, p.Arch, sel, float64(cycles))
+		rt.observed++
+	}
 }
 
 // backlogAt is pool p's booked critical-path backlog at cycle t: the
@@ -370,15 +406,9 @@ func (rp *replay) route(index int, cands []candidate, t uint64) (*cost.Decision,
 		return rp.static[index], cands[0], false, nil
 	}
 	queue, health := rp.loads(cands, t)
-	d, err := rank(rp.ad, index, cands, queue, health)
+	d, err := rp.ad.rank(index, cands, queue, health)
 	if err != nil {
 		return nil, candidate{}, false, err
-	}
-	if rp.ad != nil {
-		rp.adRouted++
-		if d.Explored {
-			rp.adExplored++
-		}
 	}
 	failedOver := false
 	if health != nil && !health[d.ChosenIndex].Down {
@@ -403,7 +433,8 @@ func (rp *replay) hedgeCandidate(cands []candidate, primary int, t uint64) (cand
 		return candidate{}, false
 	}
 	queue, health := rp.loads(others, t)
-	d, err := rank(nil, 0, others, queue, health)
+	var static *router
+	d, err := static.rank(0, others, queue, health)
 	if err != nil || (health != nil && health[d.ChosenIndex].Down) {
 		return candidate{}, false
 	}
@@ -568,13 +599,10 @@ func (rp *replay) dispatch(index, client int, arrival uint64, req Request, cands
 		}
 	}
 	acc.observe(latency, degraded, covFrac, errRevenue)
-	if rp.ad != nil {
-		// Nominal service cycles only: fault-driven inflation stays out of
-		// the cells — the slowdown EWMA and health-aware routing carry it
-		// — so adaptive state converges on the workload, not on faults.
-		rp.ad.Observe(chosen.plan.Kind, chosen.plan.Arch, chosen.sel, float64(resp.Cycles))
-		rp.adObserved++
-	}
+	// Nominal service cycles only: fault-driven inflation stays out of
+	// the cells — the slowdown EWMA and health-aware routing carry it —
+	// so adaptive state converges on the workload, not on faults.
+	rp.ad.observe(chosen.plan, chosen.sel, resp.Cycles)
 	if rp.tr.On() {
 		rp.tr.Instant("merge", "merge", 0, 0, completion,
 			obs.Arg{Key: "matches", Val: strconv.Itoa(matches)})

@@ -26,8 +26,8 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
@@ -106,24 +106,21 @@ func servingShape(b query.Backend, req query.Plan) query.Plan {
 	return p
 }
 
-// ShardPartial is one shard's contribution to a request: the simulated
-// service time plus the partials that merge into the whole-table
-// answer. Matches is the cardinality of the shard's result bitmask,
-// which the shard run verifies against the shard reference evaluator
-// before the partial is released.
+// ShardPartial is one shard's contribution to a request: the shard's
+// leg (sweep.Leg) — its service time in Cycles, and its machine-counter
+// snapshot when Options.Counters is set — plus the answer partials that
+// merge into the whole-table answer. The answers come from the shard
+// reference evaluator in either mode; an exact leg has verified its
+// machine against that same reference. Groups holds a Q01 request's
+// per-group aggregates in db.GroupID order (nil for selection
+// requests); contiguous shards tile the table, so group partials
+// recompose by index.
 type ShardPartial struct {
-	Shard   int
-	Cycles  uint64
+	Shard int
+	sweep.Partial
+	// Matches is the cardinality of the shard's result bitmask.
 	Matches int
 	Revenue int64
-	// Groups holds the shard's per-group aggregates for Q01 requests,
-	// in db.GroupID order (nil for selection requests). Contiguous
-	// shards tile the table, so group partials recompose by index.
-	Groups []db.GroupAgg `json:",omitempty"`
-	// Counters is the shard run's machine-counter snapshot, captured
-	// only when Options.Counters is set (nil — and JSON-omitted —
-	// otherwise, so counter-off exports are unchanged).
-	Counters *obs.Counters `json:",omitempty"`
 }
 
 // Response is a merged, verified whole-table answer.
@@ -235,17 +232,20 @@ func (o Options) EffectiveWorkers() int {
 // shards, each scanned by its own simulated machine. A Cluster is
 // immutable after New and safe for concurrent Query calls.
 type Cluster struct {
-	mc     machine.Config
+	// cfg holds the shard machines' model (Machine is always set) and
+	// the energy model their runs are audited with.
+	cfg    sweep.Config
 	whole  *db.Table
 	shards []*db.Table
 
-	// params is the adaptive planner's cost model, derived from the
-	// cluster's machine and energy configuration at New.
+	mu sync.Mutex
+	// params is the cost model the planner routes and estimate legs
+	// price with, derived from the machine and energy models at New.
+	// Calibrate replaces it, so readers take one snapshot (costParams).
 	params cost.Params
-
-	mu    sync.Mutex
-	refs  map[db.Q06]*db.ReferenceResult
-	refs1 map[db.Q01]*db.Q1Result
+	// answers memoises reference answers per (table, predicate), for
+	// the whole table and for each shard.
+	answers map[answerKey]answer
 	// routes caches routing decisions per distinct (kind, predicate):
 	// profiling the table is O(rows), so repeated predicates — the
 	// common case in serving streams — route from the cache. Decisions
@@ -260,12 +260,12 @@ type Cluster struct {
 	mpool *machine.Pool
 
 	// adaptMu guards the online feedback-routing state used by the
-	// concurrent Query paths (EnableAdaptive). Load-test replays never
-	// touch it — they build per-run state from LoadSpec.Adaptive so a
-	// load test stays a pure function of its inputs.
-	adaptMu  sync.Mutex
-	adapt    *cost.Adaptive
-	adaptSeq int
+	// concurrent Query paths (EnableAdaptive; nil when off). Load-test
+	// replays never touch it — they build per-run state from
+	// LoadSpec.Adaptive so a load test stays a pure function of its
+	// inputs.
+	adaptMu sync.Mutex
+	adapt   *router
 }
 
 // New partitions tab into nShards contiguous shards (each a multiple of
@@ -283,21 +283,20 @@ func New(cfg sweep.Config, tab *db.Table, nShards int) (*Cluster, error) {
 	if cfg.Machine != nil {
 		mc = *cfg.Machine
 	} else {
-		mc.ImageBytes = shardImageBytes(shards[0].N)
+		mc.ImageBytes = db.ImageBytesFor(shards[0].N)
 	}
 	em := energy.Default()
 	if cfg.Energy != nil {
 		em = *cfg.Energy
 	}
 	return &Cluster{
-		mc:     mc,
-		whole:  tab,
-		shards: shards,
-		params: cost.ParamsFor(mc, em),
-		refs:   make(map[db.Q06]*db.ReferenceResult),
-		refs1:  make(map[db.Q01]*db.Q1Result),
-		routes: make(map[routeKey]*cost.Decision),
-		mpool:  machine.NewPool(mc),
+		cfg:     sweep.Config{Machine: &mc, Energy: &em},
+		whole:   tab,
+		shards:  shards,
+		params:  cost.ParamsFor(mc, em),
+		answers: make(map[answerKey]answer),
+		routes:  make(map[routeKey]*cost.Decision),
+		mpool:   machine.NewPool(mc),
 	}, nil
 }
 
@@ -316,8 +315,7 @@ func (c *Cluster) EnableAdaptive(cfg cost.AdaptiveConfig) error {
 		return err
 	}
 	c.adaptMu.Lock()
-	c.adapt = a
-	c.adaptSeq = 0
+	c.adapt = &router{ad: a}
 	c.adaptMu.Unlock()
 	return nil
 }
@@ -337,6 +335,15 @@ func (c *Cluster) Calibrate(p cost.Params) {
 	c.mu.Unlock()
 }
 
+// costParams snapshots the cost model under the lock Calibrate writes
+// it under. Each Query and load test takes one snapshot and hands it to
+// routing and to its legs.
+func (c *Cluster) costParams() cost.Params {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.params
+}
+
 // routeKey identifies one distinct routable query.
 type routeKey struct {
 	kind query.QueryKind
@@ -344,10 +351,6 @@ type routeKey struct {
 	q1   db.Q01
 	agg  bool
 }
-
-// shardImageBytes sizes a machine image for an n-row shard (see
-// db.ImageBytesFor).
-func shardImageBytes(n int) uint64 { return db.ImageBytesFor(n) }
 
 // Shards reports the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
@@ -373,7 +376,7 @@ func (c *Cluster) Admit(req Request) error {
 		return err
 	}
 	if req.Plan.Auto() {
-		_, _, err := c.resolve(req)
+		_, _, err := c.resolve(req, c.costParams())
 		return err
 	}
 	if err := req.Plan.ValidateFor(c.maxShardRows()); err != nil {
@@ -400,8 +403,8 @@ func (c *Cluster) maxShardRows() int {
 // untouched. Decisions are cached per distinct predicate and are pure
 // functions of the cluster's table, so routing is deterministic and
 // auditable (the decision lands in Response.Routing and the report's
-// routing columns).
-func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
+// routing columns). pr is the caller's cost-model snapshot.
+func (c *Cluster) resolve(req Request, pr cost.Params) (Request, *cost.Decision, error) {
 	if !req.Plan.Auto() {
 		return req, nil, nil
 	}
@@ -418,7 +421,7 @@ func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
 			}
 		}
 		var err error
-		d, err = cost.PickSharded(c.params, c.shards, candidates)
+		d, err = cost.PickSharded(pr, c.shards, candidates)
 		if err != nil {
 			return req, nil, fmt.Errorf("serve: routing %s: %w", req.Plan, err)
 		}
@@ -438,189 +441,81 @@ func (c *Cluster) resolve(req Request) (Request, *cost.Decision, error) {
 		for i, e := range d.Estimates {
 			cands[i] = candidate{plan: e.Plan, est: e, sel: d.Selectivity}
 		}
-		if nd, err := rank(c.adapt, c.adaptSeq, cands, make([]float64, len(cands)), nil); err == nil {
+		if nd, err := c.adapt.rankNext(cands); err == nil {
 			d = nd
 		}
-		c.adaptSeq++
 	}
 	c.adaptMu.Unlock()
 	req.Plan = d.Chosen
 	return req, d, nil
 }
 
-// reference returns the whole-table oracle for predicate q, computed
-// once per distinct predicate.
-func (c *Cluster) reference(q db.Q06) *db.ReferenceResult {
+// answer is the reference evaluator's answer for one table and
+// predicate: what a verified scan of that table returns.
+type answer struct {
+	matches int
+	revenue int64
+	// groups holds a Q01 predicate's per-group aggregates in
+	// db.GroupID order (nil for Q06 predicates).
+	groups []db.GroupAgg
+}
+
+// answerKey identifies one memoised answer: a table (the whole table
+// or one shard) and a predicate.
+type answerKey struct {
+	tab  *db.Table
+	kind query.QueryKind
+	q    db.Q06
+	q1   db.Q01
+}
+
+// answer returns plan p's reference answer over tab, computed once per
+// (table, predicate). Concurrent first callers may both evaluate it;
+// the answer is a pure function of its key, so either store is right.
+func (c *Cluster) answer(tab *db.Table, p query.Plan) answer {
+	k := answerKey{tab: tab, kind: p.Kind, q: p.Q, q1: p.Q1}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.refs[q]; ok {
-		return r
+	a, ok := c.answers[k]
+	c.mu.Unlock()
+	if ok {
+		return a
 	}
-	r := db.Reference(c.whole, q)
-	c.refs[q] = r
-	return r
-}
-
-// referenceQ1 returns the whole-table aggregation oracle for predicate
-// q, computed once per distinct predicate.
-func (c *Cluster) referenceQ1(q db.Q01) *db.Q1Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.refs1[q]; ok {
-		return r
-	}
-	r := db.ReferenceQ1(c.whole, q)
-	c.refs1[q] = r
-	return r
-}
-
-// runShard produces req's plan's shard-s partial under opt's execution
-// mode. Exact mode runs the plan on a pooled machine instance, verifies
-// the engine-computed result against the shard reference, and — when
-// opt.Counters is set — snapshots the machine's counter registry into
-// the partial before the machine is recycled (Reset clears the
-// registry). Estimate mode prices the shard analytically instead; see
-// estimateShard.
-func (c *Cluster) runShard(s int, p query.Plan, opt Options) (ShardPartial, error) {
-	if opt.Exec == sweep.ExecEstimate {
-		return c.estimateShard(s, p)
-	}
-	m, err := c.mpool.Get()
-	if err != nil {
-		return ShardPartial{}, err
-	}
-	// Recycle on every path: Reset is proven safe even after a run
-	// abandoned mid-flight, so failed shard tasks keep the pool warm.
-	defer c.mpool.Put(m)
-	w, err := query.Prepare(m, c.shards[s], p)
-	if err != nil {
-		return ShardPartial{}, err
-	}
-	cycles := uint64(m.Run(w.Stream()))
-	if err := w.Verify(); err != nil {
-		return ShardPartial{}, err
-	}
-	var ctrs *obs.Counters
-	if opt.Counters {
-		ctrs = obs.Capture(m.Registry, m.Engine)
-	}
-	// Verify passed: the engine's bitmask (and, for aggregation plans,
-	// its in-memory accumulators) equals the shard reference, so the
-	// reference values ARE the engine-computed partials.
-	if w.Ref1 != nil {
-		return ShardPartial{
-			Shard:    s,
-			Cycles:   cycles,
-			Matches:  w.Ref1.Matches,
-			Revenue:  w.Ref1.Revenue(),
-			Groups:   w.GroupResults(),
-			Counters: ctrs,
-		}, nil
-	}
-	return ShardPartial{
-		Shard:    s,
-		Cycles:   cycles,
-		Matches:  w.Ref.Matches,
-		Revenue:  w.Ref.Revenue,
-		Counters: ctrs,
-	}, nil
-}
-
-// estimateShard is runShard's estimate-mode leg: no machine is built.
-// The shard's service time comes from the analytic cost model walking
-// the shard's selectivity profile — the same estimator the adaptive
-// planner ranks candidates with — and the answer partials come from the
-// shard reference evaluator, so the merge step's whole-table
-// verification still passes exactly; only the cycle figure is
-// approximate (bounded error, pinned by test — see docs/PERFORMANCE.md).
-func (c *Cluster) estimateShard(s int, p query.Plan) (ShardPartial, error) {
-	shard := c.shards[s]
-	est, err := cost.EstimatePlan(c.params, p, cost.ProfileFor(shard, p))
-	if err != nil {
-		return ShardPartial{}, err
-	}
-	cycles := uint64(math.Round(est.Cycles))
 	if p.Kind == query.Q1Agg {
-		ref := db.ReferenceQ1(shard, p.Q1)
-		return ShardPartial{
-			Shard:   s,
-			Cycles:  cycles,
-			Matches: ref.Matches,
-			Revenue: ref.Revenue(),
-			Groups:  append([]db.GroupAgg(nil), ref.Groups[:]...),
-		}, nil
+		ref := db.ReferenceQ1(tab, p.Q1)
+		a = answer{matches: ref.Matches, revenue: ref.Revenue(), groups: slices.Clone(ref.Groups[:])}
+	} else {
+		ref := db.Reference(tab, p.Q)
+		a = answer{matches: ref.Matches, revenue: ref.Revenue}
 	}
-	ref := db.Reference(shard, p.Q)
-	return ShardPartial{
-		Shard:   s,
-		Cycles:  cycles,
-		Matches: ref.Matches,
-		Revenue: ref.Revenue,
-	}, nil
+	c.mu.Lock()
+	c.answers[k] = a
+	c.mu.Unlock()
+	return a
 }
 
-// merge folds shard partials into a verified Response.
+// merge folds shard partials (sweep.Fold) into a Response and verifies
+// its answer against the unsharded reference evaluator.
 func (c *Cluster) merge(req Request, parts []ShardPartial) (*Response, error) {
-	resp := &Response{Request: req, Shards: parts}
+	f := sweep.Fold(len(parts), func(s int) sweep.Partial { return parts[s].Partial })
+	resp := &Response{Request: req, Shards: parts, Cycles: f.Cycles, Groups: f.Groups, Counters: f.Counters}
 	for _, p := range parts {
 		resp.Matches += p.Matches
 		resp.Revenue += p.Revenue
 		resp.WorkCycles += p.Cycles
-		if p.Cycles > resp.Cycles {
-			resp.Cycles = p.Cycles
-		}
-		if p.Counters != nil {
-			if resp.Counters == nil {
-				resp.Counters = p.Counters.Clone()
-			} else {
-				resp.Counters.Add(p.Counters)
-			}
-		}
 	}
-	if req.Plan.Kind == query.Q1Agg {
-		return c.mergeQ1(req, resp, parts)
-	}
-	ref := c.reference(req.Plan.Q)
-	if resp.Matches != ref.Matches {
+	ref := c.answer(c.whole, req.Plan)
+	if resp.Matches != ref.matches {
 		return nil, fmt.Errorf("serve: %s: merged matches %d, reference %d",
-			req.Plan, resp.Matches, ref.Matches)
+			req.Plan, resp.Matches, ref.matches)
 	}
-	if resp.Revenue != ref.Revenue {
+	if resp.Revenue != ref.revenue {
 		return nil, fmt.Errorf("serve: %s: merged revenue %d, reference %d",
-			req.Plan, resp.Revenue, ref.Revenue)
+			req.Plan, resp.Revenue, ref.revenue)
 	}
-	return resp, nil
-}
-
-// mergeQ1 recomposes per-shard group aggregates — contiguous shards
-// tile the table, so every (group, aggregate) sum is the plain sum of
-// the shard values — and verifies the merged table against the
-// unsharded reference evaluator.
-func (c *Cluster) mergeQ1(req Request, resp *Response, parts []ShardPartial) (*Response, error) {
-	merged := make([]db.GroupAgg, db.NumGroups)
-	for g := range merged {
-		merged[g].ReturnFlag = int32(g / db.LSValues)
-		merged[g].LineStatus = int32(g % db.LSValues)
-	}
-	for _, p := range parts {
-		if len(p.Groups) != db.NumGroups {
-			return nil, fmt.Errorf("serve: %s: shard %d returned %d groups, want %d",
-				req.Plan, p.Shard, len(p.Groups), db.NumGroups)
-		}
-		for g := range merged {
-			merged[g].Add(p.Groups[g])
-		}
-	}
-	resp.Groups = merged
-	ref := c.referenceQ1(req.Plan.Q1)
-	if resp.Matches != ref.Matches {
-		return nil, fmt.Errorf("serve: %s: merged matches %d, reference %d",
-			req.Plan, resp.Matches, ref.Matches)
-	}
-	for g := range merged {
-		if merged[g] != ref.Groups[g] {
+	for g := range ref.groups {
+		if resp.Groups[g] != ref.groups[g] {
 			return nil, fmt.Errorf("serve: %s: merged group %d %+v, reference %+v",
-				req.Plan, g, merged[g], ref.Groups[g])
+				req.Plan, g, resp.Groups[g], ref.groups[g])
 		}
 	}
 	return resp, nil
@@ -628,26 +523,20 @@ func (c *Cluster) mergeQ1(req Request, resp *Response, parts []ShardPartial) (*R
 
 // Query admits one request — routing ArchAuto requests to the
 // predicted-fastest backend first — scatters it across every shard
-// (shard simulations run concurrently on the load tests' bounded
-// executor pool, runPlanSet), gathers the partials, and returns the
-// merged answer verified against the unsharded reference evaluator.
-// Safe for concurrent callers.
+// (shard legs run concurrently on the load tests' bounded executor
+// pool, runPlanSet), gathers the partials, and returns the merged
+// answer verified against the unsharded reference evaluator. Safe for
+// concurrent callers.
 func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	req, routing, err := c.resolve(req)
+	pr := c.costParams()
+	req, routing, err := c.resolve(req, pr)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Admit(req); err != nil {
-		return nil, err
-	}
-	byPlan, err := c.runPlanSet([]query.Plan{req.Plan}, opt)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.merge(req, byPlan[0])
+	resp, err := c.run(req, opt, pr)
 	if err != nil {
 		return nil, err
 	}
@@ -657,10 +546,25 @@ func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
 	// backend's (kind, selectivity-bucket) cell.
 	if routing != nil {
 		c.adaptMu.Lock()
-		if c.adapt != nil {
-			c.adapt.Observe(req.Plan.Kind, req.Plan.Arch, routing.Selectivity, float64(resp.Cycles))
-		}
+		c.adapt.observe(req.Plan, routing.Selectivity, resp.Cycles)
 		c.adaptMu.Unlock()
+	}
+	return resp, nil
+}
+
+// run executes one routed request over every shard with cost-model
+// snapshot pr and merges the partials.
+func (c *Cluster) run(req Request, opt Options, pr cost.Params) (*Response, error) {
+	if err := c.Admit(req); err != nil {
+		return nil, err
+	}
+	byPlan, err := c.runPlanSet([]query.Plan{req.Plan}, opt, pr)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.merge(req, byPlan[0])
+	if err != nil {
+		return nil, err
 	}
 	if opt.Exec == sweep.ExecEstimate {
 		resp.ExecMode = opt.Exec.String()

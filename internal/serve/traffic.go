@@ -8,6 +8,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/cost"
@@ -438,8 +439,9 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if spec.Adaptive != nil {
 		return nil, fmt.Errorf("serve: adaptive routing needs a replicated fleet (use Fleet.LoadTest)")
 	}
-	return c.loadTest(spec, opt, nil, func(req Request) ([]candidate, *cost.Decision, error) {
-		r, d, err := c.resolve(req)
+	pr := c.costParams()
+	return c.loadTest(spec, opt, pr, nil, func(req Request) ([]candidate, *cost.Decision, error) {
+		r, d, err := c.resolve(req, pr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -451,23 +453,34 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 }
 
 // runPlanSet computes the per-shard partials for a set of distinct
-// plans, one task per (plan, shard), on the sweep engine's worker pool
+// plans, one leg (sweep.Leg) per (plan, shard) under opt's execution
+// mode and cost-model snapshot pr, on the sweep engine's worker pool
 // (sweep.ForEach). Identical plans over the same shard are bit-identical
-// runs, so mixed streams — which repeat a small set of plans — dedupe to
-// far fewer simulations than (requests × shards). The returned slice is
+// legs, so mixed streams — which repeat a small set of plans — dedupe to
+// far fewer legs than (requests × shards). The returned slice is
 // indexed [plan][shard], in the caller's plan order; results are
 // slot-indexed so worker scheduling cannot leak into them, and the
 // returned error is the first failure in (plan, shard) order. This is
 // the compute stage under every load test (one plan per distinct
 // routing candidate) and under Cluster.Query (one plan).
-func (c *Cluster) runPlanSet(plans []query.Plan, opt Options) ([][]ShardPartial, error) {
+func (c *Cluster) runPlanSet(plans []query.Plan, opt Options, pr cost.Params) ([][]ShardPartial, error) {
+	leg := sweep.Leg{Config: c.cfg, Pool: c.mpool, Params: pr, Exec: opt.Exec, Counters: opt.Counters}
 	nShards := len(c.shards)
 	results := make([]ShardPartial, len(plans)*nShards)
 	errs := make([]error, len(results))
 	var progressMu sync.Mutex
 	completed := 0
 	sweep.ForEach(len(results), opt.EffectiveWorkers(), func(t int) {
-		results[t], errs[t] = c.runShard(t%nShards, plans[t/nShards], opt)
+		s, p := t%nShards, plans[t/nShards]
+		part, err := leg.Run(c.shards[s], p)
+		if err == nil {
+			// The shard reference answers in either mode: an exact leg
+			// has verified its machine against that same reference.
+			a := c.answer(c.shards[s], p)
+			part.Groups = slices.Clone(a.groups)
+			results[t] = ShardPartial{Shard: s, Partial: part, Matches: a.matches, Revenue: a.revenue}
+		}
+		errs[t] = err
 		if opt.OnTask != nil {
 			progressMu.Lock()
 			completed++

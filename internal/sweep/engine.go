@@ -1,9 +1,9 @@
 // The cell driver: every cell is max(1, CellShards) (cell, shard)
 // tasks — a whole-table cell is the one-shard case — fanned out over one
-// worker pool (ForEach). Each simulation runs single-threaded, each
-// cell's partials merge in shard order when its last task finishes, and
-// results land in an index-ordered ResultSet, so the outcome is
-// independent of scheduling.
+// worker pool (ForEach). Each task is one leg (leg.go), each cell's
+// partials fold in shard order when its last task finishes, and results
+// land in an index-ordered ResultSet, so the outcome is independent of
+// scheduling.
 package sweep
 
 import (
@@ -46,27 +46,24 @@ type Options struct {
 	// are byte-identical to runs made before this knob existed.
 	Exec ExecMode
 	// CellShards is the number of contiguous shards (db.Partition)
-	// each exact cell's table is cut into. Every shard is one task on
-	// the worker pool with its own machine, and a cell's partials merge
-	// in shard order — cycles as the critical path (slowest shard),
-	// energy and counter totals summed — so results are byte-identical
-	// at any worker count. 0 or 1 runs each cell as one whole-table
-	// task.
+	// each cell's table is cut into. Every shard is one leg on the
+	// worker pool — its own machine in exact mode, its own cost-model
+	// pricing in estimate mode — and a cell's partials fold in shard
+	// order (Fold: cycles as the critical path, energy and counter
+	// totals summed), so results are byte-identical at any worker count.
+	// 0 or 1 runs each cell as one whole-table task.
 	CellShards int
 }
 
 // validate rejects option combinations the engine refuses to run:
-// estimate mode can produce neither machine counters nor per-shard
-// machine simulations, because there are no machines.
+// estimate mode builds no machines, so it cannot capture machine
+// counters.
 func (o Options) validate() error {
 	switch o.Exec {
 	case ExecExact:
 	case ExecEstimate:
 		if o.Counters {
 			return fmt.Errorf("sweep: estimate mode cannot capture machine counters (µop-level counters need exact simulation)")
-		}
-		if o.CellShards > 1 {
-			return fmt.Errorf("sweep: estimate mode prices whole cells analytically and has no shard machines to parallelise")
 		}
 	default:
 		return fmt.Errorf("sweep: unknown exec mode %d", int(o.Exec))
@@ -111,14 +108,14 @@ type CellResult struct {
 	// counter-off exports are unchanged.
 	Counters *obs.Counters `json:",omitempty"`
 	// Mode records the execution mode that produced Result: ExecEstimate
-	// cells carry model-predicted cycles over reference-evaluator
-	// answers. ExecExact (the zero value) is JSON-omitted, so exact
-	// exports are byte-identical to their pre-mode form.
+	// cells carry model-predicted cycles and energy and no answers
+	// (Checked 0, no Groups). ExecExact (the zero value) is JSON-omitted,
+	// so exact exports are byte-identical to their pre-mode form.
 	Mode ExecMode `json:",omitempty"`
-	// Shards records the intra-cell shard count when the cell ran as a
-	// parallel shard simulation (Options.CellShards > 1): Result.Cycles
-	// is then the critical path over Shards concurrent machines. 0 —
-	// and JSON-omitted — for one-shard (whole-table) cells.
+	// Shards records the intra-cell shard count when the cell ran as
+	// parallel shard legs (Options.CellShards > 1): Result.Cycles is
+	// then the critical path over Shards concurrent legs. 0 — and
+	// JSON-omitted — for one-shard (whole-table) cells.
 	Shards int `json:",omitempty"`
 }
 
@@ -268,16 +265,20 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	}
 	cfg.Machine = &mc
 
-	r := &cellRun{cfg: cfg, cells: cells, opt: opt, n: n,
+	r := &cellRun{cells: cells, opt: opt, n: n,
 		cache: tableCache{shards: n, tables: map[workload]*tableEntry{}},
-		// The planner parameters for auto-arch cells, derived once from
-		// the sweep's machine and energy models.
-		params: cost.ParamsFor(mc, cfg.energyModel()),
-		pool:   machine.NewPool(mc),
-		slots:  make([]CellResult, len(cells)*n),
-		errs:   make([]error, len(cells)*n),
-		setup:  make([]sync.Once, len(cells)),
-		done:   make([]atomic.Int32, len(cells)),
+		// Machines are recycled across tasks: a Reset machine is
+		// bit-identical to a fresh one (machine.Reset), so reuse changes
+		// wall-clock only — the worker-count determinism tests double as
+		// reuse determinism tests. The cost model prices estimate legs
+		// and routes auto-arch cells.
+		leg: Leg{Config: cfg, Pool: machine.NewPool(mc),
+			Params: cost.ParamsFor(mc, cfg.energyModel()),
+			Exec:   opt.Exec, Counters: opt.Counters},
+		slots: make([]CellResult, len(cells)*n),
+		errs:  make([]error, len(cells)*n),
+		setup: make([]sync.Once, len(cells)),
+		done:  make([]atomic.Int32, len(cells)),
 	}
 	ForEach(len(r.slots), opt.EffectiveWorkers(), r.task)
 
@@ -302,19 +303,13 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 // cell t/n. Outcomes are slot-indexed and each cell merges in shard
 // order, so worker scheduling cannot leak into any result.
 type cellRun struct {
-	cfg    Config
-	cells  []Cell
-	opt    Options
-	n      int
-	cache  tableCache
-	params cost.Params
-	// pool recycles machines across tasks: a Reset machine is
-	// bit-identical to a fresh one (machine.Reset), so reuse changes
-	// wall-clock only — the worker-count determinism tests double as
-	// reuse determinism tests.
-	pool *machine.Pool
+	cells []Cell
+	opt   Options
+	n     int
+	cache tableCache
+	leg   Leg
 
-	// Per task: its outcome (a cell's result is built in the cell's
+	// Per task: its partial (a cell's result is built in the cell's
 	// shard-0 slot) and its error.
 	slots []CellResult
 	errs  []error
@@ -339,12 +334,8 @@ func (r *cellRun) task(t int) {
 		if head.Routing != nil {
 			plan = head.Routing.Chosen
 		}
-		var err error
-		if r.opt.Exec == ExecEstimate {
-			err = r.estimate(e.shards[s], plan, head.Routing, &r.slots[t])
-		} else {
-			err = r.simulate(e.shards[s], plan, &r.slots[t])
-		}
+		p, err := r.leg.Run(e.shards[s], plan)
+		r.slots[t].Result, r.slots[t].Counters = p.Result, p.Counters
 		switch {
 		case err == nil:
 		case r.n > 1:
@@ -374,7 +365,7 @@ func (r *cellRun) prepare(c int, e *tableEntry, head *CellResult) {
 	if err == nil && cell.Plan.Auto() {
 		// Substitute each registered backend into the cell's shape and
 		// run the predicted-fastest.
-		head.Routing, err = cost.Pick(r.params, e.tab, cell.Plan.Candidates(cell.Tuples))
+		head.Routing, err = cost.Pick(r.leg.Params, e.tab, cell.Plan.Candidates(cell.Tuples))
 	}
 	if err != nil {
 		err = fmt.Errorf("sweep: cell %d (%s): %w", c, cell, err)
@@ -384,36 +375,18 @@ func (r *cellRun) prepare(c int, e *tableEntry, head *CellResult) {
 	}
 }
 
-// simulate runs plan over one shard on a pooled machine.
-func (r *cellRun) simulate(shard *db.Table, plan query.Plan, out *CellResult) error {
-	m, err := r.pool.Get()
-	if err != nil {
-		return err
-	}
-	defer r.pool.Put(m)
-	if out.Result, err = r.cfg.runOn(m, shard, plan); err != nil {
-		return err
-	}
-	if r.opt.Counters {
-		// Snapshot before Put's Reset clears the registry. A snapshot
-		// is a pure function of the single-threaded run, so worker
-		// scheduling cannot leak into it.
-		out.Counters = obs.Capture(m.Registry, m.Engine)
-	}
-	return nil
-}
-
 // finish runs after a cell's last task: it folds the shard partials
 // into the cell's result in shard order (a failed cell keeps a zero
 // Result) and reports the cell's progress.
 func (r *cellRun) finish(c int) {
-	head := &r.slots[c*r.n]
-	if slices.ContainsFunc(r.errs[c*r.n:(c+1)*r.n], func(err error) bool { return err != nil }) {
+	slots := r.slots[c*r.n : (c+1)*r.n]
+	head := &slots[0]
+	switch {
+	case slices.ContainsFunc(r.errs[c*r.n:(c+1)*r.n], func(err error) bool { return err != nil }):
 		head.Result, head.Counters = Result{}, nil
-	} else {
-		for _, p := range r.slots[c*r.n+1 : (c+1)*r.n] {
-			head.addShard(p)
-		}
+	case r.n > 1:
+		p := Fold(r.n, func(s int) Partial { return Partial{slots[s].Result, slots[s].Counters} })
+		head.Result, head.Counters = p.Result, p.Counters
 	}
 	if r.opt.OnCell != nil {
 		r.progressMu.Lock()

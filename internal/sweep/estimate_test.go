@@ -169,8 +169,9 @@ func TestEstimatePickAgreement(t *testing.T) {
 }
 
 // TestEstimateRefusals pins the hard refusals: estimate mode cannot
-// produce machine counters or shard machines, and unknown modes are
-// rejected before any work runs.
+// produce machine counters, and unknown modes and negative shard counts
+// are rejected before any work runs. Estimate mode with cell shards is
+// not refused: each shard is priced by its own leg.
 func TestEstimateRefusals(t *testing.T) {
 	cfg := Config{Tuples: 1024, Seed: 42}
 	cells := []Cell{{
@@ -181,15 +182,23 @@ func TestEstimateRefusals(t *testing.T) {
 	cases := []struct {
 		name string
 		opt  Options
-		want string
+		want string // "" when the options run
 	}{
 		{"counters", Options{Exec: ExecEstimate, Counters: true}, "cannot capture machine counters"},
-		{"cell-shards", Options{Exec: ExecEstimate, CellShards: 4}, "no shard machines"},
+		{"cell-shards", Options{Exec: ExecEstimate, CellShards: 4}, ""},
 		{"unknown-mode", Options{Exec: ExecMode(7)}, "unknown exec mode"},
 		{"negative-shards", Options{CellShards: -1}, "negative cell shard count"},
 	}
 	for _, tc := range cases {
-		_, err := RunCells(cfg, cells, tc.opt)
+		rs, err := RunCells(cfg, cells, tc.opt)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if c := rs.Cells[0]; c.Mode != ExecEstimate || c.Shards != tc.opt.CellShards || c.Result.Cycles == 0 {
+				t.Errorf("%s: cell ran as mode %s, %d shards, %d cycles", tc.name, c.Mode, c.Shards, c.Result.Cycles)
+			}
+			continue
+		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}

@@ -76,6 +76,10 @@ func goldenSweeps() []goldenSweep {
 			Queries:   []db.Q06{q6WithQty(10), q6WithQty(24)},
 			Q1Queries: []db.Q01{q1WithCut(1278)}, Clustered: bothLayouts}),
 			opt: Options{Workers: 3, CellShards: 4, Counters: true}},
+		{name: "estimate-sharded", grid: grid(Grid{Archs: []query.Arch{query.X86, query.HIPE, query.ArchAuto},
+			Queries:   []db.Q06{q6WithQty(10), q6WithQty(24)},
+			Q1Queries: []db.Q01{q1WithCut(1278)}, Clustered: bothLayouts}),
+			opt: Options{Workers: 3, CellShards: 4, Exec: ExecEstimate}},
 		{name: "estimate-auto-q01", grid: grid(Grid{Archs: withAuto,
 			Strategies: []query.Strategy{query.TupleAtATime, query.ColumnAtATime},
 			OpSizes:    []uint32{64, 256}, Unrolls: []int{8, 32}, Fused: []bool{false, true},

@@ -1,12 +1,13 @@
-// Execution modes: the knob that selects how a cell (or, through
-// internal/serve, a request) obtains its cycle figure. Exact mode runs
-// the full machine simulation; estimate mode prices the plan with the
-// analytic cost model (internal/cost) instead — orders of magnitude
-// faster, with a bounded cycle error pinned by test and documented in
-// docs/PERFORMANCE.md. Estimate mode hard-refuses every output only a
-// real simulation can produce (µop-level machine counters, virtual-time
-// traces), so a fast-path result can never silently impersonate an
-// exact one.
+// Execution modes: the knob that selects how a leg — a sweep cell's
+// or, through internal/serve, a request's shard task — obtains its
+// cycle figure. Exact mode runs the full machine simulation; estimate
+// mode prices the plan with the analytic cost model (internal/cost)
+// instead — orders of magnitude faster, with a bounded cycle error
+// pinned by test and documented in docs/PERFORMANCE.md. Either mode
+// composes with sharding. Estimate mode hard-refuses every output only
+// a real simulation can produce (µop-level machine counters,
+// virtual-time traces), so a fast-path result can never silently
+// impersonate an exact one.
 package sweep
 
 import (
@@ -24,9 +25,10 @@ const (
 	ExecExact ExecMode = iota
 	// ExecEstimate skips simulation entirely: cycle figures come from
 	// the analytic cost model's structural estimators walking the query
-	// description, and answers (matches, revenue, groups) come from the
-	// reference evaluator, so merged results stay exact while timing is
-	// approximate. See docs/PERFORMANCE.md for the error contract.
+	// description. A sweep computes no answer for an estimate cell;
+	// serving takes answers (matches, revenue, groups) from the
+	// reference evaluator, so merged responses stay exact while timing
+	// is approximate. See docs/PERFORMANCE.md for the error contract.
 	ExecEstimate
 )
 

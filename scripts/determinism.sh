@@ -170,6 +170,18 @@ shardsweep "$many"
 cmp "$out/shard.1.csv" "$out/shard.$many.csv"
 cmp "$out/shard.1.json" "$out/shard.$many.json"
 
+echo "== estimate-mode shard legs (-exec estimate -cell-shards 4): -workers 1 vs -workers $many =="
+estshardsweep() {
+  go run ./cmd/hipe-sweep -workers "$1" -exec estimate -cell-shards 4 \
+    -archs x86,hmc,hive,hipe,auto -opsizes 64,256 -unrolls 8,32 \
+    -tuples 4096 -q1cuts 2436 -clustered both -quiet \
+    -csv "$out/estshard.$1.csv" -json "$out/estshard.$1.json" >/dev/null
+}
+estshardsweep 1
+estshardsweep "$many"
+cmp "$out/estshard.1.csv" "$out/estshard.$many.csv"
+cmp "$out/estshard.1.json" "$out/estshard.$many.json"
+
 echo "== adaptive fleet (feedback-driven routing): -workers 1 vs -workers $many =="
 adaptive() {
   go run ./cmd/hipe-serve -workers "$1" \
