@@ -145,85 +145,6 @@ func BenchmarkAutoRouting(b *testing.B) {
 	b.ReportMetric(float64(res.Cycles), "simcyc:"+chosen.Arch.String())
 }
 
-// BenchmarkFigCounters pairs each figure panel with itself under
-// machine-counter capture: the same cell set through the sweep engine
-// with Counters off (the provably-free default) and on. hipe-benchjson
-// pairs the off/on lanes into BENCH_<n>.json overhead rows; the
-// enabled-mode budget is < 5%.
-func BenchmarkFigCounters(b *testing.B) {
-	cfg := benchConfig()
-	for _, fig := range hipe.Figures() {
-		cells, err := hipe.FigureCells(cfg, fig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, counters := range []bool{false, true} {
-			mode := "off"
-			if counters {
-				mode = "on"
-			}
-			b.Run(fig+"/counters-"+mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rs, err := hipe.SweepCells(cfg, cells, hipe.SweepOptions{Counters: counters})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if counters != rs.HasCounters() {
-						b.Fatalf("counters=%v but HasCounters=%v", counters, rs.HasCounters())
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSweepGrid runs one representative sweep grid through each
-// execution mode: exact whole-table simulation (the baseline), exact
-// with 4-way parallel shard simulation per cell, and the cost-model
-// estimate fast path. hipe-benchjson pairs the lanes into the
-// BENCH_<n>.json sweep_grid section and gates the estimate lane's
-// aggregate speedup (the ≥ 5x figure-of-merit for PR 9).
-func BenchmarkSweepGrid(b *testing.B) {
-	cfg := benchConfig()
-	grid := hipe.Grid{
-		Archs:      []hipe.Arch{hipe.X86, hipe.HMC, hipe.HIVE, hipe.HIPE},
-		Strategies: []hipe.Strategy{hipe.ColumnAtATime},
-		OpSizes:    []uint32{64, 256},
-		Unrolls:    []int{8, 32},
-		Fused:      []bool{false},
-		Tuples:     []int{benchTuples},
-		Seeds:      []uint64{42},
-		Clustered:  []bool{false},
-		Queries: []hipe.Q06{
-			func() hipe.Q06 { q := hipe.DefaultQ06(); q.QtyHi = 10; return q }(),
-			hipe.DefaultQ06(),
-		},
-		SkipInvalid: true,
-	}
-	lanes := []struct {
-		name string
-		opt  hipe.SweepOptions
-	}{
-		{"exact", hipe.SweepOptions{}},
-		{"exact-sharded", hipe.SweepOptions{CellShards: 4}},
-		{"estimate", hipe.SweepOptions{Exec: hipe.ExecEstimate}},
-	}
-	for _, lane := range lanes {
-		lane := lane
-		b.Run(lane.name, func(b *testing.B) {
-			var rs *hipe.ResultSet
-			for i := 0; i < b.N; i++ {
-				var err error
-				rs, err = hipe.SweepWith(cfg, grid, lane.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(rs.Cells)), "cells")
-		})
-	}
-}
-
 // BenchmarkFleet load-tests the replicated fleet end to end: two
 // replica pools (HIPE, x86), an auto-routed two-class request stream,
 // admission control shedding under an open-loop overload. The simulated
@@ -260,91 +181,6 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportMetric(float64(r.Shed), "shed")
 	b.ReportMetric(float64(r.LatencyP50), "simcyc:p50")
 	b.ReportMetric(float64(r.LatencyP99), "simcyc:p99")
-}
-
-// BenchmarkAdaptiveRouting pits static routing against the
-// feedback-driven planner on a fleet whose analytic prior has drifted
-// from the served machine: engine-side cost constants inflated 4x and
-// CPU-side constants deflated 4x, so the static router mispredicts x86
-// as the fast backend for a selective predicate on a date-clustered
-// table that HIPE actually serves fastest. The static and adaptive
-// lanes replay the identical open-loop stream; hipe-benchjson pairs
-// them into the BENCH_<n>.json adaptive_routing section. ns/op tracks
-// the serving layer's wall-clock cost per load test (the adaptive
-// lane's delta over static is the feedback loop's overhead); the
-// simcyc metrics are the simulated outcome the feedback loop improves.
-// The win lands in total service cycles: queue-aware static routing
-// spills enough load to the fast pool that the latency medians tie,
-// but every spilled-from request still burns the slow backend's
-// cycles, which adaptive routing stops paying after the first few
-// observations. The p99 tail stays pinned at the slow backend's
-// service time by the exploration floor itself, which keeps sampling
-// it on purpose.
-func BenchmarkAdaptiveRouting(b *testing.B) {
-	cfg := benchConfig()
-	tab := hipe.GenerateClustered(cfg.Tuples, cfg.Seed, 10)
-	// Drift the prior. The served machines keep their real timing —
-	// Calibrate changes only what the planner believes.
-	const k = 4
-	drift := hipe.DefaultCostParams()
-	drift.EngineSlot *= k
-	drift.EngineMem *= k
-	drift.SquashPipelined *= k
-	drift.SquashSerial *= k
-	drift.PredPipelined *= k
-	drift.PredSerial *= k
-	drift.HMCRoundTripBase *= k
-	drift.HMCRoundTripPerB *= k
-	drift.CacheMiss /= k
-	drift.CPUOp /= k
-	drift.CPUVecOp /= k
-	drift.MispredictPenalty /= k
-	q := hipe.DefaultQ06()
-	reqs := make([]hipe.ServeRequest, 96)
-	for i := range reqs {
-		reqs[i] = hipe.ServeRequest{Plan: hipe.Plan{Arch: hipe.ArchAuto, Q: q}}
-	}
-	// Open loop at roughly two-thirds of the slow pool's service rate:
-	// queues matter, but queue-aware static routing cannot hide the
-	// mispick behind backlog spill.
-	spec := hipe.OpenLoop(reqs, 14000, 0, 23)
-	for _, lane := range []struct {
-		name     string
-		adaptive *hipe.AdaptiveSpec
-	}{
-		{"static", nil},
-		{"adaptive", &hipe.AdaptiveSpec{ExplorePct: 10, HalfLife: 4, Seed: 5}},
-	} {
-		lane := lane
-		b.Run(lane.name, func(b *testing.B) {
-			fleet, err := hipe.ServeFleet(cfg, tab, 2, []hipe.Arch{hipe.HIPE, hipe.X86})
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleet.Calibrate(drift)
-			s := spec
-			s.Adaptive = lane.adaptive
-			var r *hipe.LoadReport
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err = fleet.LoadTest(s, hipe.ServeOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			var service, explored float64
-			for _, tr := range r.Requests {
-				service += float64(tr.Service)
-				if tr.Routing != nil && tr.Routing.Explored {
-					explored++
-				}
-			}
-			b.ReportMetric(service, "simcyc:service")
-			b.ReportMetric(float64(r.LatencyP50), "simcyc:p50")
-			b.ReportMetric(float64(r.LatencyP99), "simcyc:p99")
-			b.ReportMetric(explored, "explored")
-		})
-	}
 }
 
 // BenchmarkTableIConfig exercises machine construction with the full

@@ -366,8 +366,7 @@ func Figure(cfg Config, name string) (*FigureTable, error) { return harness.Figu
 
 // FigureCells expands one Figure 3 panel's cell set without running it
 // — the exact workload Figure(name) simulates, for driving through
-// SweepCells with explicit options (e.g. Counters for the
-// observability-overhead benches).
+// SweepCells with explicit options such as Counters.
 func FigureCells(cfg Config, name string) ([]Cell, error) { return harness.FigureCells(cfg, name) }
 
 // Sweep expands grid and executes every cell through the worker-pool

@@ -159,7 +159,7 @@ func Fig3d(c Config) (*Table, error) {
 // FigureCells expands one panel's cell set without running it — the
 // exact workload Figure(name) simulates, for callers that want to drive
 // it through the sweep engine with their own Options (e.g. the
-// counters-on overhead benches).
+// repository benchmark's figures workload).
 func FigureCells(c Config, name string) ([]sweep.Cell, error) {
 	switch name {
 	case "3a":

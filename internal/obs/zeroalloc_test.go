@@ -5,8 +5,8 @@ import "testing"
 // TestCountersDisabledZeroAlloc pins the off state of the observability
 // layer to zero allocations: the disabled tracer (nil *Trace) and the
 // On() gate that call sites wrap span-argument construction in must not
-// allocate, so a run with observability off pays nothing. CI's
-// bench-smoke job runs this pin alongside the engine and stats ones.
+// allocate, so a run with observability off pays nothing. CI's perf
+// job runs this pin alongside the engine and stats ones.
 func TestCountersDisabledZeroAlloc(t *testing.T) {
 	var tr *Trace
 	if n := testing.AllocsPerRun(100, func() {

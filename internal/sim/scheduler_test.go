@@ -314,7 +314,8 @@ func TestRunUntilBoundary(t *testing.T) {
 	}
 }
 
-// --- Scheduler microbenches (the BENCH_*.json trajectory set) ---
+// --- Scheduler microbenches (their 0 allocs are pinned by
+// TestScheduleStepZeroAllocSteadyState) ---
 
 // BenchmarkScheduleNear measures the common case: schedule a few cycles
 // ahead, fire, repeat — the ring lane.

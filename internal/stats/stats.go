@@ -21,7 +21,10 @@ import (
 // while executor pools build machines.
 // Counter bumps through an obtained *Scope/*Counter stay unsynchronised
 // — each simulated machine is single-threaded, and keeping the hot path
-// lock-free is what keeps it free.
+// lock-free is what keeps it free. So no read path (Lookup, Total,
+// String, Get, Value) and no Reset may run while a bump is in flight: a
+// registry is read by the goroutine that bumps it, or after a hand-off
+// that orders the two.
 type Registry struct {
 	mu     sync.Mutex
 	scopes map[string]*Scope

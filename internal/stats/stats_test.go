@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -185,11 +186,14 @@ func TestScopeCounters(t *testing.T) {
 	}
 }
 
-// TestConcurrentScopes exercises the registry's locked paths from many
-// goroutines — scope creation racing registry-wide reads — and relies on
-// the -race runs in CI to flag unsynchronised access. Counter bumps stay
-// single-threaded per scope, matching how machines use the registry.
+// TestConcurrentScopes races what the Registry doc promises is safe for
+// concurrent callers — scope and counter creation and a scope's
+// Counters and Get — against the registry-wide read paths (Scopes,
+// Total, Lookup, String), and relies on the -race runs in CI to flag
+// unsynchronised access. Counter bumps are unsynchronised by contract,
+// so they happen after Wait, on one goroutine.
 func TestConcurrentScopes(t *testing.T) {
+	names := []string{"ops", "hits", "misses", "evictions"}
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -198,8 +202,9 @@ func TestConcurrentScopes(t *testing.T) {
 			defer wg.Done()
 			name := "worker" + strconv.Itoa(g)
 			for i := 0; i < 200; i++ {
-				r.Scope(name).Counter("ops").Inc()
-				switch i % 4 {
+				s := r.Scope(name)
+				s.Counter(names[i%len(names)])
+				switch i % 6 {
 				case 0:
 					r.Scopes()
 				case 1:
@@ -208,12 +213,28 @@ func TestConcurrentScopes(t *testing.T) {
 					r.Lookup(name + ".ops")
 				case 3:
 					_ = r.String()
+				case 4:
+					s.Counters()
+				case 5:
+					s.Get("hits")
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	scopes := r.Scopes()
+	if len(scopes) != 8 {
+		t.Fatalf("%d scopes after concurrent creation, want 8", len(scopes))
+	}
+	for _, s := range scopes {
+		if got := s.Counters(); !slices.Equal(got, names) {
+			t.Fatalf("scope %s counters = %v, want %v in creation order", s.Name(), got, names)
+		}
+		for i := 0; i < 200; i++ {
+			s.Counter("ops").Inc()
+		}
+	}
 	if got := r.Total("worker", "ops"); got != 8*200 {
-		t.Fatalf("Total after concurrent bumps = %d, want %d", got, 8*200)
+		t.Fatalf("Total after the bumps = %d, want %d", got, 8*200)
 	}
 }
