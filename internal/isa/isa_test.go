@@ -260,8 +260,8 @@ func TestLaneOpPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { LaneOp(Add, a, a, a, 6) },
 		func() { LaneOpImm(Add, a, a, 1, 7) },
-		func() { compare1(Add, 1, 2) },
-		func() { arith1(CmpEQ, 1, 2) },
+		func() { LaneOp(ALUNone, a, a, a, 8) },
+		func() { LaneOpImm(ALUNone, a, a, 1, 4) },
 		func() { CompactMask(a, a, 5) },
 		func() { ExpandMask(a, a, 5) },
 	} {
