@@ -14,13 +14,21 @@ import (
 
 // emitter accumulates one chunked-stream block: µops append with
 // auto-incrementing PCs, 4 bytes apart — the instruction spacing all
-// generators share.
+// generators share. Each stream owns one emitter, and every block starts
+// with reset, so the stream's one buffer holds every block in turn.
 type emitter struct {
 	pc  uint64
 	ops []isa.MicroOp
 }
 
-func newEmitter(pc uint64) *emitter { return &emitter{pc: pc} }
+// reset starts a new block at pc in the emitter's buffer. It clears the
+// previous block's µops first, so none of their offload instructions
+// stays reachable past the new block's length.
+func (e *emitter) reset(pc uint64) {
+	clear(e.ops)
+	e.ops = e.ops[:0]
+	e.pc = pc
+}
 
 // emit appends one µop at the current PC.
 func (e *emitter) emit(u isa.MicroOp) {

@@ -34,11 +34,11 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 	oc := &offloadChain{vr: vr}
 	block := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if block >= blocks {
-			return nil
+			return false
 		}
-		e := newEmitter(0x6800)
+		e.reset(0x6800)
 		first, last := blockBounds(block, p.Unroll, chunks)
 		hive := func(inst isa.OffloadInst) *isa.OffloadInst {
 			inst.Target = isa.TargetHIVE
@@ -101,7 +101,7 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 		oc.emitUnlock(e, isa.TargetHIVE)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
-		return e.ops
+		return true
 	}}
 }
 
@@ -134,7 +134,7 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 	spilled := false
 	var selected []int
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if phase == 0 && pos >= chunks {
 			// Filter pass complete: select the chunks with matches, and
 			// zero the accumulator registers the filter pass clobbered.
@@ -144,28 +144,28 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 					selected = append(selected, c)
 				}
 			}
-			e := newEmitter(0xB200)
+			e.reset(0xB200)
 			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
 			w.q1ClearAccs(e, oc, isa.TargetHIVE)
 			oc.emitUnlock(e, isa.TargetHIVE)
-			return e.ops
+			return true
 		}
 		if phase == 1 && pos >= len(selected) {
 			if spilled {
-				return nil
+				return false
 			}
 			// One final block spills the accumulators.
 			spilled = true
-			e := newEmitter(0xB800)
+			e.reset(0xB800)
 			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
 			w.q1SpillAccs(e, oc, isa.TargetHIVE)
 			oc.emitUnlock(e, isa.TargetHIVE)
-			return e.ops
+			return true
 		}
 		if phase == 0 {
 			// Filter pass: software-pipelined lock blocks, one register
 			// per chunk, bitmasks stored for the processor's decision.
-			e := newEmitter(0xB000)
+			e.reset(0xB000)
 			first, last := blockBounds(pos/wave, wave, chunks)
 			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
 			for c := first; c < last; c++ {
@@ -204,12 +204,12 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 			}
 			e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != chunks})
 			pos = last
-			return e.ops
+			return true
 		}
 		// Aggregation pass: one lock block per group of surviving
 		// chunks, each chunk folded sequentially into the live
 		// accumulators.
-		e := newEmitter(0xB400)
+		e.reset(0xB400)
 		first := pos
 		last := first + p.Unroll
 		if last > len(selected) {
@@ -231,7 +231,7 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 		oc.emitUnlock(e, isa.TargetHIVE)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
 		pos = last
-		return e.ops
+		return true
 	}}
 }
 
@@ -265,24 +265,24 @@ func (w *Workload) q1hipeColumn() *chunkedStream {
 		return &inst
 	}
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
 			// One-time block: load the lane-validity row (sub-register
 			// chunks would otherwise leak tail-lane mask bits into the
 			// accumulators) and zero the accumulator registers.
-			e := newEmitter(0xC000)
+			e.reset(0xC000)
 			oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
 			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad,
 				Dst: q1RegValid, Addr: w.ValidRow, Size: 256}))
 			w.q1ClearAccs(e, oc, isa.TargetHIPE)
 			oc.emit(e, hipe(isa.OffloadInst{Op: isa.Unlock}))
-			return e.ops
+			return true
 		}
 		if block >= blocks {
-			return nil
+			return false
 		}
-		e := newEmitter(0xC100)
+		e.reset(0xC100)
 		first, last := blockBounds(block, p.Unroll, chunks)
 		oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
 		for c := first; c < last; c++ {
@@ -318,6 +318,6 @@ func (w *Workload) q1hipeColumn() *chunkedStream {
 		oc.emitUnlock(e, isa.TargetHIPE)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
-		return e.ops
+		return true
 	}}
 }

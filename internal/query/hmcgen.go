@@ -29,11 +29,11 @@ func (w *Workload) hmcTuple() *chunkedStream {
 	vr := &vregs{}
 	group := 0
 	matched := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x3000)
+		e.reset(0x3000)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			firstTuple := c * tuplesPerChunk
@@ -73,7 +73,7 @@ func (w *Workload) hmcTuple() *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -152,11 +152,11 @@ func (w *Workload) q1hmcTuple() *chunkedStream {
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
 	group := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x9000)
+		e.reset(0x9000)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			firstTuple := c * tuplesPerChunk
@@ -188,7 +188,7 @@ func (w *Workload) q1hmcTuple() *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -210,11 +210,11 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
 	group := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x9800)
+		e.reset(0x9800)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			t0 := c * tuplesPerChunk
@@ -289,7 +289,7 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -309,13 +309,13 @@ func (w *Workload) hmcColumn() *chunkedStream {
 	vr := &vregs{}
 	stage := 0
 	group := 0
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if stage >= len(stages) {
-			return nil
+			return false
 		}
 		st := stages[stage]
 		col := st.Col
-		e := newEmitter(uint64(0x4000 + 0x400*stage))
+		e.reset(uint64(0x4000 + 0x400*stage))
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			t0 := c * tuplesPerChunk
@@ -358,6 +358,6 @@ func (w *Workload) hmcColumn() *chunkedStream {
 			group = 0
 			stage++
 		}
-		return e.ops
+		return true
 	}}
 }

@@ -57,24 +57,24 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 	group := 0
 	matched := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
 			// One-time block: load the GE/LE pattern rows into the two
 			// reserved bound registers.
-			e := newEmitter(0x5000)
+			e.reset(0x5000)
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
 				Dst: regGE, Addr: w.PatternGE, Size: 256})
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
 				Dst: regLE, Addr: w.PatternLE, Size: 256})
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
-			return e.ops
+			return true
 		}
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x5100)
+		e.reset(0x5100)
 		first, last := blockBounds(group, wave, chunks)
 		oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
@@ -126,7 +126,7 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -161,22 +161,22 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 	setupDone := false
 	group := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
 			// One-time block: load the LE pattern row into the bound
 			// register (Q01's filter is a single upper bound).
-			e := newEmitter(0xA000)
+			e.reset(0xA000)
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
 				Dst: regLE, Addr: w.PatternLE, Size: 256})
 			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
-			return e.ops
+			return true
 		}
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0xA100)
+		e.reset(0xA100)
 		first, last := blockBounds(group, wave, chunks)
 		oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
@@ -221,7 +221,7 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -252,14 +252,14 @@ func (w *Workload) hiveColumn() *chunkedStream {
 		selected = append(selected, c) // stage 0 processes everything
 	}
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		for pos >= len(selected) {
 			// Advance to the next column; recompute the chunks that can
 			// still produce matches.
 			stage++
 			pos = 0
 			if stage >= len(stages) {
-				return nil
+				return false
 			}
 			next := selected[:0]
 			for c := 0; c < chunks; c++ {
@@ -270,12 +270,12 @@ func (w *Workload) hiveColumn() *chunkedStream {
 			selected = next
 			if len(selected) == 0 {
 				stage = len(stages)
-				return nil
+				return false
 			}
 		}
 		st := stages[stage]
 		col := st.Col
-		e := newEmitter(uint64(0x6000 + 0x400*stage))
+		e.reset(uint64(0x6000 + 0x400*stage))
 
 		first := pos
 		last := first + wave
@@ -335,7 +335,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 		}
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
 		pos = last
-		return e.ops
+		return true
 	}}
 }
 
@@ -373,11 +373,11 @@ func (w *Workload) hipeColumn() *chunkedStream {
 	oc := &offloadChain{vr: vr}
 	block := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if block >= blocks {
-			return nil
+			return false
 		}
-		e := newEmitter(0x7000)
+		e.reset(0x7000)
 		first, last := blockBounds(block, p.Unroll, chunks)
 		nz := func(reg uint8) isa.Predicate {
 			return isa.Predicate{Valid: true, Reg: reg, WhenZero: false}
@@ -481,6 +481,6 @@ func (w *Workload) hipeColumn() *chunkedStream {
 		oc.emitUnlock(e, isa.TargetHIPE)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
-		return e.ops
+		return true
 	}}
 }

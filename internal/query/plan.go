@@ -183,28 +183,34 @@ func (p Plan) String() string {
 	return fmt.Sprintf("%s/%s/%dB/%dx%s", p.Arch, p.Strategy, p.OpSize, p.Unroll, suffix)
 }
 
-// chunkedStream materialises µops group by group, so multi-million-µop
-// programs never exist in memory at once.
+// chunkedStream materialises µops block by block, so multi-million-µop
+// programs never exist in memory at once. The stream owns one block
+// buffer, its emitter, for its whole life: next resets the emitter and
+// fills it with the following block, or reports false once the program
+// has ended. Next hands µops out by value, so a block is dead once the
+// stream moves past it, and two streams of one workload never share a
+// buffer.
 type chunkedStream struct {
-	next func() []isa.MicroOp
-	buf  []isa.MicroOp
+	next func(e *emitter) bool
+	blk  emitter
+	pos  int // next µop of blk to hand out
 	done bool
 }
 
 // Next implements cpu.Stream.
 func (s *chunkedStream) Next() (isa.MicroOp, bool) {
-	for len(s.buf) == 0 {
+	for s.pos == len(s.blk.ops) {
 		if s.done {
 			return isa.MicroOp{}, false
 		}
-		s.buf = s.next()
-		if s.buf == nil {
-			s.done = true
-			return isa.MicroOp{}, false
+		s.pos = 0
+		if !s.next(&s.blk) {
+			// A finished stream lets go of its last block.
+			s.blk, s.done = emitter{}, true
 		}
 	}
-	op := s.buf[0]
-	s.buf = s.buf[1:]
+	op := s.blk.ops[s.pos]
+	s.pos++
 	return op, true
 }
 

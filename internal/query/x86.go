@@ -23,11 +23,11 @@ func (w *Workload) x86Tuple() *chunkedStream {
 	matched := 0
 
 	const pcBase = 0x1000
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(pcBase)
+		e.reset(pcBase)
 		first, last := blockBounds(group, p.Unroll, w.Table.N)
 		for i := first; i < last; i++ {
 			// Load the entire tuple: the row-store wastes bandwidth on
@@ -62,7 +62,7 @@ func (w *Workload) x86Tuple() *chunkedStream {
 		// Loop overhead once per unrolled group.
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -86,11 +86,11 @@ func (w *Workload) q1x86Tuple() *chunkedStream {
 	groups := (w.Table.N + p.Unroll - 1) / p.Unroll
 
 	const pcBase = 0x8000
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(pcBase)
+		e.reset(pcBase)
 		first, last := blockBounds(group, p.Unroll, w.Table.N)
 		for i := first; i < last; i++ {
 			var firstChunk isa.Reg
@@ -126,7 +126,7 @@ func (w *Workload) q1x86Tuple() *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -147,11 +147,11 @@ func (w *Workload) q1x86Column() *chunkedStream {
 	acc := &cpuAcc{vr: vr}
 	group := 0
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
-			return nil
+			return false
 		}
-		e := newEmitter(0x8800)
+		e.reset(0x8800)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			load := func(col int) isa.Reg {
@@ -201,7 +201,7 @@ func (w *Workload) q1x86Column() *chunkedStream {
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
-		return e.ops
+		return true
 	}}
 }
 
@@ -219,14 +219,15 @@ func (w *Workload) x86Column() *chunkedStream {
 	vr := &vregs{}
 	stage := 0
 	group := 0
+	var regs []isa.Reg // a chunk's bound compares, reused chunk to chunk
 
-	return &chunkedStream{next: func() []isa.MicroOp {
+	return &chunkedStream{next: func(e *emitter) bool {
 		if stage >= len(stages) {
-			return nil
+			return false
 		}
 		st := stages[stage]
 		col := st.Col
-		e := newEmitter(uint64(0x2000 + 0x400*stage))
+		e.reset(uint64(0x2000 + 0x400*stage))
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			dataAddr := w.DSM.ColBase[col] + mem.Addr(c)*mem.Addr(S)
@@ -242,10 +243,11 @@ func (w *Workload) x86Column() *chunkedStream {
 					Addr: w.MaskBase[stages[stage-1].Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
 			}
 			// One vector compare per stage bound, then mask combines.
-			regs := make([]isa.Reg, len(st.Bounds))
-			for i := range st.Bounds {
-				regs[i] = vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: regs[i], Src1: d, Size: S})
+			regs = regs[:0]
+			for range st.Bounds {
+				r := vr.fresh()
+				regs = append(regs, r)
+				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: r, Src1: d, Size: S})
 			}
 			cur := regs[0]
 			for _, r := range regs[1:] {
@@ -270,6 +272,6 @@ func (w *Workload) x86Column() *chunkedStream {
 			group = 0
 			stage++
 		}
-		return e.ops
+		return true
 	}}
 }
