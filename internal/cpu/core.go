@@ -142,7 +142,7 @@ type Core struct {
 
 	entryFree []*robEntry
 
-	producers map[isa.Reg]*robEntry
+	producers renameTable
 
 	mobReads      int // in-flight loads + offloads
 	mobWrites     int // in-flight committed stores
@@ -185,13 +185,12 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 		return nil, err
 	}
 	c := &Core{
-		cfg:       cfg,
-		engine:    engine,
-		dcache:    dcache,
-		umem:      umem,
-		offload:   offloadPort,
-		producers: make(map[isa.Reg]*robEntry),
-		pred:      newBranchPredictor(cfg.GHRBits, cfg.PHTEntries, cfg.BTBEntries),
+		cfg:     cfg,
+		engine:  engine,
+		dcache:  dcache,
+		umem:    umem,
+		offload: offloadPort,
+		pred:    newBranchPredictor(cfg.GHRBits, cfg.PHTEntries, cfg.BTBEntries),
 	}
 	for i := range c.divBusyUntil {
 		if !cfg.FUs[i].Pipelined {
@@ -269,7 +268,7 @@ func (c *Core) Reset() {
 	}
 	c.readyQ = c.readyQ[:0]
 	c.readyKeep = c.readyKeep[:0]
-	clear(c.producers)
+	c.producers.reset()
 	c.mobReads, c.mobWrites = 0, 0
 	c.fetchStallUntil = 0
 	c.blockingBranch, c.hasBlockingBr = 0, false
@@ -467,19 +466,19 @@ func (c *Core) dispatch() {
 		f := c.decodeBuf.Pop()
 		e := c.newEntry(f)
 		if src := f.uop.Src1; src != isa.RegNone {
-			if p, ok := c.producers[src]; ok && p.state != stDone {
+			if p := c.producers.producer(src); p != nil && p.state != stDone {
 				e.deps++
 				p.waiters = append(p.waiters, e)
 			}
 		}
 		if src := f.uop.Src2; src != isa.RegNone {
-			if p, ok := c.producers[src]; ok && p.state != stDone {
+			if p := c.producers.producer(src); p != nil && p.state != stDone {
 				e.deps++
 				p.waiters = append(p.waiters, e)
 			}
 		}
 		if f.uop.Dst != isa.RegNone {
-			c.producers[f.uop.Dst] = e
+			c.producers.set(e)
 		}
 		c.rob.Push(e)
 		if e.deps == 0 {
@@ -602,9 +601,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 func (c *Core) complete(e *robEntry) {
 	e.state = stDone
 	if e.uop.Dst != isa.RegNone {
-		if p, ok := c.producers[e.uop.Dst]; ok && p == e {
-			delete(c.producers, e.uop.Dst)
-		}
+		c.producers.drop(e)
 	}
 	for _, w := range e.waiters {
 		w.deps--

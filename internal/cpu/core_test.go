@@ -122,19 +122,71 @@ func TestIndependentALUOpsSuperscalar(t *testing.T) {
 	}
 }
 
+// fpChain returns a depth-deep chain of 3-cycle FP ops on registers
+// base+1 .. base+depth, each reading its predecessor's register (the
+// first reads base, which nothing writes).
+func fpChain(base isa.Reg, depth int) []isa.MicroOp {
+	var ops []isa.MicroOp
+	for i := 0; i < depth; i++ {
+		ops = append(ops, isa.MicroOp{
+			PC: uint64(4 * i), Class: isa.FPALU,
+			Dst: base + isa.Reg(i+1), Src1: base + isa.Reg(i),
+		})
+	}
+	return ops
+}
+
 func TestDependencyChainSerialises(t *testing.T) {
 	e, c, _, _, _ := newCore(t, 10)
 	// 20-deep chain of 3-cycle FP ops: at least 60 cycles.
-	var ops []isa.MicroOp
-	for i := 0; i < 20; i++ {
-		ops = append(ops, isa.MicroOp{
-			PC: uint64(4 * i), Class: isa.FPALU,
-			Dst: isa.Reg(i + 1), Src1: isa.Reg(i),
-		})
-	}
-	cycles := run(t, e, c, ops)
+	cycles := run(t, e, c, fpChain(0, 20))
 	if cycles < 60 {
 		t.Fatalf("20-deep 3-cycle chain took only %d cycles", cycles)
+	}
+
+	// Two 20-deep chains interleaved pair by pair, the chain that goes
+	// first alternating. With the second chain's registers the first's
+	// plus renameSlots, link i of both chains shares one rename slot:
+	// the second dispatch of each pair displaces the first chain's
+	// in-flight producer, and every other source of each chain finds its
+	// slot held by the other chain, so those dependencies live only in
+	// the overflow map. Both chains must still serialise, with the
+	// cycles and counters of the same chains on registers that never
+	// share a slot.
+	pair := func(base2 isa.Reg) (sim.Cycle, map[string]uint64) {
+		e, c, _, _, reg := newCore(t, 10)
+		a, b := fpChain(0, 20), fpChain(base2, 20)
+		var ops []isa.MicroOp
+		for i := range a {
+			if i%2 == 0 {
+				ops = append(ops, a[i], b[i])
+			} else {
+				ops = append(ops, b[i], a[i])
+			}
+		}
+		for i := range ops {
+			ops[i].PC = uint64(4 * i)
+		}
+		cycles := run(t, e, c, ops)
+		counts := map[string]uint64{}
+		sc := reg.Scope("cpu0")
+		for _, name := range sc.Counters() {
+			counts[name] = sc.Get(name)
+		}
+		return cycles, counts
+	}
+	colliding, collidingCounts := pair(renameSlots)
+	if colliding < 60 {
+		t.Fatalf("two 20-deep chains sharing rename slots took only %d cycles", colliding)
+	}
+	apart, apartCounts := pair(renameSlots / 2)
+	if colliding != apart {
+		t.Fatalf("chains sharing rename slots took %d cycles, %d on separate slots", colliding, apart)
+	}
+	for name, v := range apartCounts {
+		if collidingCounts[name] != v {
+			t.Errorf("cpu0.%s = %d sharing rename slots, %d on separate slots", name, collidingCounts[name], v)
+		}
 	}
 }
 
