@@ -466,13 +466,13 @@ func (c *Core) dispatch() {
 		f := c.decodeBuf.Pop()
 		e := c.newEntry(f)
 		if src := f.uop.Src1; src != isa.RegNone {
-			if p := c.producers.producer(src); p != nil && p.state != stDone {
+			if p := c.producers.get(src); p != nil && p.state != stDone {
 				e.deps++
 				p.waiters = append(p.waiters, e)
 			}
 		}
 		if src := f.uop.Src2; src != isa.RegNone {
-			if p := c.producers.producer(src); p != nil && p.state != stDone {
+			if p := c.producers.get(src); p != nil && p.state != stDone {
 				e.deps++
 				p.waiters = append(p.waiters, e)
 			}

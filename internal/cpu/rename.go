@@ -23,8 +23,8 @@ type renameTable struct {
 
 func (t *renameTable) slot(r isa.Reg) **robEntry { return &t.slots[r&(renameSlots-1)] }
 
-// producer returns r's registered producer, or nil.
-func (t *renameTable) producer(r isa.Reg) *robEntry {
+// get returns r's registered producer, or nil.
+func (t *renameTable) get(r isa.Reg) *robEntry {
 	if p := *t.slot(r); p != nil && p.uop.Dst == r {
 		return p
 	}
