@@ -32,8 +32,8 @@ import (
 //
 // Lanes stay little-endian through encoding/binary, and dst may alias
 // either source, so every kernel writes exactly the bytes of a
-// lane-at-a-time loop. lanes_ref_test.go keeps that loop as the reference
-// and checks the two against each other.
+// lane-at-a-time loop. lanes_ref_test.go keeps that loop as the
+// reference, and lanes_test.go checks the two against each other.
 
 // LaneAt reads the i-th 32-bit lane of b.
 func LaneAt(b []byte, i int) int32 {
