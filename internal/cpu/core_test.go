@@ -147,7 +147,7 @@ func TestDependencyChainSerialises(t *testing.T) {
 	// Two 20-deep chains interleaved pair by pair, the chain that goes
 	// first alternating. With the second chain's registers the first's
 	// plus renameSlots, link i of both chains shares one rename slot:
-	// the second dispatch of each pair displaces the first chain's
+	// the second dispatch of each pair displaces the other chain's
 	// in-flight producer, and every other source of each chain finds its
 	// slot held by the other chain, so those dependencies live only in
 	// the overflow map. Both chains must still serialise, with the
