@@ -161,30 +161,14 @@ func (f *rowFetch) fetchDone(now sim.Cycle) {
 	}
 }
 
-// queued is one buffered instruction plus its link-level context.
-type queued struct {
-	inst *isa.OffloadInst
-	op   *subOp
-}
-
-// complete releases the instruction's link context; for acknowledged
-// instructions (Unlock) it serialises the response to the CPU.
-func (q queued) complete() {
-	op := q.op
-	if op.acked {
-		// The response packet releases the op at delivery.
-		op.pkt.Complete()
-		return
-	}
-	op.release()
-}
-
-// subOp is one pooled Submit context: the instruction's link packet and
-// the pre-bound callbacks for its cube arrival and (for acknowledged
-// instructions) its response delivery.
+// subOp is one pooled Submit context: the engine's own copy of the
+// instruction, its link packet and the pre-bound callbacks for its cube
+// arrival and (for acknowledged instructions) its response delivery. It
+// waits in the in-order queue until the instruction issues — posted
+// instructions issue long after the core has retired their µops.
 type subOp struct {
 	e     *Engine
-	inst  *isa.OffloadInst
+	inst  isa.OffloadInst
 	done  func(now sim.Cycle)
 	acked bool
 	pkt   link.Packet
@@ -195,7 +179,20 @@ type subOp struct {
 
 // exec runs cube-side on instruction arrival: enter the in-order queue.
 func (op *subOp) exec(*link.Packet) {
-	op.e.enqueue(queued{inst: op.inst, op: op})
+	op.e.queue.Push(op)
+	op.e.domain.Kick()
+}
+
+// complete releases the instruction's link context once it has issued;
+// for acknowledged instructions (Unlock) it serialises the response to
+// the CPU.
+func (op *subOp) complete() {
+	if op.acked {
+		// The response packet releases the op at delivery.
+		op.pkt.Complete()
+		return
+	}
+	op.release()
 }
 
 // deliver fires requester-side when an acknowledgement arrives.
@@ -208,7 +205,7 @@ func (op *subOp) deliver(now sim.Cycle) {
 }
 
 func (op *subOp) release() {
-	op.inst, op.done = nil, nil
+	op.inst, op.done = isa.OffloadInst{}, nil
 	op.e.subFree = append(op.e.subFree, op)
 }
 
@@ -301,8 +298,9 @@ type Engine struct {
 	geom   mem.Geometry
 	image  []byte
 
-	regs  [isa.NumRegisters]register
-	queue sim.Queue[queued]
+	regs    [isa.NumRegisters]register
+	queue   sim.Queue[*subOp]
+	checker isa.Checker
 
 	locked            bool
 	outstandingStores int
@@ -313,8 +311,8 @@ type Engine struct {
 
 	// Free lists for the pooled event objects of the hot instruction
 	// path, plus pre-bound shared callbacks and the mask scratch buffer
-	// (valid only within one VMaskStore; OnResult consumers compare and
-	// discard).
+	// (valid only within one VMaskStore; the checker compares and
+	// discards it).
 	subFree        []*subOp
 	ldFree         []*ldOp
 	mlFree         []*mlOp
@@ -466,13 +464,19 @@ func (e *Engine) getRowFetch(row mem.Addr) *rowFetch {
 	return f
 }
 
+// SetChecker installs the checker that receives the results of checked
+// instructions (nil: results go unreported).
+func (e *Engine) SetChecker(c isa.Checker) { e.checker = c }
+
 // Submit implements the processor offload port. Unlock returns a
 // response to the CPU (the block-completion acknowledgement that orders
 // later bitmask reads); all other instructions — including Lock, since a
 // single-host system needs no grant message — are posted: the done
 // callback fires as soon as the instruction has left the core, which is
 // what lets the processor stream whole lock blocks back to back while
-// the engine's in-order queue serialises their execution.
+// the engine's in-order queue serialises their execution. The
+// instruction is copied into the engine's Submit context, which it
+// executes from, so the caller's copy is free once Submit returns.
 func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	if inst.Target != e.cfg.Target {
 		panic(fmt.Sprintf("core %s: wrong target %s", e.cfg.Name, inst.Target))
@@ -482,7 +486,7 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	}
 	acked := inst.Op == isa.Unlock
 	op := e.getSub()
-	op.inst = inst
+	op.inst = *inst
 	op.acked = acked
 	op.pkt = link.Packet{
 		Vault:       e.cfg.InstructionVault,
@@ -500,11 +504,6 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 		e.engine.AfterCall(1, done)
 	}
 	return true
-}
-
-func (e *Engine) enqueue(q queued) {
-	e.queue.Push(q)
-	e.domain.Kick()
 }
 
 // Tick implements sim.Ticker: one engine cycle of in-order issue. A
@@ -527,7 +526,7 @@ func (e *Engine) Tick(now sim.Cycle) sim.TickResult {
 		if issued+cost > e.cfg.Width && issued > 0 {
 			break // does not fit in this cycle's remaining slots
 		}
-		if !e.canIssue(head.inst, now) {
+		if !e.canIssue(&head.inst, now) {
 			break
 		}
 		e.queue.Pop()
@@ -609,8 +608,10 @@ func (e *Engine) canIssue(inst *isa.OffloadInst, now sim.Cycle) bool {
 }
 
 // issue executes one instruction (or squashes it under predication).
-func (e *Engine) issue(q queued, now sim.Cycle) {
-	inst := q.inst
+// Completing the op releases it, so every read of the instruction
+// comes first.
+func (e *Engine) issue(q *subOp, now sim.Cycle) {
+	inst := &q.inst
 	e.instructions.Inc()
 
 	if inst.Pred.Valid {
@@ -719,8 +720,8 @@ func (e *Engine) issue(q queued, now sim.Cycle) {
 		mask := e.maskScratch[:nb]
 		isa.CompactMask(mask, src.data[:], int(inst.Size))
 		copy(e.image[inst.Addr:uint64(inst.Addr)+uint64(nb)], mask)
-		if inst.OnResult != nil {
-			inst.OnResult(mask)
+		if inst.Check && e.checker != nil {
+			e.checker.Check(inst, mask)
 		}
 		// Accumulate in the mask write-combine buffer; the row flushes
 		// to DRAM when the target row changes or at unlock.
@@ -828,7 +829,12 @@ func (e *Engine) Reset() {
 	e.locked = false
 	e.outstandingStores = 0
 	e.maskBuf.valid, e.maskBuf.dirty, e.maskBuf.row = false, false, 0
-	e.maskRead = nil
+	if e.maskRead != nil {
+		// Nothing can complete the read buffer's fetch any more: its
+		// DRAM read went with the event queue.
+		e.rfFree = append(e.rfFree, e.maskRead)
+		e.maskRead = nil
+	}
 	e.domain.Reset()
 }
 

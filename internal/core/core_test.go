@@ -46,6 +46,62 @@ func hipeInst(op isa.OffloadOp) *isa.OffloadInst {
 	return &isa.OffloadInst{Target: isa.TargetHIPE, Op: op}
 }
 
+// recorder is a checker that keeps a copy of every result reported to
+// it.
+type recorder struct{ results [][]byte }
+
+func (r *recorder) Check(_ *isa.OffloadInst, result []byte) {
+	r.results = append(r.results, append([]byte(nil), result...))
+}
+
+// TestSubmitCopiesInstruction pins the engine's own copy: HIVE and HIPE
+// execute posted instructions long after Submit returns, so a caller
+// that reuses its instruction storage right away (as the core's fetch
+// ring and the µop streams do) must not change what runs. Every
+// instruction is overwritten with a different, valid one before Run.
+func TestSubmitCopiesInstruction(t *testing.T) {
+	for _, cfg := range []Config{DefaultHIVE(), DefaultHIPE()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			run := func(overwrite bool) ([]byte, [][]byte) {
+				e, eng, image, _ := newEngine(t, cfg)
+				for i := 0; i < 64; i++ {
+					isa.SetLane(image, i, int32(i%3))
+				}
+				var rec recorder
+				eng.SetChecker(&rec)
+				for _, in := range []isa.OffloadInst{
+					{Op: isa.Lock},
+					{Op: isa.VLoad, Dst: 0, Addr: 0, Size: 256},
+					{Op: isa.VALU, ALU: isa.CmpEQ, Dst: 1, Src1: 0, UseImm: true, Imm: 1},
+					{Op: isa.VMaskStore, Src1: 1, Addr: 0x2000, Size: 256, Check: true},
+					{Op: isa.Unlock},
+				} {
+					in.Target = cfg.Target
+					inst := in
+					submit(t, eng, &inst)
+					if overwrite {
+						inst = isa.OffloadInst{Target: cfg.Target, Op: isa.VStore,
+							Src1: 2, Addr: 0x3000, Size: 256, Check: true}
+					}
+				}
+				e.Run()
+				return image[:0x4000], rec.results
+			}
+			wantImage, wantResults := run(false)
+			gotImage, gotResults := run(true)
+			if len(wantResults) != 1 {
+				t.Fatalf("%d checked results, want 1", len(wantResults))
+			}
+			if !bytes.Equal(gotImage, wantImage) {
+				t.Fatal("overwriting submitted instructions changed the image")
+			}
+			if len(gotResults) != 1 || !bytes.Equal(gotResults[0], wantResults[0]) {
+				t.Fatalf("overwriting submitted instructions changed the results: %x, want %x", gotResults, wantResults)
+			}
+		})
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultHIPE().Validate(); err != nil {
 		t.Fatal(err)
@@ -169,17 +225,18 @@ func TestVMaskStoreCompacts(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		isa.SetLane(image[0:], i, int32(i%2)) // alternating 0,1
 	}
-	var got []byte
+	var rec recorder
+	eng.SetChecker(&rec)
 	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VLoad, Dst: 0, Addr: 0, Size: 256})
 	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VALU, ALU: isa.CmpEQ,
 		Dst: 1, Src1: 0, UseImm: true, Imm: 1})
 	ms := &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VMaskStore, Src1: 1, Addr: 0x2000, Size: 256,
-		OnResult: func(r []byte) { got = append([]byte(nil), r...) }}
+		Check: true}
 	submit(t, eng, ms)
 	e.Run()
 	want := bytes.Repeat([]byte{0xAA}, 8) // odd lanes set
-	if !bytes.Equal(got, want) {
-		t.Fatalf("mask = %x, want %x", got, want)
+	if len(rec.results) != 1 || !bytes.Equal(rec.results[0], want) {
+		t.Fatalf("checked masks = %x, want one %x", rec.results, want)
 	}
 	if !bytes.Equal(image[0x2000:0x2008], want) {
 		t.Fatalf("image mask = %x", image[0x2000:0x2008])

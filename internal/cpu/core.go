@@ -10,6 +10,11 @@ import (
 )
 
 // Stream supplies µops in program order (the correct execution path).
+//
+// An offload µop's Offload pointer is valid only until the stream's
+// next Next call: a stream may keep its instructions in a buffer it
+// reuses for the following block. The core copies the instruction at
+// fetch, before it calls Next again.
 type Stream interface {
 	// Next returns the next µop; ok=false ends the program.
 	Next() (isa.MicroOp, bool)
@@ -92,10 +97,16 @@ const (
 type robEntry struct {
 	c *Core
 	fetchedOp
-	state   entryState
-	deps    int
-	waiters []*robEntry
-	inROB   bool
+	state entryState
+	deps  int
+	inROB bool
+
+	// The entry's waiters — the entries that read its result — form a
+	// list in dispatch order threaded through the waiters themselves:
+	// next[k] follows a waiter's edge for its source operand k. So a
+	// dependency costs no allocation, however many waiters an entry has.
+	waitHead, waitTail waitLink
+	next               [2]waitLink
 
 	// req is the entry's memory access (load at issue, store at drain).
 	req         mem.Request
@@ -133,6 +144,15 @@ type Core struct {
 	stream     Stream
 	streamDone bool
 	nextSeq    uint64
+	retired    uint64 // sequence number of the next µop to commit
+
+	// offSlots is the core's copy of each in-flight offload µop's
+	// instruction, a ring indexed by sequence number: fetch copies the
+	// stream's instruction into its slot and re-points the µop there.
+	// The ring is at least as long as the fetch buffer, decode buffer
+	// and ROB together, so a slot comes round again only after its µop
+	// has committed.
+	offSlots []isa.OffloadInst
 
 	fetchBuf  sim.Queue[fetchedOp]
 	decodeBuf sim.Queue[fetchedOp]
@@ -197,6 +217,11 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 			c.divBusyUntil[i] = make([]sim.Cycle, cfg.FUs[i].Units)
 		}
 	}
+	slots := 1
+	for slots < cfg.FetchBufSize+cfg.DecodeBufSize+cfg.ROBSize {
+		slots <<= 1
+	}
+	c.offSlots = make([]isa.OffloadInst, slots)
 	sc := reg.Scope(cfg.Name)
 	c.committed = sc.Counter("committed_uops")
 	c.branches = sc.Counter("branches")
@@ -237,7 +262,7 @@ func (c *Core) newEntry(f fetchedOp) *robEntry {
 	e.fetchedOp = f
 	e.state = stWaiting
 	e.deps = 0
-	e.waiters = e.waiters[:0]
+	e.waitHead, e.waitTail = waitLink{}, waitLink{}
 	e.inROB = true
 	e.uncacheable = false
 	return e
@@ -257,7 +282,8 @@ func (c *Core) release(e *robEntry) {
 func (c *Core) Reset() {
 	c.stream = nil
 	c.streamDone = false
-	c.nextSeq = 0
+	c.nextSeq, c.retired = 0, 0
+	clear(c.offSlots)
 	c.fetchBuf.Reset()
 	c.decodeBuf.Reset()
 	for c.rob.Len() > 0 {
@@ -412,6 +438,9 @@ func (c *Core) fetch(now sim.Cycle) {
 		}
 		f := fetchedOp{uop: uop, seq: c.nextSeq}
 		c.nextSeq++
+		if uop.Class == isa.Offload {
+			f.uop.Offload = c.holdOffload(f.seq, uop.Offload)
+		}
 		if uop.Class == isa.Branch {
 			branches++
 			c.branches.Inc()
@@ -445,6 +474,18 @@ func (c *Core) fetch(now sim.Cycle) {
 	}
 }
 
+// holdOffload copies the instruction of offload µop seq into the core's
+// slot for it and returns the slot.
+func (c *Core) holdOffload(seq uint64, in *isa.OffloadInst) *isa.OffloadInst {
+	if seq-c.retired >= uint64(len(c.offSlots)) {
+		panic(fmt.Sprintf("cpu %s: offload slot of µop %d still held by uncommitted µop %d",
+			c.cfg.Name, seq, seq-uint64(len(c.offSlots))))
+	}
+	slot := &c.offSlots[seq&uint64(len(c.offSlots)-1)]
+	*slot = *in
+	return slot
+}
+
 // decode moves µops from the fetch buffer to the decode buffer.
 func (c *Core) decode() {
 	n := c.cfg.DecodeWidth
@@ -465,16 +506,13 @@ func (c *Core) dispatch() {
 		}
 		f := c.decodeBuf.Pop()
 		e := c.newEntry(f)
-		if src := f.uop.Src1; src != isa.RegNone {
-			if p := c.producers.get(src); p != nil && p.state != stDone {
-				e.deps++
-				p.waiters = append(p.waiters, e)
+		for k, src := range [2]isa.Reg{f.uop.Src1, f.uop.Src2} {
+			if src == isa.RegNone {
+				continue
 			}
-		}
-		if src := f.uop.Src2; src != isa.RegNone {
 			if p := c.producers.get(src); p != nil && p.state != stDone {
 				e.deps++
-				p.waiters = append(p.waiters, e)
+				p.addWaiter(waitLink{e, uint8(k)})
 			}
 		}
 		if f.uop.Dst != isa.RegNone {
@@ -597,20 +635,39 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 	}
 }
 
-// complete marks a µop done and wakes dependents.
+// waitLink is one edge of a waiter list: the waiting entry and which of
+// its source operands the edge is.
+type waitLink struct {
+	e *robEntry
+	k uint8
+}
+
+// addWaiter appends l to p's waiters.
+func (p *robEntry) addWaiter(l waitLink) {
+	l.e.next[l.k] = waitLink{}
+	if p.waitHead.e == nil {
+		p.waitHead = l
+	} else {
+		p.waitTail.e.next[p.waitTail.k] = l
+	}
+	p.waitTail = l
+}
+
+// complete marks a µop done and wakes dependents in dispatch order.
 func (c *Core) complete(e *robEntry) {
 	e.state = stDone
 	if e.uop.Dst != isa.RegNone {
 		c.producers.drop(e)
 	}
-	for _, w := range e.waiters {
+	for l := e.waitHead; l.e != nil; l = l.e.next[l.k] {
+		w := l.e
 		w.deps--
 		if w.deps == 0 && w.state == stWaiting {
 			w.state = stReady
 			c.readyQ = append(c.readyQ, w)
 		}
 	}
-	e.waiters = e.waiters[:0]
+	e.waitHead, e.waitTail = waitLink{}, waitLink{}
 }
 
 // commit retires done µops in order; stores enter the store buffer here.
@@ -638,6 +695,7 @@ func (c *Core) commit(now sim.Cycle) {
 		}
 		c.rob.Pop()
 		e.inROB = false
+		c.retired = e.seq + 1
 		c.committed.Inc()
 		c.progressed = true
 		if e.uop.Class != isa.Store {

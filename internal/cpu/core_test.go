@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/isa"
@@ -46,11 +47,11 @@ func (m *testMem) Access(req *mem.Request) bool {
 type testOffload struct {
 	engine  *sim.Engine
 	latency sim.Cycle
-	insts   []*isa.OffloadInst
+	insts   []isa.OffloadInst // copies of the submitted instructions
 }
 
 func (o *testOffload) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
-	o.insts = append(o.insts, inst)
+	o.insts = append(o.insts, *inst)
 	at := o.engine.Now() + o.latency
 	o.engine.Schedule(at, func() { done(at) })
 	return true
@@ -300,7 +301,7 @@ func TestOffloadRoundTrip(t *testing.T) {
 		{PC: 4, Class: isa.IntALU, Dst: 2, Src1: 1},
 	}
 	cycles := run(t, e, c, ops)
-	if len(to.insts) != 1 || to.insts[0] != inst {
+	if len(to.insts) != 1 || !reflect.DeepEqual(to.insts[0], *inst) {
 		t.Fatal("offload instruction not submitted")
 	}
 	if cycles < 50 {

@@ -61,10 +61,10 @@ type Engine struct {
 
 	inFlight int
 	opFree   []*hmcOp
+	checker  isa.Checker
 
 	// Scratch for apply's lane expansion and mask compaction. Valid
-	// only within one apply call; OnResult consumers must not retain
-	// the slice (the query layer compares and discards it).
+	// only within one apply call; the checker compares and discards it.
 	laneScratch [isa.RegisterBytes]byte
 	maskScratch [isa.RegisterBytes / 8]byte
 
@@ -75,12 +75,13 @@ type Engine struct {
 	maskBytes *stats.Counter
 }
 
-// hmcOp is one pooled in-flight instruction: the link packet, the vault
-// request it becomes inside the cube, and the pre-bound callbacks for
-// every hop. Submit draws one; the response delivery releases it.
+// hmcOp is one pooled in-flight instruction: the engine's own copy of
+// the instruction, the link packet, the vault request it becomes inside
+// the cube, and the pre-bound callbacks for every hop. Submit draws one;
+// the response delivery releases it.
 type hmcOp struct {
 	e    *Engine
-	inst *isa.OffloadInst
+	inst isa.OffloadInst
 	done func(now sim.Cycle)
 	pkt  link.Packet
 	req  mem.Request
@@ -105,7 +106,7 @@ func (op *hmcOp) OnEvent(now sim.Cycle, _ uint64) {
 		op.pkt.Complete()
 		return
 	}
-	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(op.inst), Kind: mem.Write, Done: op.writeDoneFn}
+	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(&op.inst), Kind: mem.Write, Done: op.writeDoneFn}
 	e.vaults.Access(&op.req)
 }
 
@@ -147,8 +148,14 @@ func (e *Engine) getOp() *hmcOp {
 	return op
 }
 
+// SetChecker installs the checker that receives the results of checked
+// instructions (nil: results go unreported).
+func (e *Engine) SetChecker(c isa.Checker) { e.checker = c }
+
 // Submit implements the processor offload port for TargetHMC
 // instructions. It reports false when the in-flight window is full.
+// An accepted instruction is copied into the engine's in-flight op, so
+// the caller's copy is free once Submit returns.
 func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	if inst.Target != isa.TargetHMC {
 		panic(fmt.Sprintf("hmc: wrong target %s", inst.Target))
@@ -168,7 +175,7 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 		respPayload = isa.MaskBytes(inst.Size)
 	}
 	op := e.getOp()
-	op.inst = inst
+	op.inst = *inst
 	op.done = done
 	op.pkt = link.Packet{
 		Vault:       loc.Vault,
@@ -187,7 +194,7 @@ func (e *Engine) CreditRefusals(n uint64) { e.rejected.Add(n) }
 
 // exec runs cube-side on instruction arrival: issue the DRAM read.
 func (op *hmcOp) exec(*link.Packet) {
-	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(op.inst), Kind: mem.Read, Done: op.readDoneFn}
+	op.req = mem.Request{Addr: op.inst.Addr, Size: sizeOf(&op.inst), Kind: mem.Read, Done: op.readDoneFn}
 	op.e.vaults.Access(&op.req)
 }
 
@@ -195,7 +202,7 @@ func (op *hmcOp) exec(*link.Packet) {
 // applies here (visible to anything that reads the image afterwards),
 // then the FU latency elapses before write-back / response.
 func (op *hmcOp) readDone(now sim.Cycle) {
-	op.wb = op.e.apply(op.inst)
+	op.wb = op.e.apply(&op.inst)
 	op.e.engine.ScheduleEvent(now+op.e.cfg.FULatency, op, 0)
 }
 
@@ -204,16 +211,15 @@ func (op *hmcOp) readDone(now sim.Cycle) {
 func (op *hmcOp) deliver(now sim.Cycle) {
 	e := op.e
 	done := op.done
-	op.inst, op.done = nil, nil
+	op.inst, op.done = isa.OffloadInst{}, nil
 	e.opFree = append(e.opFree, op)
 	e.inFlight--
 	done(now)
 }
 
 // apply performs the functional effect; it reports whether the
-// instruction writes DRAM back. The mask handed to OnResult lives in
-// the engine's scratch buffer: consumers compare and discard it within
-// the call.
+// instruction writes DRAM back. A checked instruction's result goes to
+// the checker from the engine's scratch buffer.
 func (e *Engine) apply(inst *isa.OffloadInst) bool {
 	data := e.image[inst.Addr : uint64(inst.Addr)+uint64(sizeOf(inst))]
 	switch inst.Op {
@@ -228,8 +234,8 @@ func (e *Engine) apply(inst *isa.OffloadInst) bool {
 		mask := e.maskScratch[:isa.MaskBytes(inst.Size)]
 		isa.CompactMask(mask, lanes, int(inst.Size))
 		e.maskBytes.Add(uint64(len(mask)))
-		if inst.OnResult != nil {
-			inst.OnResult(mask)
+		if inst.Check && e.checker != nil {
+			e.checker.Check(inst, mask)
 		}
 		return false
 	case isa.AddImm:
@@ -243,10 +249,10 @@ func (e *Engine) apply(inst *isa.OffloadInst) bool {
 		if swapped {
 			isa.SetLane(data, 0, inst.Imm2)
 		}
-		if inst.OnResult != nil {
+		if inst.Check && e.checker != nil {
 			res := e.laneScratch[:isa.LaneBytes]
 			isa.SetLane(res, 0, old)
-			inst.OnResult(res)
+			e.checker.Check(inst, res)
 		}
 		return swapped
 	default:

@@ -34,6 +34,14 @@ func newEngine(t *testing.T, cfg Config) (*sim.Engine, *Engine, []byte, *stats.R
 	return e, eng, image, reg
 }
 
+// recorder is a checker that keeps a copy of every result reported to
+// it.
+type recorder struct{ results [][]byte }
+
+func (r *recorder) Check(_ *isa.OffloadInst, result []byte) {
+	r.results = append(r.results, append([]byte(nil), result...))
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
@@ -52,18 +60,18 @@ func TestCmpReadComputesMask(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		isa.SetLane(image, i, int32(i))
 	}
-	var got []byte
+	var rec recorder
+	eng.SetChecker(&rec)
 	var doneAt sim.Cycle
 	inst := &isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLT,
-		Addr: 0, Size: 64, Imm: 8,
-		OnResult: func(r []byte) { got = append([]byte(nil), r...) }}
+		Addr: 0, Size: 64, Imm: 8, Check: true}
 	ok := eng.Submit(inst, func(now sim.Cycle) { doneAt = now })
 	if !ok {
 		t.Fatal("submit refused")
 	}
 	e.Run()
-	if !bytes.Equal(got, []byte{0xFF, 0x00}) {
-		t.Fatalf("mask = %x, want ff00", got)
+	if len(rec.results) != 1 || !bytes.Equal(rec.results[0], []byte{0xFF, 0x00}) {
+		t.Fatalf("checked results = %x, want one ff00", rec.results)
 	}
 	if doneAt == 0 {
 		t.Fatal("done never fired")
@@ -77,6 +85,43 @@ func TestCmpReadComputesMask(t *testing.T) {
 	}
 	if eng.InFlight() != 0 {
 		t.Fatal("window not released")
+	}
+}
+
+// TestSubmitCopiesInstruction pins the engine's own copy: the core
+// reuses its instruction slot once the µop commits, so overwriting the
+// submitted instruction before the vault executes it must not change
+// the result.
+func TestSubmitCopiesInstruction(t *testing.T) {
+	run := func(overwrite bool) [][]byte {
+		e, eng, image, _ := newEngine(t, Default())
+		for i := 0; i < 64; i++ {
+			isa.SetLane(image, i, int32(i))
+		}
+		var rec recorder
+		eng.SetChecker(&rec)
+		for c := 0; c < 4; c++ {
+			inst := isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLT,
+				Addr: mem.Addr(c * 64), Size: 64, Imm: int32(8 + 10*c), Check: true}
+			if !eng.Submit(&inst, func(sim.Cycle) {}) {
+				t.Fatal("submit refused")
+			}
+			if overwrite {
+				inst = isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpGE,
+					Addr: 0x4000, Size: 256, Imm: -1, Check: true}
+			}
+		}
+		e.Run()
+		return rec.results
+	}
+	want, got := run(false), run(true)
+	if len(want) != 4 {
+		t.Fatalf("%d checked results, want 4", len(want))
+	}
+	for i := range want {
+		if i >= len(got) || !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("overwriting submitted instructions changed the results: %x, want %x", got, want)
+		}
 	}
 }
 
@@ -99,16 +144,17 @@ func TestAddImmUpdatesMemoryInPlace(t *testing.T) {
 func TestCompareSwap(t *testing.T) {
 	e, eng, image, _ := newEngine(t, Default())
 	isa.SetLane(image, 0, 7)
-	var old []byte
+	var rec recorder
+	eng.SetChecker(&rec)
 	inst := &isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CompareSwap, Addr: 0,
-		Imm: 7, Imm2: 99, OnResult: func(r []byte) { old = append([]byte(nil), r...) }}
+		Imm: 7, Imm2: 99, Check: true}
 	eng.Submit(inst, func(sim.Cycle) {})
 	e.Run()
 	if isa.LaneAt(image, 0) != 99 {
 		t.Fatalf("cas did not swap: %d", isa.LaneAt(image, 0))
 	}
-	if isa.LaneAt(old, 0) != 7 {
-		t.Fatalf("cas old value = %d", isa.LaneAt(old, 0))
+	if len(rec.results) != 1 || isa.LaneAt(rec.results[0], 0) != 7 {
+		t.Fatalf("cas checked results = %x, want one old value 7", rec.results)
 	}
 	// Failed CAS does not write.
 	e2, eng2, image2, reg2 := newEngine(t, Default())

@@ -240,6 +240,13 @@ func (p Predicate) String() string {
 }
 
 // OffloadInst is one instruction executed by an in-memory engine.
+//
+// Instructions are values with three owners in turn, each holding its
+// own copy: the µop stream that generated it (until the stream's next
+// Next call), the core that fetched it (until the µop commits), and the
+// engine it was submitted to (until it executes). No holder keeps a
+// pointer into another's copy, and no engine writes into an instruction
+// it does not own.
 type OffloadInst struct {
 	Target Target
 	Op     OffloadOp
@@ -253,6 +260,10 @@ type OffloadInst struct {
 	Size uint32
 	Imm  int32
 	Imm2 int32
+
+	// Expect is the byte offset of this instruction's expected result in
+	// the buffer of the Checker its engine reports to (see Check).
+	Expect uint32
 
 	// Pattern, when non-empty, supplies per-lane immediates for CmpRead
 	// (tiled across the operand): the 16-byte immediate field of an HMC
@@ -271,13 +282,11 @@ type OffloadInst struct {
 	// TargetHMC and TargetHIVE instructions.
 	Pred Predicate
 
-	// OnResult, if non-nil, receives the functional result an engine
-	// computes for this instruction (the compacted bitmask of a CmpRead,
-	// the old value of a CompareSwap). The slice is only valid during
-	// the call: engines hand out scratch buffers, so consumers must
-	// compare or copy, never retain. Used by the query runner and the
-	// tests to cross-check engine results against reference evaluation.
-	OnResult func(result []byte) `json:"-"`
+	// Check asks the executing engine to report the functional result it
+	// computes (the compacted bitmask of a CmpRead or VMaskStore, the old
+	// value of a CompareSwap) to its Checker. It is verification
+	// bookkeeping, not part of the instruction encoding.
+	Check bool
 
 	// validated memoises a successful Validate: the engines validate on
 	// Submit, and a window-full rejection resubmits the same instruction
@@ -285,6 +294,14 @@ type OffloadInst struct {
 	// a measurable share of simulation time. Mutating an instruction
 	// after validation is a programming error.
 	validated bool
+}
+
+// Checker receives the results of checked instructions (Check set). The
+// machine hands one Checker to every engine for the current run; the
+// result slice is engine scratch, valid only during the call, so a
+// Checker compares or copies it and never retains it.
+type Checker interface {
+	Check(inst *OffloadInst, result []byte)
 }
 
 // Validate checks structural well-formedness of an instruction.

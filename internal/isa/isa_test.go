@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/hipe-sim/hipe/internal/mem"
 )
@@ -355,5 +356,19 @@ func TestMicroOpAddrField(t *testing.T) {
 	u := MicroOp{Class: Load, Addr: mem.Addr(0x40), Size: 8}
 	if u.Addr != 0x40 || !u.IsMem() {
 		t.Fatal("addr field")
+	}
+}
+
+// TestMicroOpIs48Bytes pins the µop's size. Every µop is copied through
+// the core's fetch and decode buffers into its ROB entry, and every µop
+// stream owns a block buffer of them; serve-fleet's streams alone hold
+// about 13.6 MB of µop blocks per pass. Carrying the 64-byte offload
+// instruction inside the µop instead of behind a pointer would make it
+// 120 bytes and add about 20 MB per serve-fleet pass, more than the
+// instructions it stops allocating save — so the instruction stays
+// behind Offload, copied at each hand-off instead.
+func TestMicroOpIs48Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(MicroOp{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(MicroOp{}) = %d, want 48", got)
 	}
 }

@@ -160,6 +160,15 @@ func New(cfg Config) (*Machine, error) {
 	}, nil
 }
 
+// SetChecker installs the checker every engine reports checked
+// instruction results to for the current run (a prepared workload
+// installs itself); Reset clears it.
+func (m *Machine) SetChecker(c isa.Checker) {
+	m.HMC.SetChecker(c)
+	m.HIVE.SetChecker(c)
+	m.HIPE.SetChecker(c)
+}
+
 // Run executes a µop stream to completion and returns the consumed
 // cycles.
 func (m *Machine) Run(stream cpu.Stream) sim.Cycle {
@@ -170,12 +179,13 @@ func (m *Machine) Run(stream cpu.Stream) sim.Cycle {
 
 // Reset returns the machine to its post-New state — clock at zero, no
 // pending events, caches cold, predictor untrained, image zeroed,
-// counters at zero — while keeping every allocation (event queue
-// capacity, pooled requests, cache arrays, the image itself). A reset
-// machine produces bit-identical results to a freshly constructed one,
-// which is what lets sweep cells and serving shard replays reuse
-// machines instead of rebuilding the world per run (verified by
-// TestResetMatchesFreshMachine and the worker-count determinism tests).
+// counters at zero, no checker installed — while keeping every
+// allocation (event queue capacity, pooled requests, cache arrays, the
+// image itself). A reset machine produces bit-identical results to a
+// freshly constructed one, which is what lets sweep cells and serving
+// shard replays reuse machines instead of rebuilding the world per run
+// (verified by TestResetMatchesFreshMachine and the worker-count
+// determinism tests).
 func (m *Machine) Reset() {
 	// The engine resets first: dropping every pending event is what
 	// makes it safe for the components to reclaim their in-flight state.
@@ -189,4 +199,5 @@ func (m *Machine) Reset() {
 	m.HMC.Reset()
 	m.HIVE.Reset()
 	m.HIPE.Reset()
+	m.SetChecker(nil)
 }

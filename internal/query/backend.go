@@ -234,12 +234,12 @@ func (hiveBackend) Caps() Caps {
 func (hiveBackend) Compile(w *Workload) Stream {
 	if w.Desc.Kind == Q1Agg {
 		if w.Plan.Strategy == TupleAtATime {
-			return w.q1pimTuple(isa.TargetHIVE)
+			return w.q1pimTuple()
 		}
 		return w.q1hiveColumn()
 	}
 	if w.Plan.Strategy == TupleAtATime {
-		return w.pimTuple(isa.TargetHIVE)
+		return w.pimTuple()
 	}
 	if w.Plan.Fused {
 		return w.hiveFusedColumn()

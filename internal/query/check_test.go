@@ -93,3 +93,52 @@ func TestRuntimeChecksCatchWrongResults(t *testing.T) {
 		})
 	}
 }
+
+// firstExpect is a checker that forwards to the workload and records
+// the expectation offset of the first instruction reported.
+type firstExpect struct {
+	w   *Workload
+	off int
+}
+
+func (f *firstExpect) Check(inst *isa.OffloadInst, result []byte) {
+	if f.off < 0 {
+		f.off = int(inst.Expect)
+	}
+	f.w.Check(inst, result)
+}
+
+// TestFlippedExpectationFailsOnce flips one bit of one expectation that
+// a run checks and requires exactly that check to fail: each checked
+// instruction names its own expectation, and nothing else reads it.
+func TestFlippedExpectationFailsOnce(t *testing.T) {
+	tab := db.GenerateMemo(1024, 42)
+	for _, p := range checkedPlans() {
+		t.Run(p.String(), func(t *testing.T) {
+			m := testMachine(t)
+			w, err := Prepare(m, tab, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := &firstExpect{w: w, off: -1}
+			m.SetChecker(first)
+			m.Run(w.Stream())
+			if err := w.Verify(); err != nil || first.off < 0 {
+				t.Fatalf("clean run: Verify() = %v, first checked expectation %d", err, first.off)
+			}
+
+			m = testMachine(t)
+			if w, err = Prepare(m, tab, p); err != nil {
+				t.Fatal(err)
+			}
+			w.expect[first.off] ^= 1
+			m.Run(w.Stream())
+			if w.Mismatches() != 1 {
+				t.Fatalf("%d mismatches of %d checks, want exactly 1", w.Mismatches(), w.Checked())
+			}
+			if err := w.Verify(); err == nil || !strings.Contains(err.Error(), "1 of") {
+				t.Fatalf("Verify() = %v, want one failed runtime check", err)
+			}
+		})
+	}
+}

@@ -14,19 +14,26 @@ import (
 
 // emitter accumulates one chunked-stream block: µops append with
 // auto-incrementing PCs, 4 bytes apart — the instruction spacing all
-// generators share. Each stream owns one emitter, and every block starts
-// with reset, so the stream's one buffer holds every block in turn.
+// generators share. The block's offload instructions append by value to
+// a second buffer, in µop order; an offload µop leaves the emitter with
+// a nil Offload, and the stream points it at its instruction as it
+// hands the µop out. Each stream owns one emitter, and every block
+// starts with reset, so the stream's two buffers hold every block in
+// turn.
 type emitter struct {
-	pc  uint64
-	ops []isa.MicroOp
+	pc    uint64
+	ops   []isa.MicroOp
+	insts []isa.OffloadInst
 }
 
-// reset starts a new block at pc in the emitter's buffer. It clears the
-// previous block's µops first, so none of their offload instructions
-// stays reachable past the new block's length.
+// reset starts a new block at pc in the emitter's buffers. The old
+// block's entries are overwritten, not cleared: µops carry no pointer
+// out of the buffers, and an instruction's only pointer, its Pattern,
+// points into the workload's pattern rows, which the stream keeps
+// alive anyway.
 func (e *emitter) reset(pc uint64) {
-	clear(e.ops)
 	e.ops = e.ops[:0]
+	e.insts = e.insts[:0]
 	e.pc = pc
 }
 
@@ -35,6 +42,12 @@ func (e *emitter) emit(u isa.MicroOp) {
 	u.PC = e.pc
 	e.pc += 4
 	e.ops = append(e.ops, u)
+}
+
+// offload appends an offload µop carrying inst.
+func (e *emitter) offload(dst, src1 isa.Reg, inst isa.OffloadInst) {
+	e.insts = append(e.insts, inst)
+	e.emit(isa.MicroOp{Class: isa.Offload, Dst: dst, Src1: src1})
 }
 
 // loopTail emits the per-block loop overhead every processor-driven
@@ -60,13 +73,16 @@ func blockBounds(b, per, total int) (first, last int) {
 // program order: each offload µop depends on its predecessor, modelling
 // the in-order instruction stream a real host controller maintains.
 type offloadChain struct {
-	vr    *vregs
-	chain isa.Reg
+	vr     *vregs
+	target isa.Target // the engine every instruction of the chain goes to
+	chain  isa.Reg
 }
 
-func (oc *offloadChain) emit(e *emitter, inst *isa.OffloadInst) isa.Reg {
+// emit appends inst, addressed to the chain's engine.
+func (oc *offloadChain) emit(e *emitter, inst isa.OffloadInst) isa.Reg {
+	inst.Target = oc.target
 	dst := oc.vr.fresh()
-	e.emit(isa.MicroOp{Class: isa.Offload, Dst: dst, Src1: oc.chain, Offload: inst})
+	e.offload(dst, oc.chain, inst)
 	oc.chain = dst
 	return dst
 }
@@ -79,9 +95,9 @@ func (oc *offloadChain) emit(e *emitter, inst *isa.OffloadInst) isa.Reg {
 // next block's first instruction is preserved because both depend on the
 // same predecessor and the core's ready queue and single load port keep
 // FIFO order.
-func (oc *offloadChain) emitUnlock(e *emitter, target isa.Target) isa.Reg {
+func (oc *offloadChain) emitUnlock(e *emitter) isa.Reg {
 	pre := oc.chain
-	ack := oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
+	ack := oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 	oc.chain = pre
 	return ack
 }
@@ -145,44 +161,40 @@ var q1Columns = [...]struct {
 // group absent from a chunk squashes its accumulation inside the
 // memory. The running Adds/Subs stay unpredicated: a squash zeroes its
 // temp operand (zeroing-mask semantics), never the accumulator.
-func (w *Workload) q1EmitGroups(e *emitter, oc *offloadChain, target isa.Target) {
-	predicated := target == isa.TargetHIPE
-	eng := func(inst isa.OffloadInst) *isa.OffloadInst {
-		inst.Target = target
-		return &inst
-	}
+func (w *Workload) q1EmitGroups(e *emitter, oc *offloadChain) {
+	predicated := oc.target == isa.TargetHIPE
 	nzF := isa.Predicate{}
 	if predicated {
 		nzF = isa.Predicate{Valid: true, Reg: q1RegFilter, WhenZero: false}
 	}
 	for g := 0; g < w.Desc.Groups; g++ {
 		rf, ls := groupKey(g)
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
-			Dst: q1RegTmpA, Src1: q1RegRf, UseImm: true, Imm: rf, Pred: nzF}))
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
-			Dst: q1RegTmpB, Src1: q1RegLs, UseImm: true, Imm: ls, Pred: nzF}))
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-			Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB, Pred: nzF}))
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-			Dst: q1RegGroup, Src1: q1RegTmpA, Src2: q1RegFilter, Pred: nzF}))
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
+			Dst: q1RegTmpA, Src1: q1RegRf, UseImm: true, Imm: rf, Pred: nzF})
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpEQ,
+			Dst: q1RegTmpB, Src1: q1RegLs, UseImm: true, Imm: ls, Pred: nzF})
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+			Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB, Pred: nzF})
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+			Dst: q1RegGroup, Src1: q1RegTmpA, Src2: q1RegFilter, Pred: nzF})
 		nzG := isa.Predicate{}
 		if predicated {
 			nzG = isa.Predicate{Valid: true, Reg: q1RegGroup, WhenZero: false}
 		}
 		// COUNT: the mask lanes are -1 per member, so subtracting the
 		// mask adds one per member.
-		oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.Sub,
-			Dst: q1AccReg(g, AggCount), Src1: q1AccReg(g, AggCount), Src2: q1RegGroup}))
+		oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Sub,
+			Dst: q1AccReg(g, AggCount), Src1: q1AccReg(g, AggCount), Src2: q1RegGroup})
 		for _, ma := range [...]struct {
 			agg int
 			src uint8
 		}{
 			{AggQty, q1RegQty}, {AggPrice, q1RegPrice}, {AggRevenue, q1RegRev},
 		} {
-			oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-				Dst: q1RegTmpB, Src1: ma.src, Src2: q1RegGroup, Pred: nzG}))
-			oc.emit(e, eng(isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
-				Dst: q1AccReg(g, ma.agg), Src1: q1AccReg(g, ma.agg), Src2: q1RegTmpB}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+				Dst: q1RegTmpB, Src1: ma.src, Src2: q1RegGroup, Pred: nzG})
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
+				Dst: q1AccReg(g, ma.agg), Src1: q1AccReg(g, ma.agg), Src2: q1RegTmpB})
 		}
 	}
 }
@@ -191,12 +203,11 @@ func (w *Workload) q1EmitGroups(e *emitter, oc *offloadChain, target isa.Target)
 // aggregate) register XORs with itself to zero. The filter pass (HIVE)
 // reuses the high registers for chunk data, so the aggregation pass
 // cannot assume a pristine bank.
-func (w *Workload) q1ClearAccs(e *emitter, oc *offloadChain, target isa.Target) {
+func (w *Workload) q1ClearAccs(e *emitter, oc *offloadChain) {
 	for g := 0; g < w.Desc.Groups; g++ {
 		for agg := 0; agg < NumAggs; agg++ {
 			r := q1AccReg(g, agg)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
-				ALU: isa.Xor, Dst: r, Src1: r, Src2: r})
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Xor, Dst: r, Src1: r, Src2: r})
 		}
 	}
 }
@@ -204,10 +215,10 @@ func (w *Workload) q1ClearAccs(e *emitter, oc *offloadChain, target isa.Target) 
 // q1SpillAccs emits the final accumulator spill: every (group,
 // aggregate) register stores its per-lane partial sums to the AccRegion
 // so the processor — and verification — can read them.
-func (w *Workload) q1SpillAccs(e *emitter, oc *offloadChain, target isa.Target) {
+func (w *Workload) q1SpillAccs(e *emitter, oc *offloadChain) {
 	for g := 0; g < w.Desc.Groups; g++ {
 		for agg := 0; agg < NumAggs; agg++ {
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VStore,
 				Src1: q1AccReg(g, agg), Addr: w.accAddr(g, agg), Size: isa.RegisterBytes})
 		}
 	}

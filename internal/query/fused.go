@@ -31,7 +31,7 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	block := 0
 
 	return &chunkedStream{next: func(e *emitter) bool {
@@ -40,12 +40,8 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 		}
 		e.reset(0x6800)
 		first, last := blockBounds(block, p.Unroll, chunks)
-		hive := func(inst isa.OffloadInst) *isa.OffloadInst {
-			inst.Target = isa.TargetHIVE
-			return &inst
-		}
 
-		oc.emit(e, hive(isa.OffloadInst{Op: isa.Lock}))
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for ws := first; ws < last; ws += hipeWave {
 			we := ws + hipeWave
 			if we > last {
@@ -55,50 +51,47 @@ func (w *Workload) hiveFusedColumn() *chunkedStream {
 			regM := func(k int) uint8 { return uint8(hipeWave + k - ws) }
 			// Phase A: hoisted shipdate loads.
 			for k := ws; k < we; k++ {
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
-					Addr: w.DSM.ColBase[db.FieldShipDate] + mem.Addr(k*S), Size: p.OpSize}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					Addr: w.DSM.ColBase[db.FieldShipDate] + mem.Addr(k*S), Size: p.OpSize})
 			}
 			// Phase B+C: shipdate range into the chunk's mask register,
 			// then immediately reuse the data register for the discount
 			// load — the unpredicated plan is free to hoist it here.
 			for k := ws; k < we; k++ {
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
-					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.ShipLo}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
-					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.ShipHi}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: regM(k), Src1: tmpA, Src2: tmpB}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
-					Addr: w.DSM.ColBase[db.FieldDiscount] + mem.Addr(k*S), Size: p.OpSize}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
+					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.ShipLo})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
+					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.ShipHi})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: regM(k), Src1: tmpA, Src2: tmpB})
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					Addr: w.DSM.ColBase[db.FieldDiscount] + mem.Addr(k*S), Size: p.OpSize})
 			}
 			// Phase D+E: discount range refined into the running mask,
 			// quantity load hoisted behind it.
 			for k := ws; k < we; k++ {
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
-					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.DiscLo}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE,
-					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.DiscHi}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: tmpA, Src1: tmpA, Src2: tmpB}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: regM(k), Src1: tmpA, Src2: regM(k)}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
-					Addr: w.DSM.ColBase[db.FieldQuantity] + mem.Addr(k*S), Size: p.OpSize}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE,
+					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.DiscLo})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE,
+					Dst: tmpB, Src1: regX(k), UseImm: true, Imm: q.DiscHi})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: tmpA, Src1: tmpA, Src2: tmpB})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: regM(k), Src1: tmpA, Src2: regM(k)})
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					Addr: w.DSM.ColBase[db.FieldQuantity] + mem.Addr(k*S), Size: p.OpSize})
 			}
 			// Phase F: quantity compare, final AND, bitmask store.
 			for k := ws; k < we; k++ {
-				t0 := k * tuplesPerChunk
-				want := packBits(w.prefix[2], t0, t0+tuplesPerChunk)
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
-					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.QtyHi}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: regM(k), Src1: tmpA, Src2: regM(k)}))
-				oc.emit(e, hive(isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLT,
+					Dst: tmpA, Src1: regX(k), UseImm: true, Imm: q.QtyHi})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: regM(k), Src1: tmpA, Src2: regM(k)})
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
 					Addr: w.FinalMask + mem.Addr(k)*mem.Addr(maskBytes), Size: p.OpSize,
-					OnResult: func(r []byte) { w.check(r, want) }}))
+					Check: true, Expect: w.expectAt(w.prefixExp[2], k)})
 			}
 		}
-		oc.emitUnlock(e, isa.TargetHIVE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
 		return true
@@ -128,11 +121,11 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	phase := 0
 	pos := 0
 	spilled := false
-	var selected []int
+	selected := make([]int, 0, chunks)
 
 	return &chunkedStream{next: func(e *emitter) bool {
 		if phase == 0 && pos >= chunks {
@@ -145,9 +138,9 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 				}
 			}
 			e.reset(0xB200)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
-			w.q1ClearAccs(e, oc, isa.TargetHIVE)
-			oc.emitUnlock(e, isa.TargetHIVE)
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			w.q1ClearAccs(e, oc)
+			oc.emitUnlock(e)
 			return true
 		}
 		if phase == 1 && pos >= len(selected) {
@@ -157,9 +150,9 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 			// One final block spills the accumulators.
 			spilled = true
 			e.reset(0xB800)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
-			w.q1SpillAccs(e, oc, isa.TargetHIVE)
-			oc.emitUnlock(e, isa.TargetHIVE)
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			w.q1SpillAccs(e, oc)
+			oc.emitUnlock(e)
 			return true
 		}
 		if phase == 0 {
@@ -167,30 +160,25 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 			// per chunk, bitmasks stored for the processor's decision.
 			e.reset(0xB000)
 			first, last := blockBounds(pos/wave, wave, chunks)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 			for c := first; c < last; c++ {
-				rD := uint8(c - first)
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad,
-					Dst: rD, Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize})
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+					Dst: uint8(c - first), Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize})
 			}
 			for c := first; c < last; c++ {
 				rD := uint8(c - first)
-				t0 := c * tuplesPerChunk
-				want := packBits(w.prefix[0], t0, t0+tuplesPerChunk)
 				dst := [2]uint8{tmpA, tmpB}
 				for i, b := range st.Bounds {
-					oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
-						ALU: b.Kind, Dst: dst[i], Src1: rD, UseImm: true, Imm: b.Imm})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: b.Kind, Dst: dst[i], Src1: rD, UseImm: true, Imm: b.Imm})
 				}
 				if len(st.Bounds) == 2 {
-					oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
-						ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
 				}
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskStore,
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 					Src1: tmpA, Addr: w.MaskBase[st.Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-					OnResult: func(r []byte) { w.check(r, want) }})
+					Check: true, Expect: w.expectAt(w.prefixExp[0], c)})
 			}
-			unlockAck := oc.emitUnlock(e, isa.TargetHIVE)
+			unlockAck := oc.emitUnlock(e)
 			// Processor decision round trip: fetch each bitmask, branch
 			// on whether the aggregation pass needs this chunk.
 			for c := first; c < last; c++ {
@@ -215,20 +203,19 @@ func (w *Workload) q1hiveColumn() *chunkedStream {
 		if last > len(selected) {
 			last = len(selected)
 		}
-		oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for k := first; k < last; k++ {
 			c := selected[k]
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskLoad,
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskLoad,
 				Dst: q1RegFilter, Addr: w.MaskBase[st.Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize})
 			for _, ld := range q1Columns {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad,
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
 					Dst: ld.reg, Addr: w.DSM.ColBase[ld.col] + mem.Addr(c*S), Size: p.OpSize})
 			}
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
-				ALU: isa.Mul, Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc})
-			w.q1EmitGroups(e, oc, isa.TargetHIVE)
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul, Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc})
+			w.q1EmitGroups(e, oc)
 		}
-		oc.emitUnlock(e, isa.TargetHIVE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
 		pos = last
 		return true
@@ -254,15 +241,11 @@ func (w *Workload) q1hipeColumn() *chunkedStream {
 	blocks := (chunks + p.Unroll - 1) / p.Unroll
 
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIPE}
 	setupDone := false
 	block := 0
 	nz := func(reg uint8) isa.Predicate {
 		return isa.Predicate{Valid: true, Reg: reg, WhenZero: false}
-	}
-	hipe := func(inst isa.OffloadInst) *isa.OffloadInst {
-		inst.Target = isa.TargetHIPE
-		return &inst
 	}
 
 	return &chunkedStream{next: func(e *emitter) bool {
@@ -272,11 +255,10 @@ func (w *Workload) q1hipeColumn() *chunkedStream {
 			// chunks would otherwise leak tail-lane mask bits into the
 			// accumulators) and zero the accumulator registers.
 			e.reset(0xC000)
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad,
-				Dst: q1RegValid, Addr: w.ValidRow, Size: 256}))
-			w.q1ClearAccs(e, oc, isa.TargetHIPE)
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.Unlock}))
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: q1RegValid, Addr: w.ValidRow, Size: 256})
+			w.q1ClearAccs(e, oc)
+			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 			return true
 		}
 		if block >= blocks {
@@ -284,38 +266,38 @@ func (w *Workload) q1hipeColumn() *chunkedStream {
 		}
 		e.reset(0xC100)
 		first, last := blockBounds(block, p.Unroll, chunks)
-		oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for c := first; c < last; c++ {
 			// Filter stage: unpredicated shipdate load and compare,
 			// confined to the chunk's real lanes.
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad, Dst: q1RegShip,
-				Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: q1RegShip,
+				Addr: w.DSM.ColBase[st.Col] + mem.Addr(c*S), Size: p.OpSize})
 			dst := [2]uint8{q1RegTmpA, q1RegTmpB}
 			for i, b := range st.Bounds {
-				oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
-					Dst: dst[i], Src1: q1RegShip, UseImm: true, Imm: b.Imm}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
+					Dst: dst[i], Src1: q1RegShip, UseImm: true, Imm: b.Imm})
 			}
 			if len(st.Bounds) == 2 {
-				oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-					Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB}))
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+					Dst: q1RegTmpA, Src1: q1RegTmpA, Src2: q1RegTmpB})
 			}
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-				Dst: q1RegFilter, Src1: q1RegTmpA, Src2: q1RegValid}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+				Dst: q1RegFilter, Src1: q1RegTmpA, Src2: q1RegValid})
 			// Key and measure loads, predicated on the filter flag:
 			// chunks wholly past the cutoff never touch DRAM.
 			for _, ld := range q1Columns {
-				oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad, Dst: ld.reg,
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: ld.reg,
 					Addr: w.DSM.ColBase[ld.col] + mem.Addr(c*S), Size: p.OpSize,
-					Pred: nz(q1RegFilter)}))
+					Pred: nz(q1RegFilter)})
 			}
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
-				Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc, Pred: nz(q1RegFilter)}))
-			w.q1EmitGroups(e, oc, isa.TargetHIPE)
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
+				Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc, Pred: nz(q1RegFilter)})
+			w.q1EmitGroups(e, oc)
 		}
 		if block == blocks-1 {
-			w.q1SpillAccs(e, oc, isa.TargetHIPE)
+			w.q1SpillAccs(e, oc)
 		}
-		oc.emitUnlock(e, isa.TargetHIPE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
 		return true

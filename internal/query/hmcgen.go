@@ -24,7 +24,7 @@ func (w *Workload) hmcTuple() *chunkedStream {
 	}
 	chunks := w.Table.N / tuplesPerChunk
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	lanePattern := w.patternLanes()
+	patGE, patLE := w.patternLanes(w.patGE), w.patternLanes(w.patLE)
 
 	vr := &vregs{}
 	group := 0
@@ -38,19 +38,12 @@ func (w *Workload) hmcTuple() *chunkedStream {
 		for c := first; c < last; c++ {
 			firstTuple := c * tuplesPerChunk
 			addr := w.NSM.Base + mem.Addr(c*stride)
-			wantGE, wantLE := w.expectPatternMasks(firstTuple, S)
 
 			g, l := vr.fresh(), vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.Offload, Dst: g, Offload: &isa.OffloadInst{
-				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpGE,
-				Addr: addr, Size: p.OpSize, Pattern: lanePattern,
-				OnResult: func(r []byte) { w.check(r, wantGE) },
-			}})
-			e.emit(isa.MicroOp{Class: isa.Offload, Dst: l, Offload: &isa.OffloadInst{
-				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: w.patternLanesLE(),
-				OnResult: func(r []byte) { w.check(r, wantLE) },
-			}})
+			e.offload(g, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpGE,
+				Addr: addr, Size: p.OpSize, Pattern: patGE, Check: true, Expect: w.expectAt(w.geExp, c)})
+			e.offload(l, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
+				Addr: addr, Size: p.OpSize, Pattern: patLE, Check: true, Expect: w.expectAt(w.leExp, c)})
 			m := vr.fresh()
 			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: m, Src1: g, Src2: l})
 			for t := 0; t < tuplesPerChunk; t++ {
@@ -77,57 +70,20 @@ func (w *Workload) hmcTuple() *chunkedStream {
 	}}
 }
 
-// patternLanes returns the GE pattern truncated/tiled to the instruction
+// patternLanes returns a tuple pattern truncated to the instruction
 // immediate (at most one tuple of 16 lanes, fewer for sub-tuple ops).
-func (w *Workload) patternLanes() []int32 {
-	n := int(w.Plan.OpSize) / 4
-	if n > db.NumFields {
-		n = db.NumFields
-	}
-	return w.patGE[:n]
+func (w *Workload) patternLanes(pat []int32) []int32 {
+	return pat[:min(int(w.Plan.OpSize)/4, db.NumFields)]
 }
 
-func (w *Workload) patternLanesLE() []int32 {
-	n := int(w.Plan.OpSize) / 4
-	if n > db.NumFields {
-		n = db.NumFields
-	}
-	return w.patLE[:n]
-}
-
-// expectColCmp computes the packed bitmask a lane-uniform CmpRead over
-// column values [t0, t0+n) must return.
-func (w *Workload) expectColCmp(col int, kind isa.ALUKind, imm int32, t0, n int) []byte {
-	vals := w.columnValues(col)
-	lanes := make([]byte, n*4)
-	for i := 0; i < n; i++ {
-		v := vals[t0+i]
-		hit := false
-		switch kind {
-		case isa.CmpGE:
-			hit = v >= imm
-		case isa.CmpLE:
-			hit = v <= imm
-		case isa.CmpLT:
-			hit = v < imm
-		case isa.CmpGT:
-			hit = v > imm
-		case isa.CmpEQ:
-			hit = v == imm
-		case isa.CmpNE:
-			hit = v != imm
-		}
-		if hit {
-			isa.SetLane(lanes, i, -1)
-		}
-	}
-	out := make([]byte, isa.MaskBytes(uint32(n*4)))
-	isa.CompactMask(out, lanes, n*4)
-	return out
-}
-
-func (w *Workload) columnValues(col int) []int32 {
-	return columnSlice(w.Table, col)
+// hmcCmpRead emits the checked lane-uniform CmpRead of column chunk c
+// against b and returns the register receiving its mask.
+func (w *Workload) hmcCmpRead(e *emitter, vr *vregs, col, c int, b Bound) isa.Reg {
+	r := vr.fresh()
+	e.offload(r, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: b.Kind,
+		Addr: w.DSM.ColBase[col] + mem.Addr(c*int(w.Plan.OpSize)), Size: w.Plan.OpSize, Imm: b.Imm,
+		Check: true, Expect: w.expectAt(w.cmpExp[colBound{col, b}], c)})
+	return r
 }
 
 // q1hmcTuple generates the HMC-baseline tuple-at-a-time Q01
@@ -147,7 +103,7 @@ func (w *Workload) q1hmcTuple() *chunkedStream {
 	}
 	chunks := w.Table.N / tuplesPerChunk
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	lanePattern := w.patternLanesLE()
+	patLE := w.patternLanes(w.patLE)
 
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
@@ -160,15 +116,10 @@ func (w *Workload) q1hmcTuple() *chunkedStream {
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			firstTuple := c * tuplesPerChunk
-			addr := w.NSM.Base + mem.Addr(c*stride)
-			_, wantLE := w.expectPatternMasks(firstTuple, S)
-
 			m := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.Offload, Dst: m, Offload: &isa.OffloadInst{
-				Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: lanePattern,
-				OnResult: func(r []byte) { w.check(r, wantLE) },
-			}})
+			e.offload(m, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
+				Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize, Pattern: patLE,
+				Check: true, Expect: w.expectAt(w.leExp, c)})
 			for t := 0; t < tuplesPerChunk; t++ {
 				i := firstTuple + t
 				tv := vr.fresh()
@@ -217,21 +168,10 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 		e.reset(0x9800)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
-			t0 := c * tuplesPerChunk
-			cmpRead := func(col int, kind isa.ALUKind, imm int32) isa.Reg {
-				want := w.expectColCmp(col, kind, imm, t0, tuplesPerChunk)
-				r := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.Offload, Dst: r, Offload: &isa.OffloadInst{
-					Target: isa.TargetHMC, Op: isa.CmpRead, ALU: kind,
-					Addr: w.DSM.ColBase[col] + mem.Addr(c*S), Size: p.OpSize, Imm: imm,
-					OnResult: func(r []byte) { w.check(r, want) },
-				}})
-				return r
-			}
 			// Filter bitmask in the vault.
 			m := isa.RegNone
 			for _, b := range st.Bounds {
-				r := cmpRead(st.Col, b.Kind, b.Imm)
+				r := w.hmcCmpRead(e, vr, st.Col, c, b)
 				if m == isa.RegNone {
 					m = r
 				} else {
@@ -241,50 +181,43 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 				}
 			}
 			// Key bitmasks in the vault, one compare per distinct value.
-			rfMask := make([]isa.Reg, db.RFValues)
+			var rfMask [db.RFValues]isa.Reg
 			for v := range rfMask {
-				rfMask[v] = cmpRead(db.FieldReturnFlag, isa.CmpEQ, int32(v))
+				rfMask[v] = w.hmcCmpRead(e, vr, db.FieldReturnFlag, c, Bound{isa.CmpEQ, int32(v)})
 			}
-			lsMask := make([]isa.Reg, db.LSValues)
+			var lsMask [db.LSValues]isa.Reg
 			for v := range lsMask {
-				lsMask[v] = cmpRead(db.FieldLineStatus, isa.CmpEQ, int32(v))
+				lsMask[v] = w.hmcCmpRead(e, vr, db.FieldLineStatus, c, Bound{isa.CmpEQ, int32(v)})
 			}
 			// Measure columns reload through the cache hierarchy, in
 			// line-sized pieces.
-			load := func(col int) isa.Reg {
+			var qpd [3]isa.Reg
+			for i, col := range [...]int{db.FieldQuantity, db.FieldExtendedPrice, db.FieldDiscount} {
 				base := w.DSM.ColBase[col] + mem.Addr(c*S)
-				var d isa.Reg
 				for off := 0; off < S; off += 64 {
-					piece := S - off
-					if piece > 64 {
-						piece = 64
-					}
-					d = vr.fresh()
-					e.emit(isa.MicroOp{Class: isa.Load, Dst: d,
-						Addr: base + mem.Addr(off), Size: uint32(piece)})
+					qpd[i] = vr.fresh()
+					e.emit(isa.MicroOp{Class: isa.Load, Dst: qpd[i],
+						Addr: base + mem.Addr(off), Size: uint32(min(S-off, 64))})
 				}
-				return d
 			}
-			qty := load(db.FieldQuantity)
-			price := load(db.FieldExtendedPrice)
-			disc := load(db.FieldDiscount)
 			rev := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.IntMul, Dst: rev, Src1: price, Src2: disc})
+			e.emit(isa.MicroOp{Class: isa.IntMul, Dst: rev, Src1: qpd[1], Src2: qpd[2]})
 			for g := 0; g < w.Desc.Groups; g++ {
 				rf, ls := groupKey(g)
 				km := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: km, Src1: rfMask[rf], Src2: lsMask[ls]})
 				gm := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: gm, Src1: km, Src2: m})
-				masked := func(src isa.Reg) isa.Reg {
-					t := vr.fresh()
-					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: t, Src1: src, Src2: gm})
-					return t
-				}
 				acc.add(e.emit, isa.IntALU, g, AggCount, gm)
-				acc.add(e.emit, isa.IntALU, g, AggQty, masked(qty))
-				acc.add(e.emit, isa.IntALU, g, AggPrice, masked(price))
-				acc.add(e.emit, isa.IntALU, g, AggRevenue, masked(rev))
+				// Mask each measure with the membership, then fold it in.
+				for _, ms := range [...]struct {
+					agg int
+					src isa.Reg
+				}{{AggQty, qpd[0]}, {AggPrice, qpd[1]}, {AggRevenue, rev}} {
+					t := vr.fresh()
+					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: t, Src1: ms.src, Src2: gm})
+					acc.add(e.emit, isa.IntALU, g, ms.agg, t)
+				}
 			}
 		}
 		e.loopTail(vr, group != groups-1)
@@ -318,24 +251,14 @@ func (w *Workload) hmcColumn() *chunkedStream {
 		e.reset(uint64(0x4000 + 0x400*stage))
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
-			t0 := c * tuplesPerChunk
-			dataAddr := w.DSM.ColBase[col] + mem.Addr(c*S)
-			var results []isa.Reg
 			// One load-compare per stage bound, straight from the
-			// description.
-			for _, cm := range st.Bounds {
-				cm := cm
-				want := w.expectColCmp(col, cm.Kind, cm.Imm, t0, tuplesPerChunk)
-				r := vr.fresh()
-				results = append(results, r)
-				e.emit(isa.MicroOp{Class: isa.Offload, Dst: r, Offload: &isa.OffloadInst{
-					Target: isa.TargetHMC, Op: isa.CmpRead, ALU: cm.Kind,
-					Addr: dataAddr, Size: p.OpSize, Imm: cm.Imm,
-					OnResult: func(r []byte) { w.check(r, want) },
-				}})
+			// description; the masks AND together once all are issued.
+			var results [2]isa.Reg
+			for i, b := range st.Bounds {
+				results[i] = w.hmcCmpRead(e, vr, col, c, b)
 			}
 			m := results[0]
-			for _, r := range results[1:] {
+			for _, r := range results[1:len(st.Bounds)] {
 				nm := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: r})
 				m = nm

@@ -32,7 +32,7 @@ const hipeWave = 15
 // fetches each bitmask, branches per tuple and materialises matches.
 // Lock blocks are serialised through the processor — the control
 // dependency the paper blames for HIVE's tuple-at-a-time behaviour.
-func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
+func (w *Workload) pimTuple() *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
 	tuplesPerChunk := S / db.TupleBytes
@@ -52,7 +52,7 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 	const regGE, regLE = 33, 34
 	const tmpA, tmpB = 30, 31
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	setupDone := false
 	group := 0
 	matched := 0
@@ -63,12 +63,10 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 			// One-time block: load the GE/LE pattern rows into the two
 			// reserved bound registers.
 			e.reset(0x5000)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
-				Dst: regGE, Addr: w.PatternGE, Size: 256})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
-				Dst: regLE, Addr: w.PatternLE, Size: 256})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regGE, Addr: w.PatternGE, Size: 256})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regLE, Addr: w.PatternLE, Size: 256})
+			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 			return true
 		}
 		if group >= groups {
@@ -76,34 +74,24 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 		}
 		e.reset(0x5100)
 		first, last := blockBounds(group, wave, chunks)
-		oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
 		for c := first; c < last; c++ {
-			rD := uint8(c - first)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
-				Dst: rD, Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+				Dst: uint8(c - first), Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
 		}
 		// Phase B: per-chunk pattern compares into shared temporaries,
 		// bitmask stored straight out of the temp.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			firstTuple := c * tuplesPerChunk
-			wantGE, wantLE := w.expectPatternMasks(firstTuple, S)
-			want := make([]byte, len(wantGE))
-			for i := range want {
-				want[i] = wantGE[i] & wantLE[i]
-			}
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
-				ALU: isa.CmpGE, Dst: tmpA, Src1: rD, Src2: regGE})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
-				ALU: isa.CmpLE, Dst: tmpB, Src1: rD, Src2: regLE})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
-				ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VMaskStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE, Dst: tmpA, Src1: rD, Src2: regGE})
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE, Dst: tmpB, Src1: rD, Src2: regLE})
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				OnResult: func(r []byte) { w.check(r, want) }})
+				Check: true, Expect: w.expectAt(w.bothExp, c)})
 		}
-		unlockAck := oc.emitUnlock(e, target)
+		unlockAck := oc.emitUnlock(e)
 
 		// Processor control flow: fetch each chunk's bitmask, test per
 		// tuple, materialise matches.
@@ -136,7 +124,7 @@ func (w *Workload) pimTuple(target isa.Target) *chunkedStream {
 // each bitmask, branches per tuple, reloads matching tuples through the
 // cache, branches on the group key and accumulates in registers — the
 // aggregation decision still round-trips through the processor.
-func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
+func (w *Workload) q1pimTuple() *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
 	tuplesPerChunk := S / db.TupleBytes
@@ -157,7 +145,7 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 	const tmpA = 30
 	vr := &vregs{}
 	acc := &cpuAcc{vr: vr}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	setupDone := false
 	group := 0
 
@@ -167,10 +155,9 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 			// One-time block: load the LE pattern row into the bound
 			// register (Q01's filter is a single upper bound).
 			e.reset(0xA000)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
-				Dst: regLE, Addr: w.PatternLE, Size: 256})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Unlock})
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regLE, Addr: w.PatternLE, Size: 256})
+			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 			return true
 		}
 		if group >= groups {
@@ -178,25 +165,20 @@ func (w *Workload) q1pimTuple(target isa.Target) *chunkedStream {
 		}
 		e.reset(0xA100)
 		first, last := blockBounds(group, wave, chunks)
-		oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
 		for c := first; c < last; c++ {
-			rD := uint8(c - first)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VLoad,
-				Dst: rD, Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+				Dst: uint8(c - first), Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
 		}
 		// Phase B: per-chunk filter compare, bitmask stored from the temp.
 		for c := first; c < last; c++ {
-			rD := uint8(c - first)
-			firstTuple := c * tuplesPerChunk
-			_, wantLE := w.expectPatternMasks(firstTuple, S)
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VALU,
-				ALU: isa.CmpLE, Dst: tmpA, Src1: rD, Src2: regLE})
-			oc.emit(e, &isa.OffloadInst{Target: target, Op: isa.VMaskStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE, Dst: tmpA, Src1: uint8(c - first), Src2: regLE})
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				OnResult: func(r []byte) { w.check(r, wantLE) }})
+				Check: true, Expect: w.expectAt(w.leExp, c)})
 		}
-		unlockAck := oc.emitUnlock(e, target)
+		unlockAck := oc.emitUnlock(e)
 
 		// Processor control flow: fetch each chunk's bitmask, branch per
 		// tuple, accumulate matching tuples' groups.
@@ -244,7 +226,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 
 	const tmpA, tmpB, tmpP = 30, 31, 32
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	stage := 0
 	pos := 0 // index into the selected chunk list of this stage
 	selected := make([]int, 0, chunks)
@@ -282,43 +264,36 @@ func (w *Workload) hiveColumn() *chunkedStream {
 		if last > len(selected) {
 			last = len(selected)
 		}
-		oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.Lock})
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted column-data loads.
 		for k := first; k < last; k++ {
-			c := selected[k]
-			rD := uint8(k - first)
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VLoad,
-				Dst: rD, Addr: w.DSM.ColBase[col] + mem.Addr(c*S), Size: p.OpSize})
+			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+				Dst: uint8(k - first), Addr: w.DSM.ColBase[col] + mem.Addr(selected[k]*S), Size: p.OpSize})
 		}
 		// Phase B: per-chunk compares, previous-column mask AND, store —
 		// the bound list comes from the query description.
 		for k := first; k < last; k++ {
 			c := selected[k]
 			rD := uint8(k - first)
-			t0 := c * tuplesPerChunk
-			want := packBits(w.prefix[stage], t0, t0+tuplesPerChunk)
 			if stage > 0 {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskLoad,
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskLoad,
 					Dst: tmpP, Addr: w.MaskBase[stages[stage-1].Col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize})
 			}
 			dst := [2]uint8{tmpA, tmpB}
 			for i, b := range st.Bounds {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
-					ALU: b.Kind, Dst: dst[i], Src1: rD, UseImm: true, Imm: b.Imm})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: b.Kind, Dst: dst[i], Src1: rD, UseImm: true, Imm: b.Imm})
 			}
 			if len(st.Bounds) == 2 {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
-					ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
 			}
 			if stage > 0 {
-				oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VALU,
-					ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpP})
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpP})
 			}
-			oc.emit(e, &isa.OffloadInst{Target: isa.TargetHIVE, Op: isa.VMaskStore,
+			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
 				Src1: tmpA, Addr: w.MaskBase[col] + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				OnResult: func(r []byte) { w.check(r, want) }})
+				Check: true, Expect: w.expectAt(w.prefixExp[stage], c)})
 		}
-		unlockAck := oc.emitUnlock(e, isa.TargetHIVE)
+		unlockAck := oc.emitUnlock(e)
 
 		// Processor decision round trip: fetch each fresh bitmask from
 		// memory (first touch per line goes to DRAM) and branch on
@@ -370,7 +345,7 @@ func (w *Workload) hipeColumn() *chunkedStream {
 		wave = 10
 	}
 	vr := &vregs{}
-	oc := &offloadChain{vr: vr}
+	oc := &offloadChain{vr: vr, target: isa.TargetHIPE}
 	block := 0
 
 	return &chunkedStream{next: func(e *emitter) bool {
@@ -382,12 +357,8 @@ func (w *Workload) hipeColumn() *chunkedStream {
 		nz := func(reg uint8) isa.Predicate {
 			return isa.Predicate{Valid: true, Reg: reg, WhenZero: false}
 		}
-		hipe := func(inst isa.OffloadInst) *isa.OffloadInst {
-			inst.Target = isa.TargetHIPE
-			return &inst
-		}
 
-		oc.emit(e, hipe(isa.OffloadInst{Op: isa.Lock}))
+		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		for ws := first; ws < last; ws += wave {
 			we := ws + wave
 			if we > last {
@@ -413,7 +384,7 @@ func (w *Workload) hipeColumn() *chunkedStream {
 					if s > 0 {
 						ld.Pred = nz(regM(k))
 					}
-					oc.emit(e, hipe(ld))
+					oc.emit(e, ld)
 				}
 				last := s == len(stages)-1
 				for k := ws; k < we; k++ {
@@ -427,29 +398,25 @@ func (w *Workload) hipeColumn() *chunkedStream {
 						if s == 0 && len(st.Bounds) == 1 {
 							d = regM(k) // single first-stage bound is the mask
 						}
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
-							Dst: d, Src1: dataReg(k), UseImm: true, Imm: b.Imm, Pred: pred}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: b.Kind,
+							Dst: d, Src1: dataReg(k), UseImm: true, Imm: b.Imm, Pred: pred})
 					}
 					switch {
 					case s == 0 && len(st.Bounds) == 2:
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: regM(k), Src1: tmpA, Src2: tmpB}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: regM(k), Src1: tmpA, Src2: tmpB})
 					case s > 0 && len(st.Bounds) == 2:
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: tmpC, Src1: tmpA, Src2: tmpB, Pred: pred}))
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: regM(k), Src1: tmpC, Src2: regM(k), Pred: pred}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: tmpC, Src1: tmpA, Src2: tmpB, Pred: pred})
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: regM(k), Src1: tmpC, Src2: regM(k), Pred: pred})
 					case s > 0 && len(st.Bounds) == 1:
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-							Dst: regM(k), Src1: tmpA, Src2: regM(k), Pred: pred}))
+						oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+							Dst: regM(k), Src1: tmpA, Src2: regM(k), Pred: pred})
 					}
 					if last {
-						t0 := k * tuplesPerChunk
-						want := packBits(w.prefix[len(stages)-1], t0, t0+tuplesPerChunk)
-						oc.emit(e, hipe(isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
+						oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore, Src1: regM(k),
 							Addr: w.FinalMask + mem.Addr(k)*mem.Addr(maskBytes), Size: p.OpSize,
-							Pred:     nz(regM(k)),
-							OnResult: func(r []byte) { w.check(r, want) }}))
+							Pred: nz(regM(k)), Check: true, Expect: w.expectAt(w.prefixExp[s], k)})
 					}
 				}
 			}
@@ -460,25 +427,23 @@ func (w *Workload) hipeColumn() *chunkedStream {
 				// Add itself is unpredicated so a squash (which zeroes
 				// its tmp operand) cannot zero the accumulator.
 				for k := ws; k < we; k++ {
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
+					oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regX(k),
 						Addr: w.DSM.ColBase[db.FieldExtendedPrice] + mem.Addr(k*S), Size: p.OpSize,
-						Pred: nz(regM(k))}))
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
-						Dst: tmpA, Src1: regX(k), Src2: regC(k), Pred: nz(regM(k))}))
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
-						Dst: tmpA, Src1: tmpA, Src2: regM(k), Pred: nz(regM(k))}))
-					oc.emit(e, hipe(isa.OffloadInst{Op: isa.VALU, ALU: isa.Add,
-						Dst: regAcc, Src1: regAcc, Src2: tmpA}))
+						Pred: nz(regM(k))})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul,
+						Dst: tmpA, Src1: regX(k), Src2: regC(k), Pred: nz(regM(k))})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And,
+						Dst: tmpA, Src1: tmpA, Src2: regM(k), Pred: nz(regM(k))})
+					oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Add, Dst: regAcc, Src1: regAcc, Src2: tmpA})
 				}
 			}
 		}
 		if p.Aggregate && block == blocks-1 {
 			// Spill the accumulator so the processor (and verification)
 			// can read the per-lane partial sums.
-			oc.emit(e, hipe(isa.OffloadInst{Op: isa.VStore, Src1: regAcc,
-				Addr: w.AccRegion, Size: isa.RegisterBytes}))
+			oc.emit(e, isa.OffloadInst{Op: isa.VStore, Src1: regAcc, Addr: w.AccRegion, Size: isa.RegisterBytes})
 		}
-		oc.emitUnlock(e, isa.TargetHIPE)
+		oc.emitUnlock(e)
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: block != blocks-1})
 		block++
 		return true

@@ -187,13 +187,15 @@ func (p Plan) String() string {
 // programs never exist in memory at once. The stream owns one block
 // buffer, its emitter, for its whole life: next resets the emitter and
 // fills it with the following block, or reports false once the program
-// has ended. Next hands µops out by value, so a block is dead once the
-// stream moves past it, and two streams of one workload never share a
-// buffer.
+// has ended. Next hands µops out by value, an offload µop pointing at
+// its instruction in the block buffer — valid, as cpu.Stream allows,
+// until the next call. So a block is dead once the stream moves past
+// it, and two streams of one workload never share a buffer.
 type chunkedStream struct {
 	next func(e *emitter) bool
 	blk  emitter
 	pos  int // next µop of blk to hand out
+	inst int // next offload instruction of blk to hand out
 	done bool
 }
 
@@ -203,7 +205,7 @@ func (s *chunkedStream) Next() (isa.MicroOp, bool) {
 		if s.done {
 			return isa.MicroOp{}, false
 		}
-		s.pos = 0
+		s.pos, s.inst = 0, 0
 		if !s.next(&s.blk) {
 			// A finished stream lets go of its last block.
 			s.blk, s.done = emitter{}, true
@@ -211,6 +213,10 @@ func (s *chunkedStream) Next() (isa.MicroOp, bool) {
 	}
 	op := s.blk.ops[s.pos]
 	s.pos++
+	if op.Class == isa.Offload {
+		op.Offload = &s.blk.insts[s.inst]
+		s.inst++
+	}
 	return op, true
 }
 
@@ -232,15 +238,19 @@ func bitRange(mask []byte, lo, hi int) bool {
 	return false
 }
 
-// packBits extracts bits [lo, hi) of mask into a fresh little-endian
-// packed slice.
-func packBits(mask []byte, lo, hi int) []byte {
-	out := make([]byte, (hi-lo+7)/8)
-	for i := lo; i < hi; i++ {
-		if i/8 < len(mask) && mask[i/8]&(1<<(i%8)) != 0 {
-			j := i - lo
-			out[j/8] |= 1 << (j % 8)
+// appendMasks appends chunks packed masks of bits bits each to dst: bit
+// i of chunk c's mask, little-endian within its (bits+7)/8 bytes, is
+// set iff hit(c, i).
+func appendMasks(dst []byte, chunks, bits int, hit func(c, i int) bool) []byte {
+	nb := (bits + 7) / 8
+	for c := 0; c < chunks; c++ {
+		dst = append(dst, make([]byte, nb)...)
+		m := dst[len(dst)-nb:]
+		for i := 0; i < bits; i++ {
+			if hit(c, i) {
+				m[i/8] |= 1 << (i % 8)
+			}
 		}
 	}
-	return out
+	return dst
 }

@@ -5,10 +5,16 @@ package query
 // stream's steady-state blocks reuse that buffer instead of allocating.
 
 import (
+	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/isa"
+	"github.com/hipe-sim/hipe/internal/sim"
 )
 
 // prepared returns a workload for p over a generated table of n tuples.
@@ -21,12 +27,11 @@ func prepared(t *testing.T, p Plan, n int) *Workload {
 	return w
 }
 
-// TestStreamsOfOneWorkloadAreIndependent drains two streams of one
-// prepared workload alternately, one µop at a time, and requires the
-// same µops from both: bench's traced pass drains a second stream of a
-// workload it has already run, and a block buffer shared between the
-// streams would hand one stream the other's blocks.
-func TestStreamsOfOneWorkloadAreIndependent(t *testing.T) {
+// matrixPlans is the independence matrix: every architecture, strategy
+// and fused variant of both query kinds at one shape, trimmed by
+// ValidateFor the way grid expansion trims it.
+func matrixPlans() []Plan {
+	var plans []Plan
 	for _, kind := range []QueryKind{Q6Select, Q1Agg} {
 		for _, arch := range []Arch{X86, HMC, HIVE, HIPE} {
 			for _, v := range []struct {
@@ -42,77 +47,199 @@ func TestStreamsOfOneWorkloadAreIndependent(t *testing.T) {
 				} else {
 					p.Q = db.DefaultQ06()
 				}
-				if p.ValidateFor(goldenTuples) != nil {
-					continue
+				if p.ValidateFor(goldenTuples) == nil {
+					plans = append(plans, p)
 				}
-				t.Run(p.String(), func(t *testing.T) {
-					w := prepared(t, p, goldenTuples)
-					a, b := w.Stream(), w.Stream()
-					var ua, ub strings.Builder
-					for n := 0; ; n++ {
-						x, okA := a.Next()
-						y, okB := b.Next()
-						if okA != okB {
-							t.Fatalf("µop %d: first stream ok=%t, second ok=%t", n, okA, okB)
-						}
-						if !okA {
-							if n == 0 {
-								t.Fatal("empty stream")
-							}
-							return
-						}
-						ua.Reset()
-						ub.Reset()
-						fmtMicroOp(&ua, x)
-						fmtMicroOp(&ub, y)
-						if ua.String() != ub.String() {
-							t.Fatalf("µop %d differs:\n first  %s second %s", n, ua.String(), ub.String())
-						}
-					}
-				})
 			}
 		}
 	}
+	return plans
 }
 
-// TestStreamBlocksZeroAlloc pins µop generation's steady state: once the
-// first block has sized the stream's buffer, no later block of the x86
-// plans allocates (they carry no offload instructions, the one per-µop
-// allocation left).
-func TestStreamBlocksZeroAlloc(t *testing.T) {
-	for _, strat := range []Strategy{TupleAtATime, ColumnAtATime} {
-		p := Plan{Arch: X86, Strategy: strat, OpSize: 64, Unroll: 8, Q: db.DefaultQ06()}
+// TestStreamsOfOneWorkloadAreIndependent drains two streams of one
+// prepared workload alternately, one µop at a time, and requires the
+// same µops from both: bench's traced pass drains a second stream of a
+// workload it has already run, and a block buffer shared between the
+// streams would hand one stream the other's blocks.
+func TestStreamsOfOneWorkloadAreIndependent(t *testing.T) {
+	for _, p := range matrixPlans() {
 		t.Run(p.String(), func(t *testing.T) {
-			// Two streams past their first block: AllocsPerRun's warm-up
-			// call drains the first and its one measured call drains the
-			// second, so every later block of a stream is counted.
-			w := prepared(t, p, 4096)
-			var streams []*chunkedStream
-			for range 2 {
-				s := w.Stream().(*chunkedStream)
-				for {
-					if _, ok := s.Next(); !ok {
-						t.Fatal("stream ended in its first block")
-					}
-					if s.pos == len(s.blk.ops) {
-						break
-					}
+			w := prepared(t, p, goldenTuples)
+			a, b := w.Stream(), w.Stream()
+			var ua, ub strings.Builder
+			for n := 0; ; n++ {
+				x, okA := a.Next()
+				y, okB := b.Next()
+				if okA != okB {
+					t.Fatalf("µop %d: first stream ok=%t, second ok=%t", n, okA, okB)
 				}
-				streams = append(streams, s)
+				if !okA {
+					if n == 0 {
+						t.Fatal("empty stream")
+					}
+					return
+				}
+				ua.Reset()
+				ub.Reset()
+				fmtMicroOp(&ua, x)
+				fmtMicroOp(&ub, y)
+				if ua.String() != ub.String() {
+					t.Fatalf("µop %d differs:\n first  %s second %s", n, ua.String(), ub.String())
+				}
 			}
-			n, later := 0, 0
+		})
+	}
+}
+
+// presized returns a stream of w whose block buffers start with the
+// capacity a first, fully drained stream of w reached: a stream's
+// buffers grow by append until they fit its largest block, so only a
+// stream that starts at that size shows what its blocks themselves
+// allocate.
+func presized(w *Workload) *chunkedStream {
+	var ops, insts int
+	s := w.Stream().(*chunkedStream)
+	for _, ok := s.Next(); ok; _, ok = s.Next() {
+		ops, insts = max(ops, cap(s.blk.ops)), max(insts, cap(s.blk.insts))
+	}
+	s = w.Stream().(*chunkedStream)
+	s.blk.ops = make([]isa.MicroOp, 0, ops)
+	s.blk.insts = make([]isa.OffloadInst, 0, insts)
+	return s
+}
+
+// TestStreamBlocksZeroAlloc pins µop generation's steady state: no
+// block allocates once a stream's buffers can hold its largest block —
+// offload instructions live by value in the stream's own buffer, and
+// their expected results were built by Prepare. It covers every plan of
+// the independence matrix plus HIPE's in-memory aggregation.
+func TestStreamBlocksZeroAlloc(t *testing.T) {
+	plans := append(matrixPlans(), Plan{Arch: HIPE, Strategy: ColumnAtATime,
+		OpSize: 256, Unroll: 8, Aggregate: true, Q: db.DefaultQ06()})
+	for _, p := range plans {
+		t.Run(p.String(), func(t *testing.T) {
+			w := prepared(t, p, 4096)
+			// AllocsPerRun's warm-up call drains the first stream and
+			// its one measured call drains the second.
+			streams := []*chunkedStream{presized(w), presized(w)}
+			n, blocks := 0, 0
 			allocs := testing.AllocsPerRun(1, func() {
-				later = 0
+				blocks = 0
 				for _, ok := streams[n].Next(); ok; _, ok = streams[n].Next() {
-					later++
+					if streams[n].pos == 1 {
+						blocks++
+					}
 				}
 				n++
 			})
-			if later == 0 {
-				t.Fatal("no µops after the first block")
+			if blocks < 2 {
+				t.Fatalf("%d blocks, want several", blocks)
 			}
 			if allocs != 0 {
-				t.Errorf("%v allocs over the %d µops after the first block, want 0", allocs, later)
+				t.Errorf("%v allocs over the stream's %d blocks, want 0", allocs, blocks)
+			}
+		})
+	}
+}
+
+// poisonedStream hands out a plan's µops and, on each following Next
+// call, overwrites the instruction of the offload µop it handed out
+// last with an invalid one — which cpu.Stream's contract allows, since
+// a µop's Offload pointer is only valid until the next call.
+type poisonedStream struct {
+	s    Stream
+	last *isa.OffloadInst
+}
+
+func (p *poisonedStream) Next() (isa.MicroOp, bool) {
+	if p.last != nil {
+		*p.last = isa.OffloadInst{Op: isa.OffloadOp(0xff)}
+		p.last = nil
+	}
+	u, ok := p.s.Next()
+	if ok && u.Class == isa.Offload {
+		p.last = u.Offload
+	}
+	return u, ok
+}
+
+// TestPoisonedStreamRunsUnchanged pins the core's fetch copy: every
+// plan of the independence matrix runs through a stream that poisons
+// each instruction once the core has fetched it, and the run's cycles,
+// every counter, its checks and its verdict must equal the clean run's.
+func TestPoisonedStreamRunsUnchanged(t *testing.T) {
+	type outcome struct {
+		cycles   uint64
+		counters string
+		events   sim.Stats
+		checked  int
+		verify   error
+	}
+	run := func(t *testing.T, p Plan, poison bool) outcome {
+		w := prepared(t, p, goldenTuples)
+		var s Stream = w.Stream()
+		if poison {
+			s = &poisonedStream{s: s}
+		}
+		cycles := uint64(w.M.Run(s))
+		return outcome{cycles, w.M.Registry.String(), w.M.Engine.Stats(), w.Checked(), w.Verify()}
+	}
+	for _, p := range matrixPlans() {
+		t.Run(p.String(), func(t *testing.T) {
+			want, got := run(t, p, false), run(t, p, true)
+			if want.verify != nil {
+				t.Fatalf("clean run: %v", want.verify)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("poisoned run differs:\n got  %+v\n want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestExactRunZeroAllocPerTuple pins an exact run's allocations to the
+// machine, not the data: one plan of every family makes the same number
+// of allocations running 1024 tuples as 4096. The machine is warm —
+// earlier runs filled its pools, some of which (the caches' MSHR waiter
+// lists) settle only over several runs — and the stream presized, so a
+// run allocates only what it always does; the least of the last three
+// of eight runs counts, because the Go runtime now and then allocates
+// on its own.
+func TestExactRunZeroAllocPerTuple(t *testing.T) {
+	plans := append(checkedPlans(),
+		Plan{Arch: X86, Strategy: TupleAtATime, OpSize: 64, Unroll: 8, Q: db.DefaultQ06()},
+		Plan{Arch: X86, Strategy: ColumnAtATime, OpSize: 64, Unroll: 8, Q: db.DefaultQ06()},
+		Plan{Arch: HIPE, Strategy: ColumnAtATime, OpSize: 256, Unroll: 8, Kind: Q1Agg, Q1: db.DefaultQ01()})
+	for _, p := range plans {
+		t.Run(p.String(), func(t *testing.T) {
+			var allocs [2]uint64
+			for i, n := range []int{1024, 4096} {
+				tab := db.GenerateMemo(n, 42)
+				m := testMachine(t)
+				allocs[i] = math.MaxUint64
+				for pass := 0; pass < 8; pass++ {
+					m.Reset()
+					w, err := Prepare(m, tab, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := presized(w)
+					var before, after runtime.MemStats
+					gc := debug.SetGCPercent(-1)
+					runtime.ReadMemStats(&before)
+					m.Run(s)
+					runtime.ReadMemStats(&after)
+					debug.SetGCPercent(gc)
+					if err := w.Verify(); err != nil {
+						t.Fatal(err)
+					}
+					if pass >= 5 {
+						allocs[i] = min(allocs[i], after.Mallocs-before.Mallocs)
+					}
+				}
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("a warm run allocates %d times over 1024 tuples, %d over 4096", allocs[0], allocs[1])
 			}
 		})
 	}

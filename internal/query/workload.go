@@ -63,9 +63,28 @@ type Workload struct {
 	// groupMask[g] = prefix[last] ∧ group-g membership (Q1Agg only).
 	groupMask [][]byte
 
+	// expect holds the result every checked instruction should produce,
+	// built once by Prepare in regions laid out like the chunked mask
+	// regions: chunk c's mask at the region's offset + c×MaskBytes. A
+	// checked instruction's Expect is its offset here. The regions:
+	// prefixExp[s] holds prefix[s]'s masks (HIVE/HIPE column plans),
+	// cmpExp one lane-uniform compare's (HMC column plans), and
+	// geExp/leExp/bothExp a tuple plan's pattern compares — GE, LE, and
+	// the GE∧LE that HIVE stores.
+	expect                []byte
+	prefixExp             []uint32
+	cmpExp                map[colBound]uint32
+	geExp, leExp, bothExp uint32
+
 	// Runtime verification of engine-computed results.
 	mismatches int
 	checked    int
+}
+
+// colBound is one lane-uniform compare of a column.
+type colBound struct {
+	col int
+	b   Bound
 }
 
 // maxGroupChunks bounds the chunk count of an engine-aggregated Q01
@@ -221,7 +240,72 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 			w.groupMask[g] = gm
 		}
 	}
+	w.buildExpectations()
+	m.SetChecker(w)
 	return w, nil
+}
+
+// buildExpectations fills expect with the regions the plan's checked
+// instructions name.
+func (w *Workload) buildExpectations() {
+	p := w.Plan
+	region := func(chunks, bits int, hit func(c, i int) bool) uint32 {
+		off := uint32(len(w.expect))
+		w.expect = appendMasks(w.expect, chunks, bits, hit)
+		return off
+	}
+	lanes := int(p.OpSize) / isa.LaneBytes
+	switch {
+	case p.Arch == X86:
+	case p.Strategy == TupleAtATime:
+		// A chunk is OpSize bytes of tuple data, or the first OpSize
+		// bytes of one tuple below a tuple's size.
+		stride := max(int(p.OpSize), db.TupleBytes)
+		chunks := w.Table.N * db.TupleBytes / stride
+		data := w.M.Image[w.NSM.Base:]
+		ge := func(c, i int) bool { return isa.LaneAt(data, c*stride/4+i) >= w.patGE[i%db.NumFields] }
+		le := func(c, i int) bool { return isa.LaneAt(data, c*stride/4+i) <= w.patLE[i%db.NumFields] }
+		switch {
+		case w.Desc.Kind == Q1Agg:
+			w.leExp = region(chunks, lanes, le)
+		case p.Arch == HMC:
+			w.geExp, w.leExp = region(chunks, lanes, ge), region(chunks, lanes, le)
+		default:
+			w.bothExp = region(chunks, lanes, func(c, i int) bool { return ge(c, i) && le(c, i) })
+		}
+	case p.Arch == HMC:
+		chunks := w.Table.N / lanes
+		w.cmpExp = map[colBound]uint32{}
+		add := func(col int, b Bound) {
+			vals := columnSlice(w.Table, col)
+			w.cmpExp[colBound{col, b}] = region(chunks, lanes, func(c, i int) bool { return match1(b, vals[c*lanes+i]) })
+		}
+		for _, st := range w.Desc.Stages {
+			for _, b := range st.Bounds {
+				add(st.Col, b)
+			}
+		}
+		if w.Desc.Grouped() {
+			for v := range db.RFValues {
+				add(db.FieldReturnFlag, Bound{isa.CmpEQ, int32(v)})
+			}
+			for v := range db.LSValues {
+				add(db.FieldLineStatus, Bound{isa.CmpEQ, int32(v)})
+			}
+		}
+	default:
+		for _, m := range w.prefix {
+			off := uint32(len(w.expect))
+			w.expect = w.appendMaskRegion(w.expect, m)
+			w.prefixExp = append(w.prefixExp, off)
+		}
+	}
+}
+
+// expectAt is the offset of chunk c's expected mask in the region at
+// off.
+func (w *Workload) expectAt(off uint32, c int) uint32 {
+	return off + uint32(c)*isa.MaskBytes(w.Plan.OpSize)
 }
 
 func andMasks(a, b []byte) []byte {
@@ -257,49 +341,24 @@ func (w *Workload) accAddr(g, agg int) mem.Addr {
 	return w.AccRegion + mem.Addr((g*NumAggs+agg)*isa.RegisterBytes)
 }
 
-// expectPatternMasks returns the packed GE/LE lane masks a pattern compare
-// over [first, first+n) tuples should produce.
-func (w *Workload) expectPatternMasks(firstTuple, nBytes int) (ge, le []byte) {
-	lanes := nBytes / 4
-	glanes := make([]byte, nBytes)
-	llanes := make([]byte, nBytes)
-	base := uint64(w.NSM.TupleAddr(firstTuple))
-	for i := 0; i < lanes; i++ {
-		v := isa.LaneAt(w.M.Image[base:], i)
-		if v >= w.patGE[i%db.NumFields] {
-			isa.SetLane(glanes, i, -1)
-		}
-		if v <= w.patLE[i%db.NumFields] {
-			isa.SetLane(llanes, i, -1)
-		}
-	}
-	ge = make([]byte, isa.MaskBytes(uint32(nBytes)))
-	le = make([]byte, isa.MaskBytes(uint32(nBytes)))
-	isa.CompactMask(ge, glanes, nBytes)
-	isa.CompactMask(le, llanes, nBytes)
-	return ge, le
-}
-
-// expectedMaskRegion lays a per-tuple bitmask out the way the chunked
-// scan stores it: each chunk of OpSize/4 tuples occupies
+// appendMaskRegion appends a per-tuple bitmask laid out the way the
+// chunked scan stores it: each chunk of OpSize/4 tuples occupies
 // MaskBytes(OpSize) bytes (for chunks smaller than 8 tuples the packing
 // differs from a flat bitmask).
-func (w *Workload) expectedMaskRegion(flat []byte) []byte {
-	tuplesPerChunk := int(w.Plan.OpSize) / db.ColumnWidth
-	maskBytes := int(isa.MaskBytes(w.Plan.OpSize))
-	chunks := w.Table.N / tuplesPerChunk
-	out := make([]byte, chunks*maskBytes)
-	for c := 0; c < chunks; c++ {
-		piece := packBits(flat, c*tuplesPerChunk, (c+1)*tuplesPerChunk)
-		copy(out[c*maskBytes:], piece)
-	}
-	return out
+func (w *Workload) appendMaskRegion(dst, flat []byte) []byte {
+	tpc := int(w.Plan.OpSize) / db.ColumnWidth
+	return appendMasks(dst, w.Table.N/tpc, tpc, func(c, i int) bool {
+		j := c*tpc + i
+		return flat[j/8]&(1<<(j%8)) != 0
+	})
 }
 
-// check records an engine-result comparison.
-func (w *Workload) check(got, want []byte) {
+// Check implements isa.Checker: Prepare installs the workload as its
+// machine's checker, and the engines report each checked instruction's
+// result, which must equal the instruction's expectation.
+func (w *Workload) Check(inst *isa.OffloadInst, result []byte) {
 	w.checked++
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(result, w.expect[inst.Expect:int(inst.Expect)+len(result)]) {
 		w.mismatches++
 	}
 }
@@ -343,7 +402,7 @@ func (w *Workload) Verify() error {
 		// The final bitmask region must equal the reference bitmask in
 		// the chunked storage layout (each chunk's tuple bits packed
 		// into MaskBytes(OpSize) bytes).
-		want := w.expectedMaskRegion(w.Ref.Bitmask)
+		want := w.appendMaskRegion(nil, w.Ref.Bitmask)
 		got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("query %s: final bitmask differs from reference (%d vs %d matches)",
@@ -384,7 +443,7 @@ func (w *Workload) verifyQ1() error {
 	if engine {
 		if w.Plan.Arch == HIVE {
 			// HIVE's filter pass stored the chunked filter bitmask.
-			want := w.expectedMaskRegion(w.Ref1.Bitmask)
+			want := w.appendMaskRegion(nil, w.Ref1.Bitmask)
 			got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
 			if !bytes.Equal(got, want) {
 				return fmt.Errorf("query %s: filter bitmask differs from reference (%d vs %d matches)",

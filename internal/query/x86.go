@@ -219,7 +219,7 @@ func (w *Workload) x86Column() *chunkedStream {
 	vr := &vregs{}
 	stage := 0
 	group := 0
-	var regs []isa.Reg // a chunk's bound compares, reused chunk to chunk
+	regs := make([]isa.Reg, 0, 2) // a chunk's bound compares, reused chunk to chunk
 
 	return &chunkedStream{next: func(e *emitter) bool {
 		if stage >= len(stages) {
