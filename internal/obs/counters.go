@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,26 +72,86 @@ func collapseScope(name string) string {
 }
 
 // Capture snapshots reg (and, when non-nil, eng's scheduler accounting
-// under the "engine" scope) into a sorted Counters. It walks the
-// registry once; nothing is retained, so the machine is free to Reset.
+// under the "engine" scope) into a sorted Counters. It reads the
+// registry under one lock and retains nothing of the machine, so the
+// machine is free to Reset. The snapshot's shape — its sorted keys and
+// the key each counter sums into — is built once per registry structure
+// and kept with the registry, so a capture of an unchanged registry
+// makes two allocations: the snapshot and its entries.
 func Capture(reg *stats.Registry, eng *sim.Engine) *Counters {
-	acc := map[string]uint64{}
-	if reg != nil {
-		for _, sc := range reg.Scopes() {
-			family := collapseScope(sc.Name())
-			for _, cn := range sc.Counters() {
-				acc[family+"."+cn] += sc.Get(cn)
-			}
-		}
+	if reg == nil {
+		reg = stats.NewRegistry() // the engine's accounting alone
 	}
+	c := &Counters{}
+	var l *layout
+	reg.Read(func(r stats.Locked) {
+		l, _ = (*r.View()).(*layout)
+		if l == nil || l.version != r.Version() || l.engine != (eng != nil) {
+			l = newLayout(r, eng != nil)
+			*r.View() = l
+		}
+		c.entries = make([]Entry, len(l.keys))
+		for i, k := range l.keys {
+			c.entries[i].Key = k
+		}
+		for i, ctr := range l.ctrs {
+			c.entries[l.slots[i]].Value += ctr.Value()
+		}
+	})
 	if eng != nil {
 		es := eng.Stats()
-		acc["engine.events_scheduled"] += es.Scheduled
-		acc["engine.events_executed"] += es.Executed
-		acc["engine.ring_lane_events"] += es.RingEvents
-		acc["engine.heap_lane_events"] += es.HeapEvents
+		for i, v := range [...]uint64{es.Scheduled, es.Executed, es.RingEvents, es.HeapEvents} {
+			c.entries[l.engineSlots[i]].Value += v
+		}
 	}
-	return fromMap(acc)
+	return c
+}
+
+// engineKeys are the scheduler accounting keys, in Capture's order.
+var engineKeys = [...]string{
+	"engine.events_scheduled", "engine.events_executed",
+	"engine.ring_lane_events", "engine.heap_lane_events",
+}
+
+// layout is a snapshot's shape for one registry structure: the sorted
+// keys, every counter with the slot among them it sums into, and, when
+// the engine is captured too, the slots of the engine keys.
+type layout struct {
+	version     uint64
+	engine      bool
+	keys        []string
+	ctrs        []*stats.Counter
+	slots       []int
+	engineSlots [len(engineKeys)]int
+}
+
+func newLayout(r stats.Locked, engine bool) *layout {
+	l := &layout{version: r.Version(), engine: engine}
+	var keys []string // each counter's key, in registry order
+	r.EachCounter(func(scope, name string, c *stats.Counter) {
+		l.ctrs = append(l.ctrs, c)
+		keys = append(keys, collapseScope(scope)+"."+name)
+	})
+	l.keys = slices.Clone(keys)
+	if engine {
+		l.keys = append(l.keys, engineKeys[:]...)
+	}
+	slices.Sort(l.keys)
+	l.keys = slices.Compact(l.keys)
+	slot := func(k string) int {
+		i, _ := slices.BinarySearch(l.keys, k)
+		return i
+	}
+	l.slots = make([]int, len(keys))
+	for i, k := range keys {
+		l.slots[i] = slot(k)
+	}
+	if engine {
+		for i, k := range engineKeys {
+			l.engineSlots[i] = slot(k)
+		}
+	}
+	return l
 }
 
 // NewCounters builds a snapshot from a plain key → value map — how the

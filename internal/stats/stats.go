@@ -16,9 +16,9 @@ import (
 // Registry holds all scopes for one simulated system instance.
 //
 // Scope and counter creation, the registry-wide read paths (Lookup,
-// Total, Scopes, String, Reset) and a scope's Counters and Get are safe
-// for concurrent callers: observability consumers snapshot registries
-// while executor pools build machines.
+// Total, Scopes, String, Read, Reset) and a scope's Counters and Get are
+// safe for concurrent callers: observability consumers snapshot
+// registries while executor pools build machines.
 // Counter bumps through an obtained *Scope/*Counter stay unsynchronised
 // — each simulated machine is single-threaded, and keeping the hot path
 // lock-free is what keeps it free. So no read path (Lookup, Total,
@@ -26,9 +26,11 @@ import (
 // registry is read by the goroutine that bumps it, or after a hand-off
 // that orders the two.
 type Registry struct {
-	mu     sync.Mutex
-	scopes map[string]*Scope
-	order  []string
+	mu      sync.Mutex
+	scopes  map[string]*Scope
+	order   []string
+	version uint64 // moves whenever a scope or counter is created
+	view    any    // a reader's structure derived from the registry (see Locked.View)
 }
 
 // NewRegistry returns an empty registry.
@@ -44,10 +46,44 @@ func (r *Registry) Scope(name string) *Scope {
 	if s, ok := r.scopes[name]; ok {
 		return s
 	}
-	s := &Scope{name: name, mu: &r.mu, counters: make(map[string]*Counter)}
+	s := &Scope{name: name, reg: r, counters: make(map[string]*Counter)}
 	r.scopes[name] = s
 	r.order = append(r.order, name)
+	r.version++
 	return s
+}
+
+// Read runs fn with the registry locked, so fn sees one consistent
+// structure and reads it through l without taking the lock again. fn
+// must not call the registry's other methods.
+func (r *Registry) Read(fn func(l Locked)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn(Locked{r})
+}
+
+// Locked is a registry seen from inside Read, its lock held.
+type Locked struct{ r *Registry }
+
+// Version reports the registry's structure version, which moves
+// whenever a scope or counter is created: a structure derived from the
+// registry is current while the version it was built at still is.
+func (l Locked) Version() uint64 { return l.r.version }
+
+// View is a slot kept with the registry for one reader's structure
+// derived from it, such as obs's flattened counter layout. Kept here,
+// the structure lives and dies with its registry.
+func (l Locked) View() *any { return &l.r.view }
+
+// EachCounter calls fn for every counter: scopes in creation order and,
+// within a scope, counters in creation order.
+func (l Locked) EachCounter(fn func(scope, name string, c *Counter)) {
+	for _, n := range l.r.order {
+		s := l.r.scopes[n]
+		for _, cn := range s.order {
+			fn(n, cn, s.counters[cn])
+		}
+	}
 }
 
 // Reset zeroes every counter in every scope, preserving the registered
@@ -137,7 +173,7 @@ func (r *Registry) String() string {
 // Scope is a named group of counters belonging to one component.
 type Scope struct {
 	name     string
-	mu       *sync.Mutex // the registry's lock, guarding counters and order
+	reg      *Registry // its lock guards counters and order
 	counters map[string]*Counter
 	order    []string
 }
@@ -147,28 +183,29 @@ func (s *Scope) Name() string { return s.name }
 
 // Counter returns (creating on first use) the named counter.
 func (s *Scope) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
 	if c, ok := s.counters[name]; ok {
 		return c
 	}
 	c := &Counter{}
 	s.counters[name] = c
 	s.order = append(s.order, name)
+	s.reg.version++
 	return c
 }
 
 // Counters returns the scope's counter names in creation order.
 func (s *Scope) Counters() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
 	return append([]string(nil), s.order...)
 }
 
 // Get returns the current value of a counter (0 if never created).
 func (s *Scope) Get(name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
 	if c, ok := s.counters[name]; ok {
 		return c.v
 	}

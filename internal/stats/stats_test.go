@@ -204,7 +204,7 @@ func TestConcurrentScopes(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				s := r.Scope(name)
 				s.Counter(names[i%len(names)])
-				switch i % 6 {
+				switch i % 7 {
 				case 0:
 					r.Scopes()
 				case 1:
@@ -217,6 +217,14 @@ func TestConcurrentScopes(t *testing.T) {
 					s.Counters()
 				case 5:
 					s.Get("hits")
+				case 6:
+					// A structure reader, the way obs.Capture keeps its
+					// layout in the registry's view slot.
+					r.Read(func(l Locked) {
+						n := 0
+						l.EachCounter(func(string, string, *Counter) { n++ })
+						*l.View() = [2]uint64{l.Version(), uint64(n)}
+					})
 				}
 			}
 		}(g)
@@ -236,5 +244,29 @@ func TestConcurrentScopes(t *testing.T) {
 	}
 	if got := r.Total("worker", "ops"); got != 8*200 {
 		t.Fatalf("Total after the bumps = %d, want %d", got, 8*200)
+	}
+}
+
+// TestVersionMovesOnCreation pins the structure version readers cache
+// derived layouts by: creating a scope or a counter moves it, and
+// bumping, reading or resetting counters does not.
+func TestVersionMovesOnCreation(t *testing.T) {
+	r := NewRegistry()
+	version := func() (v uint64) {
+		r.Read(func(l Locked) { v = l.Version() })
+		return v
+	}
+	v0 := version()
+	s := r.Scope("l1d")
+	v1 := version()
+	c := s.Counter("hits")
+	v2 := version()
+	c.Add(3)
+	r.Lookup("l1d.hits")
+	r.Reset()
+	s.Counter("hits") // already exists
+	r.Scope("l1d")    // already exists
+	if v0 == v1 || v1 == v2 || version() != v2 {
+		t.Fatalf("versions %d, %d, %d, %d: want a move per creation and none otherwise", v0, v1, v2, version())
 	}
 }
