@@ -478,7 +478,7 @@ func (c *Core) fetch(now sim.Cycle) {
 // slot for it and returns the slot.
 func (c *Core) holdOffload(seq uint64, in *isa.OffloadInst) *isa.OffloadInst {
 	if seq-c.retired >= uint64(len(c.offSlots)) {
-		panic(fmt.Sprintf("cpu %s: offload slot of µop %d still held by uncommitted µop %d",
+		panic(fmt.Sprintf("cpu %s: offload µop %d would reuse the slot of uncommitted µop %d",
 			c.cfg.Name, seq, seq-uint64(len(c.offSlots))))
 	}
 	slot := &c.offSlots[seq&uint64(len(c.offSlots)-1)]

@@ -295,9 +295,8 @@ func (w *Workload) buildExpectations() {
 		}
 	default:
 		for _, m := range w.prefix {
-			off := uint32(len(w.expect))
+			w.prefixExp = append(w.prefixExp, uint32(len(w.expect)))
 			w.expect = w.appendMaskRegion(w.expect, m)
-			w.prefixExp = append(w.prefixExp, off)
 		}
 	}
 }
