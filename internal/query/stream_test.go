@@ -198,13 +198,14 @@ func TestPoisonedStreamRunsUnchanged(t *testing.T) {
 }
 
 // TestExactRunZeroAllocPerTuple pins an exact run's allocations to the
-// machine, not the data: one plan of every family makes the same number
-// of allocations running 1024 tuples as 4096. The machine is warm —
-// earlier runs filled its pools, some of which (the caches' MSHR waiter
-// lists) settle only over several runs — and the stream presized, so a
-// run allocates only what it always does; the least of the last three
-// of eight runs counts, because the Go runtime now and then allocates
-// on its own.
+// machine, not the data: a warm run of one plan of every family makes
+// at most two allocations, at 1024 tuples and at 4096 alike — nothing
+// per tuple, per µop or per block. The machine is warm — earlier runs
+// filled its pools, some of which (the caches' MSHR waiter lists)
+// settle only over several runs — and the stream presized. The least of
+// the last three of eight runs counts, and two allocations are allowed,
+// because the Go runtime now and then allocates on its own: the caches'
+// MSHR table is a map, which regrows as deleted entries pile up.
 func TestExactRunZeroAllocPerTuple(t *testing.T) {
 	plans := append(checkedPlans(),
 		Plan{Arch: X86, Strategy: TupleAtATime, OpSize: 64, Unroll: 8, Q: db.DefaultQ06()},
@@ -212,11 +213,10 @@ func TestExactRunZeroAllocPerTuple(t *testing.T) {
 		Plan{Arch: HIPE, Strategy: ColumnAtATime, OpSize: 256, Unroll: 8, Kind: Q1Agg, Q1: db.DefaultQ01()})
 	for _, p := range plans {
 		t.Run(p.String(), func(t *testing.T) {
-			var allocs [2]uint64
-			for i, n := range []int{1024, 4096} {
+			for _, n := range []int{1024, 4096} {
 				tab := db.GenerateMemo(n, 42)
 				m := testMachine(t)
-				allocs[i] = math.MaxUint64
+				allocs := uint64(math.MaxUint64)
 				for pass := 0; pass < 8; pass++ {
 					m.Reset()
 					w, err := Prepare(m, tab, p)
@@ -234,12 +234,12 @@ func TestExactRunZeroAllocPerTuple(t *testing.T) {
 						t.Fatal(err)
 					}
 					if pass >= 5 {
-						allocs[i] = min(allocs[i], after.Mallocs-before.Mallocs)
+						allocs = min(allocs, after.Mallocs-before.Mallocs)
 					}
 				}
-			}
-			if allocs[0] != allocs[1] {
-				t.Errorf("a warm run allocates %d times over 1024 tuples, %d over 4096", allocs[0], allocs[1])
+				if allocs > 2 {
+					t.Errorf("a warm run over %d tuples allocates %d times, want at most 2", n, allocs)
+				}
 			}
 		})
 	}
