@@ -76,6 +76,20 @@ type Machine struct {
 
 	// UMem is the uncacheable CPU path to DRAM (through the links).
 	UMem mem.Port
+
+	// Blocks holds the block buffers of the last µop stream to finish
+	// on this machine, lent to the next stream that starts. A stream's
+	// buffers grow until they fit its largest block, and a short run,
+	// such as a serving shard's few blocks, would otherwise pay that
+	// growth every time. Reset keeps them.
+	Blocks Blocks
+}
+
+// Blocks is a µop stream's block storage: the block's µops and its
+// offload instructions.
+type Blocks struct {
+	Ops   []isa.MicroOp
+	Insts []isa.OffloadInst
 }
 
 // offloadMux routes offload instructions to the engine their target

@@ -161,13 +161,18 @@ func (p Plan) Candidates(tuples int) []Plan {
 }
 
 // Stream builds the µop stream for the workload's plan through its
-// registered backend.
+// registered backend. The registered backends' streams borrow their
+// block buffers from the workload's machine.
 func (w *Workload) Stream() Stream {
 	b, ok := BackendFor(w.Plan.Arch)
 	if !ok {
 		panic(fmt.Sprintf("query: plan %s names no registered backend (auto plans must be resolved before compiling)", w.Plan))
 	}
-	return b.Compile(w)
+	s := b.Compile(w)
+	if cs, ok := s.(*chunkedStream); ok {
+		cs.spare = &w.M.Blocks
+	}
+	return s
 }
 
 // The four architectures of the paper, registered behind the Backend

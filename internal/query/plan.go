@@ -24,6 +24,7 @@ import (
 
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/isa"
+	"github.com/hipe-sim/hipe/internal/machine"
 )
 
 // Arch selects the execution model.
@@ -185,18 +186,21 @@ func (p Plan) String() string {
 
 // chunkedStream materialises µops block by block, so multi-million-µop
 // programs never exist in memory at once. The stream owns one block
-// buffer, its emitter, for its whole life: next resets the emitter and
-// fills it with the following block, or reports false once the program
-// has ended. Next hands µops out by value, an offload µop pointing at
-// its instruction in the block buffer — valid, as cpu.Stream allows,
-// until the next call. So a block is dead once the stream moves past
-// it, and two streams of one workload never share a buffer.
+// buffer, its emitter, from its first block to its end: next resets the
+// emitter and fills it with the following block, or reports false once
+// the program has ended. Next hands µops out by value, an offload µop
+// pointing at its instruction in the block buffer — valid, as
+// cpu.Stream allows, until the next call. So a block is dead once the
+// stream moves past it. A stream takes its machine's spare buffers (see
+// machine.Blocks) at its first block and hands them back at its end, so
+// two live streams never share a buffer.
 type chunkedStream struct {
-	next func(e *emitter) bool
-	blk  emitter
-	pos  int // next µop of blk to hand out
-	inst int // next offload instruction of blk to hand out
-	done bool
+	next  func(e *emitter) bool
+	spare *machine.Blocks // where the buffers come from and return to
+	blk   emitter
+	pos   int // next µop of blk to hand out
+	inst  int // next offload instruction of blk to hand out
+	done  bool
 }
 
 // Next implements cpu.Stream.
@@ -205,9 +209,16 @@ func (s *chunkedStream) Next() (isa.MicroOp, bool) {
 		if s.done {
 			return isa.MicroOp{}, false
 		}
+		if s.blk.ops == nil && s.spare != nil {
+			s.blk.ops, s.blk.insts = s.spare.Ops, s.spare.Insts
+			*s.spare = machine.Blocks{}
+		}
 		s.pos, s.inst = 0, 0
 		if !s.next(&s.blk) {
-			// A finished stream lets go of its last block.
+			// A finished stream hands its buffers back.
+			if s.spare != nil {
+				*s.spare = machine.Blocks{Ops: s.blk.ops, Insts: s.blk.insts}
+			}
 			s.blk, s.done = emitter{}, true
 		}
 	}

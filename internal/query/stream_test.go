@@ -91,37 +91,32 @@ func TestStreamsOfOneWorkloadAreIndependent(t *testing.T) {
 	}
 }
 
-// presized returns a stream of w whose block buffers start with the
-// capacity a first, fully drained stream of w reached: a stream's
-// buffers grow by append until they fit its largest block, so only a
-// stream that starts at that size shows what its blocks themselves
-// allocate.
-func presized(w *Workload) *chunkedStream {
-	var ops, insts int
-	s := w.Stream().(*chunkedStream)
+// drain runs a stream to its end and reports its length. A finished
+// stream leaves its block buffers, grown to fit its largest block, with
+// its workload's machine for the next stream to take.
+func drain(s Stream) (n int) {
 	for _, ok := s.Next(); ok; _, ok = s.Next() {
-		ops, insts = max(ops, cap(s.blk.ops)), max(insts, cap(s.blk.insts))
+		n++
 	}
-	s = w.Stream().(*chunkedStream)
-	s.blk.ops = make([]isa.MicroOp, 0, ops)
-	s.blk.insts = make([]isa.OffloadInst, 0, insts)
-	return s
+	return n
 }
 
-// TestStreamBlocksZeroAlloc pins µop generation's steady state: no
-// block allocates once a stream's buffers can hold its largest block —
-// offload instructions live by value in the stream's own buffer, and
-// their expected results were built by Prepare. It covers every plan of
-// the independence matrix plus HIPE's in-memory aggregation.
+// TestStreamBlocksZeroAlloc pins µop generation's steady state: a stream
+// that starts with the block buffers an earlier stream left on its
+// machine allocates nothing in any block — offload instructions live by
+// value in the stream's own buffer, and their expected results were
+// built by Prepare. It covers every plan of the independence matrix
+// plus HIPE's in-memory aggregation.
 func TestStreamBlocksZeroAlloc(t *testing.T) {
 	plans := append(matrixPlans(), Plan{Arch: HIPE, Strategy: ColumnAtATime,
 		OpSize: 256, Unroll: 8, Aggregate: true, Q: db.DefaultQ06()})
 	for _, p := range plans {
 		t.Run(p.String(), func(t *testing.T) {
 			w := prepared(t, p, 4096)
+			drain(w.Stream())
 			// AllocsPerRun's warm-up call drains the first stream and
 			// its one measured call drains the second.
-			streams := []*chunkedStream{presized(w), presized(w)}
+			streams := []*chunkedStream{w.Stream().(*chunkedStream), w.Stream().(*chunkedStream)}
 			n, blocks := 0, 0
 			allocs := testing.AllocsPerRun(1, func() {
 				blocks = 0
@@ -200,12 +195,13 @@ func TestPoisonedStreamRunsUnchanged(t *testing.T) {
 // TestExactRunZeroAllocPerTuple pins an exact run's allocations to the
 // machine, not the data: a warm run of one plan of every family makes
 // at most two allocations, at 1024 tuples and at 4096 alike — nothing
-// per tuple, per µop or per block. The machine is warm — earlier runs
+// per tuple, per µop or per block. The machine is warm: earlier runs
 // filled its pools, some of which (the caches' MSHR waiter lists)
-// settle only over several runs — and the stream presized. The least of
-// the last three of eight runs counts, and two allocations are allowed,
-// because the Go runtime now and then allocates on its own: the caches'
-// MSHR table is a map, which regrows as deleted entries pile up.
+// settle only over several runs, and left their streams' block buffers
+// with it. The least of the last three of eight runs counts, and two
+// allocations are allowed, because the Go runtime now and then
+// allocates on its own: the caches' MSHR table is a map, which regrows
+// as deleted entries pile up.
 func TestExactRunZeroAllocPerTuple(t *testing.T) {
 	plans := append(checkedPlans(),
 		Plan{Arch: X86, Strategy: TupleAtATime, OpSize: 64, Unroll: 8, Q: db.DefaultQ06()},
@@ -223,7 +219,7 @@ func TestExactRunZeroAllocPerTuple(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s := presized(w)
+					s := w.Stream()
 					var before, after runtime.MemStats
 					gc := debug.SetGCPercent(-1)
 					runtime.ReadMemStats(&before)
