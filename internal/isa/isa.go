@@ -245,8 +245,9 @@ func (p Predicate) String() string {
 // own copy: the µop stream that generated it (until the stream's next
 // Next call), the core that fetched it (until the µop commits), and the
 // engine it was submitted to (until it executes). No holder keeps a
-// pointer into another's copy, and no engine writes into an instruction
-// it does not own.
+// pointer into another's copy. An engine's Submit validates the
+// caller's copy, so the memo lands there and a refused instruction's
+// retries skip revalidation, and executes only its own.
 type OffloadInst struct {
 	Target Target
 	Op     OffloadOp
