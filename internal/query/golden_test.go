@@ -117,14 +117,28 @@ type goldenEntry struct {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_streams.json") }
 
+// goldenKey names a plan in the golden file. Plan.String leaves out
+// Aggregate, so an Aggregate plan carries an "/agg" suffix to keep it
+// from overwriting its plain twin.
+func goldenKey(p Plan) string {
+	if p.Aggregate {
+		return p.String() + "/agg"
+	}
+	return p.String()
+}
+
 // TestGoldenStreams asserts that every pinned plan combination still
 // generates a byte-identical µop stream.
 func TestGoldenStreams(t *testing.T) {
 	plans := goldenPlans()
 	got := make(map[string]goldenEntry, len(plans))
 	for _, p := range plans {
+		k := goldenKey(p)
+		if _, dup := got[k]; dup {
+			t.Fatalf("two pinned plans share the key %s", k)
+		}
 		hash, ops := streamHash(t, p)
-		got[p.String()] = goldenEntry{Hash: hash, Ops: ops}
+		got[k] = goldenEntry{Hash: hash, Ops: ops}
 	}
 
 	if *updateGolden {
