@@ -142,3 +142,65 @@ func TestFlippedExpectationFailsOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestVerifyCatchesWrongArtifacts breaks one memory artifact of a clean
+// run per plan and requires Verify to fail and name it: one bit of the
+// final bitmask region, one lane of an accumulator, or — for the plans
+// whose only artifacts are runtime checks — a run that never happened.
+func TestVerifyCatchesWrongArtifacts(t *testing.T) {
+	tab := db.GenerateMemo(1024, 42)
+	q6 := func(arch Arch, s Strategy, fused, agg bool) Plan {
+		return Plan{Arch: arch, Strategy: s, Fused: fused, Aggregate: agg, OpSize: 256, Unroll: 8, Q: db.DefaultQ06()}
+	}
+	q1 := func(arch Arch, s Strategy) Plan {
+		return Plan{Arch: arch, Strategy: s, OpSize: 256, Unroll: 8, Kind: Q1Agg, Q1: db.DefaultQ01()}
+	}
+	const (
+		flipMask = iota // flip bit 0 of the final bitmask region
+		flipAcc         // flip bit 0 of the first accumulator's lane 0
+		noRun           // verify a workload whose stream never ran
+	)
+	for _, tc := range []struct {
+		p    Plan
+		how  int
+		want string
+	}{
+		{q6(HIVE, ColumnAtATime, false, false), flipMask, "final bitmask differs"},
+		{q6(HIVE, ColumnAtATime, true, false), flipMask, "final bitmask differs"},
+		{q1(HIVE, ColumnAtATime), flipMask, "bitmask differs"},
+		{q6(HIPE, ColumnAtATime, false, false), flipMask, "final bitmask differs"},
+		{q6(HIPE, ColumnAtATime, false, true), flipAcc, "in-memory revenue"},
+		{q1(HIVE, ColumnAtATime), flipAcc, "group 0 count"},
+		{q1(HIPE, ColumnAtATime), flipAcc, "group 0 count"},
+		{q6(HMC, TupleAtATime, false, false), noRun, "no runtime checks ran"},
+		{q6(HMC, ColumnAtATime, false, false), noRun, "no runtime checks ran"},
+		{q1(HMC, TupleAtATime), noRun, "no runtime checks ran"},
+		{q1(HMC, ColumnAtATime), noRun, "no runtime checks ran"},
+		{q6(HIVE, TupleAtATime, false, false), noRun, "no runtime checks ran"},
+		{q1(HIVE, TupleAtATime), noRun, "no runtime checks ran"},
+	} {
+		name := goldenKey(tc.p) + "/" + [...]string{"mask", "acc", "norun"}[tc.how]
+		t.Run(name, func(t *testing.T) {
+			m := testMachine(t)
+			w, err := Prepare(m, tab, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.how != noRun {
+				m.Run(w.Stream())
+				if err := w.Verify(); err != nil {
+					t.Fatalf("clean run: %v", err)
+				}
+			}
+			switch tc.how {
+			case flipMask:
+				m.Image[w.FinalMask] ^= 1
+			case flipAcc:
+				m.Image[w.AccRegion] ^= 1
+			}
+			if err := w.Verify(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Verify() = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+}
