@@ -176,9 +176,9 @@ func (w *Workload) Stream() Stream {
 }
 
 // The four architectures of the paper, registered behind the Backend
-// interface. Each Compile dispatches on the workload's query kind and
-// strategy to the generator that produces the architecture's µop
-// stream.
+// interface. Each Compile dispatches on the plan's strategy (and, where
+// the architecture compiles them apart, on whether the query groups)
+// to the generator that produces the architecture's µop stream.
 
 func init() {
 	Register(x86Backend{})
@@ -197,14 +197,11 @@ func (x86Backend) Caps() Caps {
 	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 64, MaxUnroll: 8}
 }
 func (x86Backend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
-		if w.Plan.Strategy == TupleAtATime {
-			return w.q1x86Tuple()
-		}
-		return w.q1x86Column()
-	}
-	if w.Plan.Strategy == TupleAtATime {
+	switch {
+	case w.Plan.Strategy == TupleAtATime:
 		return w.x86Tuple()
+	case w.Desc.Grouped():
+		return w.q1x86Column()
 	}
 	return w.x86Column()
 }
@@ -217,14 +214,11 @@ func (hmcBackend) Caps() Caps {
 	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32}
 }
 func (hmcBackend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
-		if w.Plan.Strategy == TupleAtATime {
-			return w.q1hmcTuple()
-		}
-		return w.q1hmcColumn()
-	}
-	if w.Plan.Strategy == TupleAtATime {
+	switch {
+	case w.Plan.Strategy == TupleAtATime:
 		return w.hmcTuple()
+	case w.Desc.Grouped():
+		return w.q1hmcColumn()
 	}
 	return w.hmcColumn()
 }
@@ -237,16 +231,10 @@ func (hiveBackend) Caps() Caps {
 	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Fused: true}
 }
 func (hiveBackend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
-		if w.Plan.Strategy == TupleAtATime {
-			return w.q1pimTuple()
-		}
-		return w.q1hiveColumn()
-	}
-	if w.Plan.Strategy == TupleAtATime {
-		return w.pimTuple()
-	}
-	if w.Plan.Fused {
+	switch {
+	case w.Plan.Strategy == TupleAtATime:
+		return w.hiveTuple()
+	case w.Plan.Fused:
 		return w.hiveFusedColumn()
 	}
 	return w.hiveColumn()
@@ -262,7 +250,7 @@ func (hipeBackend) Caps() Caps {
 	return Caps{ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Aggregate: true}
 }
 func (hipeBackend) Compile(w *Workload) Stream {
-	if w.Desc.Kind == Q1Agg {
+	if w.Desc.Grouped() {
 		return w.q1hipeColumn()
 	}
 	return w.hipeColumn()

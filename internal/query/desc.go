@@ -12,6 +12,7 @@ import (
 
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/isa"
+	"github.com/hipe-sim/hipe/internal/mem"
 )
 
 // QueryKind selects the workload family a plan executes.
@@ -188,38 +189,49 @@ func columnSlice(t *db.Table, col int) []int32 {
 	}
 }
 
-// tuplePatternsDesc builds the per-lane GE and LE constants for one
-// 16-field tuple from the description: predicate fields carry their
-// bounds, every other lane always matches. This is what a
-// tuple-at-a-time pattern compare (HMC CmpRead immediates, HIVE bound
-// registers) evaluates in a single instruction.
-func tuplePatternsDesc(d Desc) (ge, le []int32) {
-	ge = make([]int32, db.NumFields)
-	le = make([]int32, db.NumFields)
-	for f := 0; f < db.NumFields; f++ {
-		ge[f] = minInt32
-		le[f] = maxInt32
+// patternRow is one pattern compare of a tuple-at-a-time plan: per-lane
+// constants for one 16-field tuple, compared with kind (GE or LE)
+// against each lane of tuple data in a single instruction — an HMC
+// CmpRead carries the row as its pattern, HIVE loads it into a bound
+// register.
+type patternRow struct {
+	kind   isa.ALUKind
+	pat    []int32
+	bounds bool     // some predicate bound sets a lane of the row
+	addr   mem.Addr // the row tiled across 256 B of the image
+	exp    uint32   // expected masks of the row's compares (HMC)
+}
+
+func (r *patternRow) set(col int, v int32) { r.pat[col], r.bounds = v, true }
+
+// tuplePatterns builds the GE and LE pattern rows from the description:
+// predicate fields carry their bounds, every other lane always matches.
+func tuplePatterns(d Desc) [2]patternRow {
+	ge := patternRow{kind: isa.CmpGE, pat: make([]int32, db.NumFields)}
+	le := patternRow{kind: isa.CmpLE, pat: make([]int32, db.NumFields)}
+	for f := range ge.pat {
+		ge.pat[f], le.pat[f] = minInt32, maxInt32
 	}
 	for _, st := range d.Stages {
 		for _, b := range st.Bounds {
 			switch b.Kind {
 			case isa.CmpGE:
-				ge[st.Col] = b.Imm
+				ge.set(st.Col, b.Imm)
 			case isa.CmpGT:
-				ge[st.Col] = b.Imm + 1
+				ge.set(st.Col, b.Imm+1)
 			case isa.CmpLE:
-				le[st.Col] = b.Imm
+				le.set(st.Col, b.Imm)
 			case isa.CmpLT:
-				le[st.Col] = b.Imm - 1
+				le.set(st.Col, b.Imm-1)
 			case isa.CmpEQ:
-				ge[st.Col] = b.Imm
-				le[st.Col] = b.Imm
+				ge.set(st.Col, b.Imm)
+				le.set(st.Col, b.Imm)
 			default:
 				panic(fmt.Sprintf("query: pattern bound kind %s", b.Kind))
 			}
 		}
 	}
-	return ge, le
+	return [2]patternRow{ge, le}
 }
 
 const (
@@ -240,9 +252,9 @@ type cpuAcc struct {
 // add emits one accumulate µop (class IntALU for add-into-sum, IntMul
 // where the addend itself is a product) chained onto the (g, agg)
 // accumulator, reading src.
-func (a *cpuAcc) add(emit func(isa.MicroOp), class isa.OpClass, g, agg int, src isa.Reg) {
+func (a *cpuAcc) add(e *emitter, class isa.OpClass, g, agg int, src isa.Reg) {
 	dst := a.vr.fresh()
-	emit(isa.MicroOp{Class: class, Dst: dst, Src1: a.regs[g][agg], Src2: src})
+	e.emit(isa.MicroOp{Class: class, Dst: dst, Src1: a.regs[g][agg], Src2: src})
 	a.regs[g][agg] = dst
 }
 
@@ -252,17 +264,65 @@ func (a *cpuAcc) add(emit func(isa.MicroOp), class isa.OpClass, g, agg int, src 
 // direction is in-memory data), the revenue multiply, and the four
 // aggregate updates chained onto the group's register accumulators.
 // tup is the register holding the tuple's data.
-func (w *Workload) emitTupleAccumulate(emit func(isa.MicroOp), acc *cpuAcc, i int, tup isa.Reg) {
+func (w *Workload) emitTupleAccumulate(e *emitter, acc *cpuAcc, i int, tup isa.Reg) {
 	g := w.tupleGroup(i)
 	rf, ls := groupKey(g)
 	gid := acc.vr.fresh()
-	emit(isa.MicroOp{Class: isa.IntALU, Dst: gid, Src1: tup})
-	emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: rf == db.ReturnFlagN})
-	emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: ls == db.LineStatusO})
+	e.emit(isa.MicroOp{Class: isa.IntALU, Dst: gid, Src1: tup})
+	e.emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: rf == db.ReturnFlagN})
+	e.emit(isa.MicroOp{Class: isa.Branch, Src1: gid, Taken: ls == db.LineStatusO})
 	rev := acc.vr.fresh()
-	emit(isa.MicroOp{Class: isa.IntMul, Dst: rev, Src1: tup})
-	acc.add(emit, isa.IntALU, g, AggCount, gid)
-	acc.add(emit, isa.IntALU, g, AggQty, tup)
-	acc.add(emit, isa.IntALU, g, AggPrice, tup)
-	acc.add(emit, isa.IntALU, g, AggRevenue, rev)
+	e.emit(isa.MicroOp{Class: isa.IntMul, Dst: rev, Src1: tup})
+	acc.add(e, isa.IntALU, g, AggCount, gid)
+	acc.add(e, isa.IntALU, g, AggQty, tup)
+	acc.add(e, isa.IntALU, g, AggPrice, tup)
+	acc.add(e, isa.IntALU, g, AggRevenue, rev)
+}
+
+// tupleAction is what a tuple-at-a-time plan does with each matching
+// tuple: a selection materialises it, an aggregation accumulates it
+// into its group's processor registers.
+type tupleAction struct {
+	w       *Workload
+	vr      *vregs
+	acc     *cpuAcc // nil for a selection
+	matched int     // tuples materialised so far
+}
+
+func (w *Workload) newTupleAction(vr *vregs) *tupleAction {
+	a := &tupleAction{w: w, vr: vr}
+	if w.Desc.Grouped() {
+		a.acc = &cpuAcc{vr: vr}
+	}
+	return a
+}
+
+// match emits the action on matching tuple i. tup holds the tuple's
+// data, or is RegNone when only its bitmask reached the processor: an
+// aggregation then reloads the tuple through the cache hierarchy.
+func (a *tupleAction) match(e *emitter, i int, tup isa.Reg) {
+	if a.acc == nil {
+		e.emit(isa.MicroOp{Class: isa.Store,
+			Addr: a.w.Materialize + mem.Addr(a.matched*db.TupleBytes), Size: db.TupleBytes})
+		a.matched++
+		return
+	}
+	if tup == isa.RegNone {
+		tup = a.vr.fresh()
+		e.emit(isa.MicroOp{Class: isa.Load, Dst: tup, Addr: a.w.NSM.TupleAddr(i), Size: db.TupleBytes})
+	}
+	a.w.emitTupleAccumulate(e, a.acc, i, tup)
+}
+
+// test emits the processor's test of tuple i against its chunk's
+// bitmask m — extract the tuple's bits, branch on them — and the action
+// if the tuple matches.
+func (a *tupleAction) test(e *emitter, m isa.Reg, i int) {
+	tv := a.vr.fresh()
+	e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: m})
+	match := a.w.tupleMatch(i)
+	e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
+	if match {
+		a.match(e, i, isa.RegNone)
+	}
 }

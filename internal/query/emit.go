@@ -58,6 +58,27 @@ func (e *emitter) loopTail(vr *vregs, more bool) {
 	e.emit(isa.MicroOp{Class: isa.Branch, Taken: more})
 }
 
+// and ANDs the compare result c into the running mask m — c itself
+// while there is none yet — and returns the new running mask.
+func (e *emitter) and(vr *vregs, m, c isa.Reg) isa.Reg {
+	if m == isa.RegNone {
+		return c
+	}
+	nm := vr.fresh()
+	e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: c})
+	return nm
+}
+
+// pcBase picks a generator's PC base by what the plan does with its
+// matches. PCs index the branch predictor, so selections and
+// aggregations each keep the bases their streams have always had.
+func (w *Workload) pcBase(sel, agg uint64) uint64 {
+	if w.Desc.Grouped() {
+		return agg
+	}
+	return sel
+}
+
 // blockBounds returns the half-open [first, last) item range of block b
 // when items are processed per at a time out of total.
 func blockBounds(b, per, total int) (first, last int) {

@@ -7,62 +7,46 @@ import (
 )
 
 // hmcTuple generates the HMC-baseline tuple-at-a-time scan: per chunk of
-// OpSize bytes of tuple data, two load-compare instructions (GE and LE
-// lane patterns) execute inside the vault; the processor ANDs the
-// returned bitmasks, branches per tuple, and materialises matches with
-// cache-assisted stores.
+// OpSize bytes of tuple data, one load-compare instruction per pattern
+// row executes inside the vault; the processor ANDs the returned
+// bitmasks, branches per tuple, and acts on matches. A selection
+// materialises matching tuples with cache-assisted stores and stores
+// the chunk's bitmask; an aggregation reloads each matching tuple
+// through the cache hierarchy, branches again on its group key, and
+// accumulates the group's running sums in registers.
 func (w *Workload) hmcTuple() *chunkedStream {
 	p := w.Plan
-	S := int(p.OpSize)
-	// A chunk covers whole tuples for S >= 64, or the predicate-bearing
-	// prefix of a single tuple for smaller sizes.
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
-	chunks := w.Table.N / tuplesPerChunk
+	chunks, tuplesPerChunk, stride := w.tupleChunks()
 	groups := (chunks + p.Unroll - 1) / p.Unroll
-	patGE, patLE := w.patternLanes(w.patGE), w.patternLanes(w.patLE)
+	maskBytes := isa.MaskBytes(p.OpSize)
+	pcBase := w.pcBase(0x3000, 0x9000)
 
 	vr := &vregs{}
+	act := w.newTupleAction(vr)
 	group := 0
-	matched := 0
 	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
 			return false
 		}
-		e.reset(0x3000)
+		e.reset(pcBase)
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
-			firstTuple := c * tuplesPerChunk
 			addr := w.NSM.Base + mem.Addr(c*stride)
-
-			g, l := vr.fresh(), vr.fresh()
-			e.offload(g, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpGE,
-				Addr: addr, Size: p.OpSize, Pattern: patGE, Check: true, Expect: w.expectAt(w.geExp, c)})
-			e.offload(l, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: addr, Size: p.OpSize, Pattern: patLE, Check: true, Expect: w.expectAt(w.leExp, c)})
-			m := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: m, Src1: g, Src2: l})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := firstTuple + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: m})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if match {
-					e.emit(isa.MicroOp{Class: isa.Store,
-						Addr: w.Materialize + mem.Addr(matched*db.TupleBytes),
-						Size: db.TupleBytes})
-					matched++
-				}
+			m := isa.RegNone
+			for _, r := range w.rows {
+				cr := vr.fresh()
+				e.offload(cr, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: r.kind,
+					Addr: addr, Size: p.OpSize, Pattern: w.patternLanes(r.pat), Check: true, Expect: w.expectAt(r.exp, c)})
+				m = e.and(vr, m, cr)
 			}
-			// Store the chunk's bitmask with cache assistance.
-			e.emit(isa.MicroOp{Class: isa.Store, Src1: m,
-				Addr: w.FinalMask + mem.Addr(c)*mem.Addr(isa.MaskBytes(p.OpSize)),
-				Size: isa.MaskBytes(p.OpSize)})
+			for t := 0; t < tuplesPerChunk; t++ {
+				act.test(e, m, c*tuplesPerChunk+t)
+			}
+			if act.acc == nil {
+				// Store the chunk's bitmask with cache assistance.
+				e.emit(isa.MicroOp{Class: isa.Store, Src1: m,
+					Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
+			}
 		}
 		e.loopTail(vr, group != groups-1)
 		group++
@@ -84,63 +68,6 @@ func (w *Workload) hmcCmpRead(e *emitter, vr *vregs, col, c int, b Bound) isa.Re
 		Addr: w.DSM.ColBase[col] + mem.Addr(c*int(w.Plan.OpSize)), Size: w.Plan.OpSize, Imm: b.Imm,
 		Check: true, Expect: w.expectAt(w.cmpExp[colBound{col, b}], c)})
 	return r
-}
-
-// q1hmcTuple generates the HMC-baseline tuple-at-a-time Q01
-// aggregation: per chunk of tuple data, one load-compare instruction
-// evaluates the shipdate filter pattern inside the vault; the bitmask
-// round-trips to the processor, which branches per tuple, reloads
-// matching tuples through the cache hierarchy, branches again on the
-// group key, and accumulates the group's running sums in registers.
-func (w *Workload) q1hmcTuple() *chunkedStream {
-	p := w.Plan
-	S := int(p.OpSize)
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
-	chunks := w.Table.N / tuplesPerChunk
-	groups := (chunks + p.Unroll - 1) / p.Unroll
-	patLE := w.patternLanes(w.patLE)
-
-	vr := &vregs{}
-	acc := &cpuAcc{vr: vr}
-	group := 0
-	return &chunkedStream{next: func(e *emitter) bool {
-		if group >= groups {
-			return false
-		}
-		e.reset(0x9000)
-		first, last := blockBounds(group, p.Unroll, chunks)
-		for c := first; c < last; c++ {
-			firstTuple := c * tuplesPerChunk
-			m := vr.fresh()
-			e.offload(m, isa.RegNone, isa.OffloadInst{Target: isa.TargetHMC, Op: isa.CmpRead, ALU: isa.CmpLE,
-				Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize, Pattern: patLE,
-				Check: true, Expect: w.expectAt(w.leExp, c)})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := firstTuple + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: m})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if !match {
-					continue
-				}
-				// Cache-path reload of the matching tuple, then the
-				// shared group-dispatch-and-accumulate block.
-				tup := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
-					Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
-				w.emitTupleAccumulate(e.emit, acc, i, tup)
-			}
-		}
-		e.loopTail(vr, group != groups-1)
-		group++
-		return true
-	}}
 }
 
 // q1hmcColumn generates the HMC-baseline column-at-a-time Q01
@@ -171,14 +98,7 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 			// Filter bitmask in the vault.
 			m := isa.RegNone
 			for _, b := range st.Bounds {
-				r := w.hmcCmpRead(e, vr, st.Col, c, b)
-				if m == isa.RegNone {
-					m = r
-				} else {
-					nm := vr.fresh()
-					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: r})
-					m = nm
-				}
+				m = e.and(vr, m, w.hmcCmpRead(e, vr, st.Col, c, b))
 			}
 			// Key bitmasks in the vault, one compare per distinct value.
 			var rfMask [db.RFValues]isa.Reg
@@ -208,7 +128,7 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: km, Src1: rfMask[rf], Src2: lsMask[ls]})
 				gm := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: gm, Src1: km, Src2: m})
-				acc.add(e.emit, isa.IntALU, g, AggCount, gm)
+				acc.add(e, isa.IntALU, g, AggCount, gm)
 				// Mask each measure with the membership, then fold it in.
 				for _, ms := range [...]struct {
 					agg int
@@ -216,7 +136,7 @@ func (w *Workload) q1hmcColumn() *chunkedStream {
 				}{{AggQty, qpd[0]}, {AggPrice, qpd[1]}, {AggRevenue, rev}} {
 					t := vr.fresh()
 					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: t, Src1: ms.src, Src2: gm})
-					acc.add(e.emit, isa.IntALU, g, ms.agg, t)
+					acc.add(e, isa.IntALU, g, ms.agg, t)
 				}
 			}
 		}
@@ -252,16 +172,10 @@ func (w *Workload) hmcColumn() *chunkedStream {
 		first, last := blockBounds(group, p.Unroll, chunks)
 		for c := first; c < last; c++ {
 			// One load-compare per stage bound, straight from the
-			// description; the masks AND together once all are issued.
-			var results [2]isa.Reg
-			for i, b := range st.Bounds {
-				results[i] = w.hmcCmpRead(e, vr, col, c, b)
-			}
-			m := results[0]
-			for _, r := range results[1:len(st.Bounds)] {
-				nm := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: r})
-				m = nm
+			// description, the masks ANDed in order.
+			m := isa.RegNone
+			for _, b := range st.Bounds {
+				m = e.and(vr, m, w.hmcCmpRead(e, vr, col, c, b))
 			}
 			if stage > 0 {
 				prev := vr.fresh()

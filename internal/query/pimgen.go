@@ -26,53 +26,48 @@ const hiveWave = 30
 // temporaries r30..r32.
 const hipeWave = 15
 
-// pimTuple generates the HIVE tuple-at-a-time scan: per wave, a lock
-// block hoists the tuple-data loads, pattern-compares each chunk against
-// the bound registers, and stores the lane bitmasks; the processor then
-// fetches each bitmask, branches per tuple and materialises matches.
-// Lock blocks are serialised through the processor — the control
-// dependency the paper blames for HIVE's tuple-at-a-time behaviour.
-func (w *Workload) pimTuple() *chunkedStream {
+// hiveTuple generates the HIVE tuple-at-a-time scan: per wave, a lock
+// block hoists the tuple-data loads, compares each chunk against the
+// pattern rows in the bound registers, and stores the lane bitmasks; the
+// processor then fetches each bitmask, branches per tuple and acts on
+// matches — materialising them, or, for an aggregation, reloading them
+// through the cache, branching on the group key and accumulating in
+// registers. Lock blocks are serialised through the processor — the
+// control dependency the paper blames for HIVE's tuple-at-a-time
+// behaviour.
+func (w *Workload) hiveTuple() *chunkedStream {
 	p := w.Plan
-	S := int(p.OpSize)
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
-	chunks := w.Table.N / tuplesPerChunk
-	wave := p.Unroll
-	if wave > hiveWave {
-		wave = hiveWave
-	}
+	chunks, tuplesPerChunk, stride := w.tupleChunks()
+	wave := min(p.Unroll, hiveWave)
 	groups := (chunks + wave - 1) / wave
 	maskBytes := isa.MaskBytes(p.OpSize)
+	pcBase := w.pcBase(0x5000, 0xA000)
 
-	const regGE, regLE = 33, 34
-	const tmpA, tmpB = 30, 31
+	// Pattern row k lives in r33+k; its compare lands in r30+k.
+	const regRow, tmpRow = 33, 30
 	vr := &vregs{}
+	act := w.newTupleAction(vr)
 	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
 	setupDone := false
 	group := 0
-	matched := 0
 
 	return &chunkedStream{next: func(e *emitter) bool {
 		if !setupDone {
 			setupDone = true
-			// One-time block: load the GE/LE pattern rows into the two
-			// reserved bound registers.
-			e.reset(0x5000)
+			// One-time block: load the pattern rows into the reserved
+			// bound registers.
+			e.reset(pcBase)
 			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regGE, Addr: w.PatternGE, Size: 256})
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regLE, Addr: w.PatternLE, Size: 256})
+			for k, r := range w.rows {
+				oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: uint8(regRow + k), Addr: r.addr, Size: 256})
+			}
 			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
 			return true
 		}
 		if group >= groups {
 			return false
 		}
-		e.reset(0x5100)
+		e.reset(pcBase + 0x100)
 		first, last := blockBounds(group, wave, chunks)
 		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted data loads, one register per chunk.
@@ -81,35 +76,29 @@ func (w *Workload) pimTuple() *chunkedStream {
 				Dst: uint8(c - first), Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
 		}
 		// Phase B: per-chunk pattern compares into shared temporaries,
-		// bitmask stored straight out of the temp.
+		// ANDed into the first, bitmask stored straight out of it.
 		for c := first; c < last; c++ {
 			rD := uint8(c - first)
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpGE, Dst: tmpA, Src1: rD, Src2: regGE})
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE, Dst: tmpB, Src1: rD, Src2: regLE})
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: tmpA, Src1: tmpA, Src2: tmpB})
+			for k, r := range w.rows {
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: r.kind, Dst: uint8(tmpRow + k), Src1: rD, Src2: uint8(regRow + k)})
+			}
+			for k := 1; k < len(w.rows); k++ {
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.And, Dst: tmpRow, Src1: tmpRow, Src2: uint8(tmpRow + k)})
+			}
 			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
-				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				Check: true, Expect: w.expectAt(w.bothExp, c)})
+				Src1: tmpRow, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
+				Check: true, Expect: w.expectAt(w.tupleExp, c)})
 		}
 		unlockAck := oc.emitUnlock(e)
 
 		// Processor control flow: fetch each chunk's bitmask, test per
-		// tuple, materialise matches.
+		// tuple, act on matches.
 		for c := first; c < last; c++ {
 			lm := vr.fresh()
 			e.emit(isa.MicroOp{Class: isa.Load, Dst: lm, Src1: unlockAck,
 				Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
 			for t := 0; t < tuplesPerChunk; t++ {
-				i := c*tuplesPerChunk + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: lm})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if match {
-					e.emit(isa.MicroOp{Class: isa.Store,
-						Addr: w.Materialize + mem.Addr(matched*db.TupleBytes), Size: db.TupleBytes})
-					matched++
-				}
+				act.test(e, lm, c*tuplesPerChunk+t)
 			}
 		}
 		e.loopTail(vr, group != groups-1)
@@ -118,100 +107,17 @@ func (w *Workload) pimTuple() *chunkedStream {
 	}}
 }
 
-// q1pimTuple generates the HIVE tuple-at-a-time Q01 aggregation: per
-// wave, a lock block hoists the tuple-data loads and pattern-compares
-// the shipdate filter, storing lane bitmasks; the processor fetches
-// each bitmask, branches per tuple, reloads matching tuples through the
-// cache, branches on the group key and accumulates in registers — the
-// aggregation decision still round-trips through the processor.
-func (w *Workload) q1pimTuple() *chunkedStream {
-	p := w.Plan
-	S := int(p.OpSize)
-	tuplesPerChunk := S / db.TupleBytes
-	stride := S
-	if tuplesPerChunk == 0 {
-		tuplesPerChunk = 1
-		stride = db.TupleBytes
-	}
-	chunks := w.Table.N / tuplesPerChunk
-	wave := p.Unroll
-	if wave > hiveWave {
-		wave = hiveWave
-	}
-	groups := (chunks + wave - 1) / wave
-	maskBytes := isa.MaskBytes(p.OpSize)
-
-	const regLE = 33
-	const tmpA = 30
-	vr := &vregs{}
-	acc := &cpuAcc{vr: vr}
-	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
-	setupDone := false
-	group := 0
-
-	return &chunkedStream{next: func(e *emitter) bool {
-		if !setupDone {
-			setupDone = true
-			// One-time block: load the LE pattern row into the bound
-			// register (Q01's filter is a single upper bound).
-			e.reset(0xA000)
-			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad, Dst: regLE, Addr: w.PatternLE, Size: 256})
-			oc.emit(e, isa.OffloadInst{Op: isa.Unlock})
-			return true
-		}
-		if group >= groups {
-			return false
-		}
-		e.reset(0xA100)
-		first, last := blockBounds(group, wave, chunks)
-		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
-		// Phase A: hoisted data loads, one register per chunk.
-		for c := first; c < last; c++ {
-			oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
-				Dst: uint8(c - first), Addr: w.NSM.Base + mem.Addr(c*stride), Size: p.OpSize})
-		}
-		// Phase B: per-chunk filter compare, bitmask stored from the temp.
-		for c := first; c < last; c++ {
-			oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.CmpLE, Dst: tmpA, Src1: uint8(c - first), Src2: regLE})
-			oc.emit(e, isa.OffloadInst{Op: isa.VMaskStore,
-				Src1: tmpA, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize,
-				Check: true, Expect: w.expectAt(w.leExp, c)})
-		}
-		unlockAck := oc.emitUnlock(e)
-
-		// Processor control flow: fetch each chunk's bitmask, branch per
-		// tuple, accumulate matching tuples' groups.
-		for c := first; c < last; c++ {
-			lm := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.Load, Dst: lm, Src1: unlockAck,
-				Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
-			for t := 0; t < tuplesPerChunk; t++ {
-				i := c*tuplesPerChunk + t
-				tv := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: lm})
-				match := w.tupleMatch(i)
-				e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: match})
-				if !match {
-					continue
-				}
-				tup := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.Load, Dst: tup,
-					Addr: w.NSM.TupleAddr(i), Size: db.TupleBytes})
-				w.emitTupleAccumulate(e.emit, acc, i, tup)
-			}
-		}
-		e.loopTail(vr, group != groups-1)
-		group++
-		return true
-	}}
-}
-
-// hiveColumn generates HIVE's column-at-a-time scan (Figure 3b/3c): per
-// column, software-pipelined lock blocks compute the chunk bitmasks
-// in-memory; between columns the processor must fetch every bitmask back
-// from DRAM and branch to decide which portions of the next column to
-// process — the round trip HIPE eliminates.
+// hiveColumn generates HIVE's column-at-a-time plan (Figure 3b/3c): per
+// predicate column, software-pipelined lock blocks compute the chunk
+// bitmasks in memory; between columns the processor must fetch every
+// bitmask back from DRAM and branch to decide which portions of the next
+// column to process — the round trip HIPE eliminates. An aggregation
+// then revisits the chunks that survived the last column: after a block
+// that zeroes the accumulator registers, each lock block reloads a
+// chunk's filter mask into the bank, loads the key and measure columns
+// unconditionally, and executes every group's masked accumulation
+// whether or not the group occurs in the chunk. A final block spills the
+// 24 accumulator registers.
 func (w *Workload) hiveColumn() *chunkedStream {
 	p := w.Plan
 	S := int(p.OpSize)
@@ -219,30 +125,26 @@ func (w *Workload) hiveColumn() *chunkedStream {
 	tuplesPerChunk := S / db.ColumnWidth
 	chunks := w.Table.N / tuplesPerChunk
 	stages := w.Desc.Stages
-	wave := p.Unroll
-	if wave > hiveWave {
-		wave = hiveWave
-	}
+	wave := min(p.Unroll, hiveWave)
+	pcBase := w.pcBase(0x6000, 0xB000)
 
 	const tmpA, tmpB, tmpP = 30, 31, 32
 	vr := &vregs{}
 	oc := &offloadChain{vr: vr, target: isa.TargetHIVE}
-	stage := 0
-	pos := 0 // index into the selected chunk list of this stage
+	stage := 0 // len(stages) once the last column is done
+	pos := 0   // index into the selected chunk list of this stage
+	spilled := false
 	selected := make([]int, 0, chunks)
 	for c := 0; c < chunks; c++ {
 		selected = append(selected, c) // stage 0 processes everything
 	}
 
 	return &chunkedStream{next: func(e *emitter) bool {
-		for pos >= len(selected) {
+		if stage < len(stages) && pos >= len(selected) {
 			// Advance to the next column; recompute the chunks that can
 			// still produce matches.
 			stage++
 			pos = 0
-			if stage >= len(stages) {
-				return false
-			}
 			next := selected[:0]
 			for c := 0; c < chunks; c++ {
 				if bitRange(w.prefix[stage-1], c*tuplesPerChunk, (c+1)*tuplesPerChunk) {
@@ -252,18 +154,59 @@ func (w *Workload) hiveColumn() *chunkedStream {
 			selected = next
 			if len(selected) == 0 {
 				stage = len(stages)
-				return false
 			}
+			if stage == len(stages) {
+				if !w.Desc.Grouped() {
+					return false
+				}
+				// Zero the accumulator registers the filter blocks
+				// clobbered.
+				e.reset(0xB200)
+				oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+				w.q1ClearAccs(e, oc)
+				oc.emitUnlock(e)
+				return true
+			}
+		}
+		if stage == len(stages) {
+			if pos >= len(selected) {
+				if spilled {
+					return false
+				}
+				// One final block spills the accumulators.
+				spilled = true
+				e.reset(0xB800)
+				oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+				w.q1SpillAccs(e, oc)
+				oc.emitUnlock(e)
+				return true
+			}
+			// One lock block per group of surviving chunks, each chunk
+			// folded sequentially into the live accumulators.
+			e.reset(0xB400)
+			last := min(pos+p.Unroll, len(selected))
+			oc.emit(e, isa.OffloadInst{Op: isa.Lock})
+			for _, c := range selected[pos:last] {
+				oc.emit(e, isa.OffloadInst{Op: isa.VMaskLoad,
+					Dst: q1RegFilter, Addr: w.FinalMask + mem.Addr(c)*mem.Addr(maskBytes), Size: p.OpSize})
+				for _, ld := range q1Columns {
+					oc.emit(e, isa.OffloadInst{Op: isa.VLoad,
+						Dst: ld.reg, Addr: w.DSM.ColBase[ld.col] + mem.Addr(c*S), Size: p.OpSize})
+				}
+				oc.emit(e, isa.OffloadInst{Op: isa.VALU, ALU: isa.Mul, Dst: q1RegRev, Src1: q1RegPrice, Src2: q1RegDisc})
+				w.q1EmitGroups(e, oc)
+			}
+			oc.emitUnlock(e)
+			e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})
+			pos = last
+			return true
 		}
 		st := stages[stage]
 		col := st.Col
-		e.reset(uint64(0x6000 + 0x400*stage))
+		e.reset(pcBase + uint64(0x400*stage))
 
 		first := pos
-		last := first + wave
-		if last > len(selected) {
-			last = len(selected)
-		}
+		last := min(first+wave, len(selected))
 		oc.emit(e, isa.OffloadInst{Op: isa.Lock})
 		// Phase A: hoisted column-data loads.
 		for k := first; k < last; k++ {

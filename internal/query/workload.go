@@ -45,12 +45,9 @@ type Workload struct {
 	// this row confines the predicated accumulation to real tuples.
 	ValidRow mem.Addr
 
-	// Pattern rows for NSM lane compares (HIVE registers load them; HMC
-	// CmpReads carry them as instruction patterns).
-	PatternGE mem.Addr
-	PatternLE mem.Addr
-	patGE     []int32
-	patLE     []int32
+	// rows are a tuple plan's pattern rows that bound some lane, GE
+	// before LE: one compare each, the masks ANDed in order.
+	rows []patternRow
 
 	// Reference results (Ref for selection scans, Ref1 for aggregation).
 	Ref  *db.ReferenceResult
@@ -60,21 +57,19 @@ type Workload struct {
 	matchMask []byte
 	// prefix[i] = AND of stage masks up to predicate stage i.
 	prefix [][]byte
-	// groupMask[g] = prefix[last] ∧ group-g membership (Q1Agg only).
-	groupMask [][]byte
 
 	// expect holds the result every checked instruction should produce,
 	// built once by Prepare in regions laid out like the chunked mask
 	// regions: chunk c's mask at the region's offset + c×MaskBytes. A
 	// checked instruction's Expect is its offset here. The regions:
 	// prefixExp[s] holds prefix[s]'s masks (HIVE/HIPE column plans),
-	// cmpExp one lane-uniform compare's (HMC column plans), and
-	// geExp/leExp/bothExp a tuple plan's pattern compares — GE, LE, and
-	// the GE∧LE that HIVE stores.
-	expect                []byte
-	prefixExp             []uint32
-	cmpExp                map[colBound]uint32
-	geExp, leExp, bothExp uint32
+	// cmpExp one lane-uniform compare's (HMC column plans), each pattern
+	// row's exp its compares' (HMC tuple plans), and tupleExp the AND of
+	// every row's compare, the mask HIVE tuple plans store.
+	expect    []byte
+	prefixExp []uint32
+	cmpExp    map[colBound]uint32
+	tupleExp  uint32
 
 	// Runtime verification of engine-computed results.
 	mismatches int
@@ -161,11 +156,14 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 	case TupleAtATime:
 		w.NSM = db.LayoutNSM(m.Image, a, t)
 		// Pattern rows: per-lane constants tiled every 16 lanes (one
-		// tuple). CmpGE pattern / CmpLE pattern; filler lanes always in
-		// range.
-		w.patGE, w.patLE = tuplePatternsDesc(w.Desc)
-		w.PatternGE = writePattern(m.Image, a, w.patGE)
-		w.PatternLE = writePattern(m.Image, a, w.patLE)
+		// tuple). Both rows are written even when one bounds no lane:
+		// every later region's arena address depends on it.
+		for _, r := range tuplePatterns(w.Desc) {
+			r.addr = writePattern(m.Image, a, r.pat)
+			if r.bounds {
+				w.rows = append(w.rows, r)
+			}
+		}
 		// Lane-mask region: one bit per 32-bit lane of tuple data.
 		lanes := t.N * db.TupleBytes / 4
 		w.FinalMask = a.Alloc(uint64(lanes/8), 256)
@@ -226,20 +224,6 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 		}
 		w.prefix[i] = m
 	}
-	if w.Desc.Grouped() {
-		w.groupMask = make([][]byte, w.Desc.Groups)
-		filter := w.prefix[len(w.prefix)-1]
-		for g := range w.groupMask {
-			rf, ls := groupKey(g)
-			gm := make([]byte, len(filter))
-			for i := 0; i < t.N; i++ {
-				if filter[i/8]&(1<<(i%8)) != 0 && t.ReturnFlag[i] == rf && t.LineStatus[i] == ls {
-					gm[i/8] |= 1 << (i % 8)
-				}
-			}
-			w.groupMask[g] = gm
-		}
-	}
 	w.buildExpectations()
 	m.SetChecker(w)
 	return w, nil
@@ -258,21 +242,27 @@ func (w *Workload) buildExpectations() {
 	switch {
 	case p.Arch == X86:
 	case p.Strategy == TupleAtATime:
-		// A chunk is OpSize bytes of tuple data, or the first OpSize
-		// bytes of one tuple below a tuple's size.
-		stride := max(int(p.OpSize), db.TupleBytes)
-		chunks := w.Table.N * db.TupleBytes / stride
+		// HMC checks each row's compare, HIVE the AND of them it stores.
+		chunks, _, stride := w.tupleChunks()
 		data := w.M.Image[w.NSM.Base:]
-		ge := func(c, i int) bool { return isa.LaneAt(data, c*stride/4+i) >= w.patGE[i%db.NumFields] }
-		le := func(c, i int) bool { return isa.LaneAt(data, c*stride/4+i) <= w.patLE[i%db.NumFields] }
-		switch {
-		case w.Desc.Kind == Q1Agg:
-			w.leExp = region(chunks, lanes, le)
-		case p.Arch == HMC:
-			w.geExp, w.leExp = region(chunks, lanes, ge), region(chunks, lanes, le)
-		default:
-			w.bothExp = region(chunks, lanes, func(c, i int) bool { return ge(c, i) && le(c, i) })
+		hit := func(r *patternRow, c, i int) bool {
+			return match1(Bound{r.kind, r.pat[i%db.NumFields]}, isa.LaneAt(data, c*stride/4+i))
 		}
+		if p.Arch == HMC {
+			for k := range w.rows {
+				r := &w.rows[k]
+				r.exp = region(chunks, lanes, func(c, i int) bool { return hit(r, c, i) })
+			}
+			break
+		}
+		w.tupleExp = region(chunks, lanes, func(c, i int) bool {
+			for k := range w.rows {
+				if !hit(&w.rows[k], c, i) {
+					return false
+				}
+			}
+			return true
+		})
 	case p.Arch == HMC:
 		chunks := w.Table.N / lanes
 		w.cmpExp = map[colBound]uint32{}
@@ -299,6 +289,16 @@ func (w *Workload) buildExpectations() {
 			w.expect = w.appendMaskRegion(w.expect, m)
 		}
 	}
+}
+
+// tupleChunks is the chunk geometry of the in-memory tuple plans: a
+// chunk is OpSize bytes of tuple data — whole tuples — or, below a
+// tuple's size, the first OpSize bytes of one tuple; chunks start
+// stride bytes apart.
+func (w *Workload) tupleChunks() (chunks, tuplesPerChunk, stride int) {
+	stride = max(int(w.Plan.OpSize), db.TupleBytes)
+	tuplesPerChunk = stride / db.TupleBytes
+	return w.Table.N / tuplesPerChunk, tuplesPerChunk, stride
 }
 
 // expectAt is the offset of chunk c's expected mask in the region at
@@ -383,90 +383,50 @@ func (w *Workload) GroupResults() []db.GroupAgg {
 }
 
 // Verify checks the functional outcome of a completed run against the
-// reference evaluator. Which artifacts exist depends on the plan:
-// engine-written bitmask regions and group accumulators for HIVE/HIPE,
-// runtime cross-checks for HMC, and (by construction) nothing for x86,
-// whose correctness is the reference itself.
+// reference evaluator. Which artifacts exist depends on the plan: the
+// final bitmask region the HIVE and HIPE column plans store (all but
+// HIPE's one-pass aggregation, which never materialises it), the
+// accumulators the in-memory aggregations spill — each lane sum must
+// equal the reference value — and the runtime cross-checks of the HMC
+// and HIVE tuple plans. x86 leaves none: its correctness is the
+// reference itself.
 func (w *Workload) Verify() error {
+	p := w.Plan
 	if w.mismatches > 0 {
 		return fmt.Errorf("query %s: %d of %d runtime result checks failed",
-			w.Plan, w.mismatches, w.checked)
+			p, w.mismatches, w.checked)
 	}
-	if w.Desc.Kind == Q1Agg {
-		return w.verifyQ1()
-	}
-	switch {
-	case w.Plan.Arch == HIVE && w.Plan.Strategy == ColumnAtATime,
-		w.Plan.Arch == HIPE:
+	engine := p.Strategy == ColumnAtATime && (p.Arch == HIVE || p.Arch == HIPE)
+	if engine && (p.Arch == HIVE || !w.Desc.Grouped()) {
 		// The final bitmask region must equal the reference bitmask in
 		// the chunked storage layout (each chunk's tuple bits packed
 		// into MaskBytes(OpSize) bytes).
-		want := w.appendMaskRegion(nil, w.Ref.Bitmask)
+		want := w.appendMaskRegion(nil, w.matchMask)
 		got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("query %s: final bitmask differs from reference (%d vs %d matches)",
-				w.Plan, isa.PopcountMask(got), isa.PopcountMask(want))
+				p, isa.PopcountMask(got), isa.PopcountMask(want))
 		}
 	}
-	if w.Plan.Aggregate {
-		// The engine's accumulator vector must sum to the reference
-		// revenue.
-		got := laneSum(w.M.Image, w.AccRegion)
-		if got != w.Ref.Revenue {
-			return fmt.Errorf("query %s: in-memory revenue %d, reference %d", w.Plan, got, w.Ref.Revenue)
+	if p.Aggregate {
+		if got := laneSum(w.M.Image, w.AccRegion); got != w.Ref.Revenue {
+			return fmt.Errorf("query %s: in-memory revenue %d, reference %d", p, got, w.Ref.Revenue)
 		}
 	}
-	switch {
-	case w.Plan.Arch == HIVE && w.Plan.Strategy == TupleAtATime:
-		// The engine wrote packed GE&LE lane masks; tuple i matches iff
-		// its three predicate lane bits are all set in both masks — the
-		// generator cross-checked each chunk at runtime (w.checked>0).
-		if w.checked == 0 {
-			return fmt.Errorf("query %s: no runtime checks ran", w.Plan)
-		}
-	case w.Plan.Arch == HMC:
-		if w.checked == 0 {
-			return fmt.Errorf("query %s: no runtime checks ran", w.Plan)
-		}
-	}
-	return nil
-}
-
-// verifyQ1 checks a grouped-aggregation run. The engine architectures
-// spilled their accumulator registers to AccRegion: each (group,
-// aggregate) register's lane sum must equal the reference evaluator's
-// value. The baselines verified their bitmasks at runtime.
-func (w *Workload) verifyQ1() error {
-	engine := w.Plan.Strategy == ColumnAtATime &&
-		(w.Plan.Arch == HIVE || w.Plan.Arch == HIPE)
-	if engine {
-		if w.Plan.Arch == HIVE {
-			// HIVE's filter pass stored the chunked filter bitmask.
-			want := w.appendMaskRegion(nil, w.Ref1.Bitmask)
-			got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("query %s: filter bitmask differs from reference (%d vs %d matches)",
-					w.Plan, isa.PopcountMask(got), isa.PopcountMask(want))
-			}
-		}
+	if engine && w.Desc.Grouped() {
 		for g := 0; g < w.Desc.Groups; g++ {
 			ref := w.Ref1.Groups[g]
 			want := [NumAggs]int64{ref.Count, ref.SumQty, ref.SumPrice, ref.SumRevenue}
 			for agg := 0; agg < NumAggs; agg++ {
-				got := laneSum(w.M.Image, w.accAddr(g, agg))
-				if got != want[agg] {
+				if got := laneSum(w.M.Image, w.accAddr(g, agg)); got != want[agg] {
 					return fmt.Errorf("query %s: group %d %s: in-memory %d, reference %d",
-						w.Plan, g, AggName(agg), got, want[agg])
+						p, g, AggName(agg), got, want[agg])
 				}
 			}
 		}
-		return nil
 	}
-	switch w.Plan.Arch {
-	case HMC, HIVE:
-		if w.checked == 0 {
-			return fmt.Errorf("query %s: no runtime checks ran", w.Plan)
-		}
+	if (p.Arch == HMC || p.Arch == HIVE && p.Strategy == TupleAtATime) && w.checked == 0 {
+		return fmt.Errorf("query %s: no runtime checks ran", p)
 	}
 	return nil
 }

@@ -8,8 +8,12 @@ import (
 
 // x86Tuple generates the AVX tuple-at-a-time scan over the NSM layout:
 // load the whole 64-byte tuple (in OpSize pieces), lane-compare the
-// predicate fields against the GE/LE patterns, branch on the combined
-// match, and materialise matching tuples — the paper's Figure 1a flow.
+// predicate fields against the pattern rows, branch on the combined
+// match, and act on matching tuples — the paper's Figure 1a flow. A
+// selection materialises the tuple; an aggregation branches again on
+// the group key (the returnflag and linestatus dispatch whose direction
+// depends on in-memory data) and accumulates the group's four running
+// sums in registers.
 func (w *Workload) x86Tuple() *chunkedStream {
 	p := w.Plan
 	S := p.OpSize
@@ -18,11 +22,11 @@ func (w *Workload) x86Tuple() *chunkedStream {
 		chunksPerTuple = 1
 	}
 	vr := &vregs{}
+	act := w.newTupleAction(vr)
 	group := 0
 	groups := (w.Table.N + p.Unroll - 1) / p.Unroll
-	matched := 0
+	pcBase := w.pcBase(0x1000, 0x8000)
 
-	const pcBase = 0x1000
 	return &chunkedStream{next: func(e *emitter) bool {
 		if group >= groups {
 			return false
@@ -41,89 +45,23 @@ func (w *Workload) x86Tuple() *chunkedStream {
 				e.emit(isa.MicroOp{Class: isa.Load, Dst: dst,
 					Addr: w.NSM.TupleAddr(i) + mem.Addr(k)*mem.Addr(S), Size: S})
 			}
-			// Predicates live in the first 16 bytes: two pattern
-			// compares and a mask AND.
-			ge := vr.fresh()
-			le := vr.fresh()
-			m := vr.fresh()
-			e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: ge, Src1: firstChunk, Size: S})
-			e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: le, Src1: firstChunk, Size: S})
-			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: m, Src1: ge, Src2: le})
-			// Data-dependent branch: materialise on match.
+			// Predicates live in the first 16 bytes: one pattern compare
+			// per row, the masks ANDed in order.
+			m := isa.RegNone
+			for range w.rows {
+				c := vr.fresh()
+				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: c, Src1: firstChunk, Size: S})
+				m = e.and(vr, m, c)
+			}
+			// Data-dependent branch, then the action over the tuple
+			// registers already loaded.
 			match := w.tupleMatch(i)
 			e.emit(isa.MicroOp{Class: isa.Branch, Src1: m, Taken: match})
 			if match {
-				e.emit(isa.MicroOp{Class: isa.Store,
-					Addr: w.Materialize + mem.Addr(matched*db.TupleBytes),
-					Size: db.TupleBytes})
-				matched++
+				act.match(e, i, firstChunk)
 			}
 		}
 		// Loop overhead once per unrolled group.
-		e.loopTail(vr, group != groups-1)
-		group++
-		return true
-	}}
-}
-
-// q1x86Tuple generates the AVX tuple-at-a-time Q01 aggregation over the
-// NSM layout: load the tuple, compare the shipdate filter, branch on
-// the match, then branch again on the group key — the returnflag and
-// linestatus dispatch whose direction depends on in-memory data, which
-// is exactly the control flow the paper's predication argument targets
-// — and accumulate the group's four running sums in registers.
-func (w *Workload) q1x86Tuple() *chunkedStream {
-	p := w.Plan
-	S := p.OpSize
-	chunksPerTuple := int(db.TupleBytes / S)
-	if chunksPerTuple == 0 {
-		chunksPerTuple = 1
-	}
-	st := w.Desc.Stages[0]
-	vr := &vregs{}
-	acc := &cpuAcc{vr: vr}
-	group := 0
-	groups := (w.Table.N + p.Unroll - 1) / p.Unroll
-
-	const pcBase = 0x8000
-	return &chunkedStream{next: func(e *emitter) bool {
-		if group >= groups {
-			return false
-		}
-		e.reset(pcBase)
-		first, last := blockBounds(group, p.Unroll, w.Table.N)
-		for i := first; i < last; i++ {
-			var firstChunk isa.Reg
-			for k := 0; k < chunksPerTuple; k++ {
-				dst := vr.fresh()
-				if k == 0 {
-					firstChunk = dst
-				}
-				e.emit(isa.MicroOp{Class: isa.Load, Dst: dst,
-					Addr: w.NSM.TupleAddr(i) + mem.Addr(k)*mem.Addr(S), Size: S})
-			}
-			// Filter compare(s) over the predicate lanes.
-			m := firstChunk
-			for range st.Bounds {
-				c := vr.fresh()
-				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: c, Src1: firstChunk, Size: S})
-				if m != firstChunk {
-					nm := vr.fresh()
-					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: c})
-					m = nm
-				} else {
-					m = c
-				}
-			}
-			match := w.tupleMatch(i)
-			e.emit(isa.MicroOp{Class: isa.Branch, Src1: m, Taken: match})
-			if !match {
-				continue
-			}
-			// Group dispatch and accumulates over the already-loaded
-			// tuple registers.
-			w.emitTupleAccumulate(e.emit, acc, i, firstChunk)
-		}
 		e.loopTail(vr, group != groups-1)
 		group++
 		return true
@@ -161,17 +99,11 @@ func (w *Workload) q1x86Column() *chunkedStream {
 				return d
 			}
 			ship := load(st.Col)
-			m := ship
+			m := isa.RegNone
 			for range st.Bounds {
 				cr := vr.fresh()
 				e.emit(isa.MicroOp{Class: isa.VecCmp, Dst: cr, Src1: ship, Size: S})
-				if m != ship {
-					nm := vr.fresh()
-					e.emit(isa.MicroOp{Class: isa.IntALU, Dst: nm, Src1: m, Src2: cr})
-					m = nm
-				} else {
-					m = cr
-				}
+				m = e.and(vr, m, cr)
 			}
 			rfv := load(db.FieldReturnFlag)
 			lsv := load(db.FieldLineStatus)
@@ -193,10 +125,10 @@ func (w *Workload) q1x86Column() *chunkedStream {
 					e.emit(isa.MicroOp{Class: isa.VecALU, Dst: t, Src1: src, Src2: gm, Size: S})
 					return t
 				}
-				acc.add(e.emit, isa.IntALU, g, AggCount, gm)
-				acc.add(e.emit, isa.IntALU, g, AggQty, masked(qty))
-				acc.add(e.emit, isa.IntALU, g, AggPrice, masked(price))
-				acc.add(e.emit, isa.IntALU, g, AggRevenue, masked(rev))
+				acc.add(e, isa.IntALU, g, AggCount, gm)
+				acc.add(e, isa.IntALU, g, AggQty, masked(qty))
+				acc.add(e, isa.IntALU, g, AggPrice, masked(price))
+				acc.add(e, isa.IntALU, g, AggRevenue, masked(rev))
 			}
 		}
 		e.loopTail(vr, group != groups-1)
