@@ -5,9 +5,11 @@
 // data-flow dependencies inside the memory.
 //
 // The same machinery, with predication disabled, is the balanced HIVE
-// design the paper evaluates as prior work (DATE 2016, resized to 256 B
-// operands and 36 registers); the internal/hive package instantiates that
-// mode.
+// design the paper evaluates as prior work (Alves et al., "Large vector
+// extensions inside the HMC", DATE 2016, resized to 256 B operands and
+// 36 registers); DefaultHIVE instantiates that mode. HIVE has no
+// predication match logic, so control-flow decisions over in-memory data
+// must round-trip through the processor.
 //
 // Mechanism summary (paper §III):
 //

@@ -106,7 +106,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultHIPE().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := DefaultHIVE().Validate(); err != nil {
+	hive := DefaultHIVE()
+	if hive.Target != isa.TargetHIVE || hive.Name != "hive" {
+		t.Fatalf("HIVE default has target %s and stats scope %q", hive.Target, hive.Name)
+	}
+	if err := hive.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := DefaultHIPE()
@@ -177,30 +181,37 @@ func TestVLoadSetsDataAndZeroFlag(t *testing.T) {
 }
 
 func TestVALUComputesAndSetsFlags(t *testing.T) {
-	e, eng, image, _ := newEngine(t, DefaultHIPE())
-	for i := 0; i < 64; i++ {
-		isa.SetLane(image[0:], i, int32(i)) // 0..63
-	}
-	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VLoad, Dst: 0, Addr: 0, Size: 256})
-	// r1 = r0 >= 32 → half the lanes match → nonzero.
-	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VALU, ALU: isa.CmpGE,
-		Dst: 1, Src1: 0, UseImm: true, Imm: 32})
-	// r2 = r0 >= 100 → no lanes match → zero flag set.
-	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VALU, ALU: isa.CmpGE,
-		Dst: 2, Src1: 0, UseImm: true, Imm: 100})
-	// r3 = r1 AND r2 → all zero.
-	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VALU, ALU: isa.And,
-		Dst: 3, Src1: 1, Src2: 2})
-	e.Run()
-	if eng.RegisterZero(1) {
-		t.Fatal("r1 should be nonzero")
-	}
-	if !eng.RegisterZero(2) || !eng.RegisterZero(3) {
-		t.Fatal("r2/r3 zero flags wrong")
-	}
-	r1 := eng.RegisterData(1)
-	if isa.LaneAt(r1, 31) != 0 || isa.LaneAt(r1, 32) != -1 {
-		t.Fatal("compare lanes wrong")
+	for _, cfg := range []Config{DefaultHIPE(), DefaultHIVE()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			e, eng, image, reg := newEngine(t, cfg)
+			for i := 0; i < 64; i++ {
+				isa.SetLane(image[0:], i, int32(i)) // 0..63
+			}
+			submit(t, eng, &isa.OffloadInst{Target: cfg.Target, Op: isa.VLoad, Dst: 0, Addr: 0, Size: 256})
+			// r1 = r0 >= 32 → half the lanes match → nonzero.
+			submit(t, eng, &isa.OffloadInst{Target: cfg.Target, Op: isa.VALU, ALU: isa.CmpGE,
+				Dst: 1, Src1: 0, UseImm: true, Imm: 32})
+			// r2 = r0 >= 100 → no lanes match → zero flag set.
+			submit(t, eng, &isa.OffloadInst{Target: cfg.Target, Op: isa.VALU, ALU: isa.CmpGE,
+				Dst: 2, Src1: 0, UseImm: true, Imm: 100})
+			// r3 = r1 AND r2 → all zero.
+			submit(t, eng, &isa.OffloadInst{Target: cfg.Target, Op: isa.VALU, ALU: isa.And,
+				Dst: 3, Src1: 1, Src2: 2})
+			e.Run()
+			if eng.RegisterZero(1) {
+				t.Fatal("r1 should be nonzero")
+			}
+			if !eng.RegisterZero(2) || !eng.RegisterZero(3) {
+				t.Fatal("r2/r3 zero flags wrong")
+			}
+			r1 := eng.RegisterData(1)
+			if isa.LaneAt(r1, 31) != 0 || isa.LaneAt(r1, 32) != -1 {
+				t.Fatal("compare lanes wrong")
+			}
+			if n := reg.Scope(cfg.Name).Get("instructions"); n != 4 {
+				t.Fatalf("%d instructions counted, want 4", n)
+			}
+		})
 	}
 }
 

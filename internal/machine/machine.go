@@ -15,7 +15,6 @@ import (
 	"github.com/hipe-sim/hipe/internal/core"
 	"github.com/hipe-sim/hipe/internal/cpu"
 	"github.com/hipe-sim/hipe/internal/dram"
-	"github.com/hipe-sim/hipe/internal/hive"
 	"github.com/hipe-sim/hipe/internal/hmc"
 	"github.com/hipe-sim/hipe/internal/isa"
 	"github.com/hipe-sim/hipe/internal/link"
@@ -55,7 +54,7 @@ func Default() Config {
 		L2:         cache.TableIL2(),
 		L3:         cache.TableIL3(),
 		HMC:        hmc.Default(),
-		HIVE:       hive.Default(),
+		HIVE:       core.DefaultHIVE(),
 		HIPE:       core.DefaultHIPE(),
 	}
 }
@@ -146,7 +145,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	hiveEng, err := hive.New(engine, cfg.HIVE, links, d, image, reg)
+	hiveEng, err := core.New(engine, cfg.HIVE, links, d, image, reg)
 	if err != nil {
 		return nil, err
 	}
