@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/isa"
 	"github.com/hipe-sim/hipe/internal/machine"
 )
 
@@ -215,5 +216,45 @@ func TestQ1RequiresZeroingSquash(t *testing.T) {
 	if _, err := Prepare(m, tab, Plan{Arch: HIPE, Strategy: ColumnAtATime,
 		OpSize: 256, Unroll: 8, Q: db.DefaultQ06()}); err != nil {
 		t.Fatalf("plain scan rejected: %v", err)
+	}
+}
+
+// TestHIVEAggregatesSurvivingChunksOnly pins HIVE's aggregation pass to
+// the chunks that survive its filter: one filter-mask reload per
+// surviving chunk, none for a chunk wholly past the cutoff. The golden
+// streams cannot tell — at their size and the default cutoff every
+// chunk survives — so this runs a mid-range cutoff over a date-ordered
+// table, where about half the chunks hold no match.
+func TestHIVEAggregatesSurvivingChunksOnly(t *testing.T) {
+	p := q1Plan(HIVE, ColumnAtATime, 256, 8)
+	p.Q1 = db.Q01{ShipCut: db.Day19950617}
+	w, err := Prepare(testMachine(t), db.GenerateClustered(4096, 42, 0), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpc := int(p.OpSize) / db.ColumnWidth
+	chunks, survivors := w.Table.N/tpc, 0
+	for c := 0; c < chunks; c++ {
+		if bitRange(w.matchMask, c*tpc, (c+1)*tpc) {
+			survivors++
+		}
+	}
+	if survivors == 0 || survivors == chunks {
+		t.Fatalf("%d of %d chunks survive; the test needs some of each", survivors, chunks)
+	}
+	reloads := 0
+	s := w.Stream()
+	for {
+		u, ok := s.Next()
+		if !ok {
+			break
+		}
+		if in := u.Offload; in != nil && in.Op == isa.VMaskLoad && in.Dst == q1RegFilter {
+			reloads++
+		}
+	}
+	if reloads != survivors {
+		t.Fatalf("aggregation pass reloaded %d filter masks, want one per surviving chunk (%d of %d)",
+			reloads, survivors, chunks)
 	}
 }
