@@ -70,8 +70,8 @@ func (e *emitter) and(vr *vregs, m, c isa.Reg) isa.Reg {
 }
 
 // pcBase picks a generator's PC base by what the plan does with its
-// matches. PCs index the branch predictor, so selections and
-// aggregations each keep the bases their streams have always had.
+// matches. PCs index the branch predictor and the golden streams pin
+// them, so a selection and an aggregation each keep their own base.
 func (w *Workload) pcBase(sel, agg uint64) uint64 {
 	if w.Desc.Grouped() {
 		return agg

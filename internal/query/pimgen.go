@@ -141,8 +141,9 @@ func (w *Workload) hiveColumn() *chunkedStream {
 
 	return &chunkedStream{next: func(e *emitter) bool {
 		if stage < len(stages) && pos >= len(selected) {
-			// Advance to the next column; recompute the chunks that can
-			// still produce matches.
+			// Advance to the next column (past the last one, to a
+			// grouped query's aggregation) and recompute the chunks that
+			// can still produce matches.
 			stage++
 			pos = 0
 			next := selected[:0]
