@@ -18,8 +18,9 @@ import (
 )
 
 // The golden stream pins: every valid arch×strategy×opsize×unroll×
-// {Q6,Q1}×{fused,aggregate} combination's full µop stream is serialised
-// canonically and hashed, and the hashes are committed. Any refactor of
+// {Q6,Q1}×{fused,aggregate} combination's full µop stream, over each
+// golden table, is serialised canonically and hashed, and the hashes
+// are committed. Any refactor of
 // the generators or the registry layer that changes a single byte of a
 // single µop — opcode, register, address, size, predicate, offload
 // payload — changes a hash and fails this test. Regenerate with
@@ -31,10 +32,39 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_st
 
 const goldenTuples = 256
 
+// goldenSet is one table the golden streams run over, at goldenTuples
+// rows, with the predicates its plans carry. Its keys carry the set's
+// suffix.
+type goldenSet struct {
+	suffix string
+	table  func(n int) *db.Table
+	q6     db.Q06
+	q1     db.Q01
+}
+
+// goldenSets are the pinned tables. The default predicates over a
+// random table keep every chunk at 256 tuples, so the second set runs
+// over date-ordered rows with a Q06 date window (rows 64–191 of 256)
+// and a Q01 cutoff (rows 0–126) that each leave about half the chunks
+// empty: it pins the decisions an empty chunk drives — the HIVE column
+// plan's skipped chunks, the aggregation pass over the survivors only,
+// and HIPE's squashed loads.
+func goldenSets() []goldenSet {
+	return []goldenSet{
+		{table: func(n int) *db.Table { return db.GenerateMemo(n, 42) },
+			q6: db.DefaultQ06(), q1: db.DefaultQ01()},
+		{suffix: "/clustered",
+			table: func(n int) *db.Table { return db.GenerateClusteredMemo(n, 42, 0) },
+			q6: db.Q06{ShipLo: db.ShipDateDays / 4, ShipHi: 3 * db.ShipDateDays / 4,
+				DiscLo: 5, DiscHi: 7, QtyHi: 24},
+			q1: db.Q01{ShipCut: db.Day19950617}},
+	}
+}
+
 // goldenPlans enumerates the pinned combination space: the full cross
 // product of the evaluated axes, trimmed by ValidateFor exactly the way
 // grid expansion trims it.
-func goldenPlans() []Plan {
+func goldenPlans(q6 db.Q06, q1 db.Q01) []Plan {
 	var plans []Plan
 	for _, kind := range []QueryKind{Q6Select, Q1Agg} {
 		for _, arch := range []Arch{X86, HMC, HIVE, HIPE} {
@@ -46,9 +76,9 @@ func goldenPlans() []Plan {
 								p := Plan{Arch: arch, Strategy: strat, OpSize: op,
 									Unroll: unroll, Fused: fused, Aggregate: agg, Kind: kind}
 								if kind == Q1Agg {
-									p.Q1 = db.DefaultQ01()
+									p.Q1 = q1
 								} else {
-									p.Q = db.DefaultQ06()
+									p.Q = q6
 								}
 								if p.ValidateFor(goldenTuples) != nil {
 									continue
@@ -79,9 +109,9 @@ func fmtMicroOp(b *strings.Builder, u isa.MicroOp) {
 	b.WriteByte('\n')
 }
 
-// streamHash drains a plan's whole µop stream and hashes its canonical
-// serialisation.
-func streamHash(t *testing.T, p Plan) (hash string, ops int) {
+// streamHash drains the whole µop stream of p over tab and hashes its
+// canonical serialisation.
+func streamHash(t *testing.T, tab *db.Table, p Plan) (hash string, ops int) {
 	t.Helper()
 	mc := machine.Default()
 	mc.ImageBytes = db.ImageBytesFor(goldenTuples)
@@ -89,7 +119,6 @@ func streamHash(t *testing.T, p Plan) (hash string, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := db.GenerateMemo(goldenTuples, 42)
 	w, err := Prepare(m, tab, p)
 	if err != nil {
 		t.Fatalf("%s: %v", p, err)
@@ -128,17 +157,19 @@ func goldenKey(p Plan) string {
 }
 
 // TestGoldenStreams asserts that every pinned plan combination still
-// generates a byte-identical µop stream.
+// generates a byte-identical µop stream over every golden table.
 func TestGoldenStreams(t *testing.T) {
-	plans := goldenPlans()
-	got := make(map[string]goldenEntry, len(plans))
-	for _, p := range plans {
-		k := goldenKey(p)
-		if _, dup := got[k]; dup {
-			t.Fatalf("two pinned plans share the key %s", k)
+	got := map[string]goldenEntry{}
+	for _, set := range goldenSets() {
+		tab := set.table(goldenTuples)
+		for _, p := range goldenPlans(set.q6, set.q1) {
+			k := goldenKey(p) + set.suffix
+			if _, dup := got[k]; dup {
+				t.Fatalf("two pinned plans share the key %s", k)
+			}
+			hash, ops := streamHash(t, tab, p)
+			got[k] = goldenEntry{Hash: hash, Ops: ops}
 		}
-		hash, ops := streamHash(t, p)
-		got[k] = goldenEntry{Hash: hash, Ops: ops}
 	}
 
 	if *updateGolden {
