@@ -190,17 +190,34 @@ func GenerateClustered(n int, seed uint64, noiseDays int32) *Table {
 }
 
 // ImageBytesFor sizes a simulated-machine backing image for an n-row
-// workload: the NSM layout is the hungriest client (tuples +
-// materialisation region + lane masks ≈ 130 bytes/row); triple the
-// tuple bytes plus fixed slack bounds every plan with room to spare,
-// rounded up to a whole MiB. Layouts bump-allocate from address zero,
-// so the image size never changes addresses or timing — only the bytes
-// a machine build or reset touches.
+// workload: the bound of every layout query.Prepare builds (imageRowBytes
+// per row plus imageFixedBytes), rounded up to 64 KiB. Layouts
+// bump-allocate from address zero, so the image size never changes
+// addresses or timing — only the bytes a machine build or reset touches.
 func ImageBytesFor(n int) uint64 {
-	need := uint64(n)*3*TupleBytes + (64 << 10)
-	const mib = 1 << 20
-	return (need + mib - 1) &^ (mib - 1)
+	need := uint64(n)*imageRowBytes + imageFixedBytes
+	const unit = 64 << 10
+	return (need + unit - 1) &^ (unit - 1)
 }
+
+// The layout bound ImageBytesFor sizes images from.
+const (
+	// imageRowBytes is the largest layout's growth per row. The NSM
+	// layout's tuples, materialise region and lane masks (one bit per
+	// 32-bit lane) take 2×TupleBytes + 2 bytes; a DSM layout's at most
+	// six columns and three chunk-mask regions (a quarter byte per row
+	// at 16 B chunks) take under 25.
+	imageRowBytes = 2*TupleBytes + 2
+	// imageFixedBytes bounds the regions that do not grow with the row
+	// count, summed over both layouts, in 256 B rows: the tuple plans'
+	// two pattern rows; the DSM columns' stagger (column k starts k+1
+	// rows past the previous column's end, six columns: 21 rows) and
+	// their padding to whole rows (six); the engines' Q01 accumulators
+	// (one register per group and aggregate, four aggregates) and
+	// ValidRow; and, since every region starts on a row, one row of
+	// alignment for each of at most eleven regions.
+	imageFixedBytes = (2 + 21 + 6 + NumGroups*4 + 1 + 11) * 256
+)
 
 // tableKey identifies one distinct generated workload table.
 type tableKey struct {

@@ -247,22 +247,13 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 	}
 	n := max(1, opt.CellShards)
 
-	// Size the default machine image to the largest shard a task
-	// simulates (at one shard, the largest table) instead of the full
-	// 64 MiB default: layouts bump-allocate from address zero, so the
-	// image size changes no addresses and no timing — only how many
-	// bytes each machine build and reset touches. An explicit
-	// cfg.Machine is honoured untouched.
-	mc := cfg.machineConfig()
-	if cfg.Machine == nil {
-		rows := 0
-		for _, c := range cells {
-			rows = max(rows, shardRows(c.Tuples, n))
-		}
-		if ib := db.ImageBytesFor(rows); ib < mc.ImageBytes {
-			mc.ImageBytes = ib
-		}
+	// Every task's machine fits the largest shard a task simulates (at
+	// one shard, the largest table).
+	rows := 0
+	for _, c := range cells {
+		rows = max(rows, shardRows(c.Tuples, n))
 	}
+	mc := cfg.machineFor(rows)
 	cfg.Machine = &mc
 
 	r := &cellRun{cells: cells, opt: opt, n: n,

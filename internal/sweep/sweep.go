@@ -48,6 +48,20 @@ func (c Config) machineConfig() machine.Config {
 	return machine.Default()
 }
 
+// machineFor is the machine a run over tables of at most rows rows
+// builds: an explicit Machine untouched, else the default with its
+// image sized to the layouts (db.ImageBytesFor) instead of the full
+// 64 MiB. Layouts bump-allocate from address zero, so the image size
+// changes no address and no timing — only how many bytes each machine
+// build and reset touches.
+func (c Config) machineFor(rows int) machine.Config {
+	mc := c.machineConfig()
+	if c.Machine == nil {
+		mc.ImageBytes = min(mc.ImageBytes, db.ImageBytesFor(rows))
+	}
+	return mc
+}
+
 func (c Config) energyModel() energy.Model {
 	if c.Energy != nil {
 		return *c.Energy
@@ -82,7 +96,7 @@ func (r Result) Speedup(baseCycles uint64) float64 {
 // Run executes one plan on a fresh machine, verifies the computed
 // bitmask against the reference evaluator, and audits energy.
 func (c Config) Run(tab *db.Table, p query.Plan) (Result, error) {
-	m, err := machine.New(c.machineConfig())
+	m, err := machine.New(c.machineFor(tab.N))
 	if err != nil {
 		return Result{}, err
 	}
