@@ -127,3 +127,18 @@ func TestClusteredDataEnablesSquash(t *testing.T) {
 		t.Fatal("no DRAM bytes saved on clustered data")
 	}
 }
+
+// TestRunRefusesTooSmallImage runs a plan on an explicit machine whose
+// image cannot hold the table's layout: Run must return an error that
+// names the bytes needed and the bytes the image holds, not panic.
+func TestRunRefusesTooSmallImage(t *testing.T) {
+	cfg := hipe.Default()
+	mc := hipe.DefaultMachine()
+	mc.ImageBytes = 64 << 10
+	cfg.Machine = &mc
+	_, err := hipe.Run(cfg, hipe.Generate(4096, 42), hipe.Plan{Arch: hipe.HIVE,
+		Strategy: hipe.TupleAtATime, OpSize: 256, Unroll: 8, Q: hipe.DefaultQ06()})
+	if err == nil || !strings.Contains(err.Error(), "needs a 532992-byte") || !strings.Contains(err.Error(), "holds 65536") {
+		t.Fatalf("Run() error = %v, want one naming 532992 bytes needed and 65536 held", err)
+	}
+}

@@ -139,15 +139,8 @@ func match1(b Bound, v int32) bool {
 }
 
 // Match evaluates the stage (the AND of its bounds) against one value —
-// the primitive the cost model's selectivity profiler shares with the
-// reference mask builders.
-func (st Stage) Match(v int32) bool { return stageMatch(st, v) }
-
-// Column maps a field index to the table column backing it.
-func Column(t *db.Table, col int) []int32 { return columnSlice(t, col) }
-
-// stageMatch evaluates a stage (the AND of its bounds) against a value.
-func stageMatch(st Stage, v int32) bool {
+// the primitive of the cost model's selectivity profiler.
+func (st Stage) Match(v int32) bool {
 	for _, b := range st.Bounds {
 		if !match1(b, v) {
 			return false
@@ -156,18 +149,8 @@ func stageMatch(st Stage, v int32) bool {
 	return true
 }
 
-// stageMask evaluates one stage over its whole column — the oracle for
-// the per-column intermediate bitmasks of column-at-a-time plans.
-func stageMask(t *db.Table, st Stage) []byte {
-	vals := columnSlice(t, st.Col)
-	mask := make([]byte, (t.N+7)/8)
-	for i := 0; i < t.N; i++ {
-		if stageMatch(st, vals[i]) {
-			mask[i/8] |= 1 << (i % 8)
-		}
-	}
-	return mask
-}
+// Column maps a field index to the table column backing it.
+func Column(t *db.Table, col int) []int32 { return columnSlice(t, col) }
 
 // columnSlice maps a field index to the table column backing it.
 func columnSlice(t *db.Table, col int) []int32 {

@@ -148,7 +148,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 			pos = 0
 			next := selected[:0]
 			for c := 0; c < chunks; c++ {
-				if bitRange(w.prefix[stage-1], c*tuplesPerChunk, (c+1)*tuplesPerChunk) {
+				if w.anyMatch(w.prefixExp[stage-1], c) {
 					next = append(next, c)
 				}
 			}
@@ -249,7 +249,7 @@ func (w *Workload) hiveColumn() *chunkedStream {
 				Addr: w.MaskBase[col] + mem.Addr(c)*mem.Addr(maskBytes), Size: maskBytes})
 			tv := vr.fresh()
 			e.emit(isa.MicroOp{Class: isa.IntALU, Dst: tv, Src1: lm})
-			empty := !bitRange(w.prefix[stage], c*tuplesPerChunk, (c+1)*tuplesPerChunk)
+			empty := !w.anyMatch(w.prefixExp[stage], c)
 			e.emit(isa.MicroOp{Class: isa.Branch, Src1: tv, Taken: empty})
 		}
 		e.emit(isa.MicroOp{Class: isa.Branch, Taken: last != len(selected)})

@@ -238,30 +238,3 @@ func (v *vregs) fresh() isa.Reg {
 	v.next++
 	return v.next
 }
-
-// bitRange reports whether any of mask's bits [lo, hi) is set.
-func bitRange(mask []byte, lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		if i/8 < len(mask) && mask[i/8]&(1<<(i%8)) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// appendMasks appends chunks packed masks of bits bits each to dst: bit
-// i of chunk c's mask, little-endian within its (bits+7)/8 bytes, is
-// set iff hit(c, i).
-func appendMasks(dst []byte, chunks, bits int, hit func(c, i int) bool) []byte {
-	nb := (bits + 7) / 8
-	for c := 0; c < chunks; c++ {
-		dst = append(dst, make([]byte, nb)...)
-		m := dst[len(dst)-nb:]
-		for i := 0; i < bits; i++ {
-			if hit(c, i) {
-				m[i/8] |= 1 << (i % 8)
-			}
-		}
-	}
-	return dst
-}

@@ -9,8 +9,14 @@ import (
 
 func testMachine(t *testing.T) *machine.Machine {
 	t.Helper()
+	return imageMachine(t, 8<<20)
+}
+
+// imageMachine builds a test machine whose image holds imageBytes.
+func imageMachine(t *testing.T, imageBytes uint64) *machine.Machine {
+	t.Helper()
 	cfg := machine.Default()
-	cfg.ImageBytes = 8 << 20
+	cfg.ImageBytes = imageBytes
 	cfg.DRAM.RefreshInterval = 0 // deterministic small-run timings
 	m, err := machine.New(cfg)
 	if err != nil {

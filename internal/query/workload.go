@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/isa"
@@ -55,17 +56,18 @@ type Workload struct {
 	// matchMask is the flat full-predicate bitmask (Ref.Bitmask or
 	// Ref1.Bitmask), the branch-outcome oracle for tuple plans.
 	matchMask []byte
-	// prefix[i] = AND of stage masks up to predicate stage i.
-	prefix [][]byte
 
 	// expect holds the result every checked instruction should produce,
-	// built once by Prepare in regions laid out like the chunked mask
-	// regions: chunk c's mask at the region's offset + c×MaskBytes. A
-	// checked instruction's Expect is its offset here. The regions:
-	// prefixExp[s] holds prefix[s]'s masks (HIVE/HIPE column plans),
-	// cmpExp one lane-uniform compare's (HMC column plans), each pattern
-	// row's exp its compares' (HMC tuple plans), and tupleExp the AND of
-	// every row's compare, the mask HIVE tuple plans store.
+	// built once by Prepare (expect.go) at its final size, in regions
+	// laid out like the chunked mask regions: chunk c's mask at the
+	// region's offset + c×MaskBytes. A checked instruction's Expect is
+	// its offset here. Only the regions some checked instruction names
+	// exist: prefixExp[s] holds the masks of the AND of stages 0..s
+	// (HIVE/HIPE column plans; noRegion for a stage no instruction
+	// checks), cmpExp one lane-uniform compare's (HMC column plans),
+	// each pattern row's exp its compares' (HMC tuple plans), and
+	// tupleExp the AND of every row's compare, the mask HIVE tuple
+	// plans store.
 	expect    []byte
 	prefixExp []uint32
 	cmpExp    map[colBound]uint32
@@ -150,6 +152,10 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 		Desc:     p.Desc(),
 		MaskBase: make(map[int]mem.Addr),
 	}
+	if need, have := w.layoutBytes(), uint64(len(m.Image)); need > have {
+		return nil, fmt.Errorf("query: %s over %d tuples needs a %d-byte machine image, this machine's holds %d",
+			p, t.N, need, have)
+	}
 	a := db.NewArena(uint64(len(m.Image)))
 
 	switch p.Strategy {
@@ -182,9 +188,8 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 		// Chunks below 8 tuples still occupy a whole mask byte, so the
 		// region is chunks×MaskBytes, not N/8.
 		tuplesPerChunk := int(p.OpSize) / db.ColumnWidth
-		regionBytes := uint64(t.N / tuplesPerChunk * int(isa.MaskBytes(p.OpSize)))
 		for _, st := range w.Desc.Stages {
-			w.MaskBase[st.Col] = a.Alloc(regionBytes, 256)
+			w.MaskBase[st.Col] = a.Alloc(uint64(w.regionBytes()), 256)
 		}
 		w.FinalMask = w.MaskBase[w.Desc.Stages[len(w.Desc.Stages)-1].Col]
 		if p.Aggregate {
@@ -216,79 +221,46 @@ func Prepare(m *machine.Machine, t *db.Table, p Plan) (*Workload, error) {
 		w.Ref = db.Reference(t, p.Q)
 		w.matchMask = w.Ref.Bitmask
 	}
-	w.prefix = make([][]byte, len(w.Desc.Stages))
-	for i, st := range w.Desc.Stages {
-		m := stageMask(t, st)
-		if i > 0 {
-			m = andMasks(w.prefix[i-1], m)
-		}
-		w.prefix[i] = m
-	}
 	w.buildExpectations()
 	m.SetChecker(w)
 	return w, nil
 }
 
-// buildExpectations fills expect with the regions the plan's checked
-// instructions name.
-func (w *Workload) buildExpectations() {
-	p := w.Plan
-	region := func(chunks, bits int, hit func(c, i int) bool) uint32 {
-		off := uint32(len(w.expect))
-		w.expect = appendMasks(w.expect, chunks, bits, hit)
-		return off
+// layoutBytes is the arena high-water mark of the layout Prepare lays
+// into the image: the same regions in the same order, measured on an
+// arena that cannot run out, so a machine whose image is too small is
+// refused before anything is written.
+func (w *Workload) layoutBytes() uint64 {
+	n := uint64(w.Table.N)
+	a := db.NewArena(math.MaxUint64)
+	if w.Plan.Strategy == TupleAtATime {
+		// Tuples, the two pattern rows, the lane masks, the
+		// materialise region.
+		for _, size := range []uint64{n * db.TupleBytes, 256, 256, n * db.TupleBytes / 32, n * db.TupleBytes} {
+			a.Alloc(size, 256)
+		}
+		return a.Used()
 	}
-	lanes := int(p.OpSize) / isa.LaneBytes
-	switch {
-	case p.Arch == X86:
-	case p.Strategy == TupleAtATime:
-		// HMC checks each row's compare, HIVE the AND of them it stores.
-		chunks, _, stride := w.tupleChunks()
-		data := w.M.Image[w.NSM.Base:]
-		hit := func(r *patternRow, c, i int) bool {
-			return match1(Bound{r.kind, r.pat[i%db.NumFields]}, isa.LaneAt(data, c*stride/4+i))
-		}
-		if p.Arch == HMC {
-			for k := range w.rows {
-				r := &w.rows[k]
-				r.exp = region(chunks, lanes, func(c, i int) bool { return hit(r, c, i) })
-			}
-			break
-		}
-		w.tupleExp = region(chunks, lanes, func(c, i int) bool {
-			for k := range w.rows {
-				if !hit(&w.rows[k], c, i) {
-					return false
-				}
-			}
-			return true
-		})
-	case p.Arch == HMC:
-		chunks := w.Table.N / lanes
-		w.cmpExp = map[colBound]uint32{}
-		add := func(col int, b Bound) {
-			vals := columnSlice(w.Table, col)
-			w.cmpExp[colBound{col, b}] = region(chunks, lanes, func(c, i int) bool { return match1(b, vals[c*lanes+i]) })
-		}
-		for _, st := range w.Desc.Stages {
-			for _, b := range st.Bounds {
-				add(st.Col, b)
-			}
-		}
-		if w.Desc.Grouped() {
-			for v := range db.RFValues {
-				add(db.FieldReturnFlag, Bound{isa.CmpEQ, int32(v)})
-			}
-			for v := range db.LSValues {
-				add(db.FieldLineStatus, Bound{isa.CmpEQ, int32(v)})
-			}
-		}
-	default:
-		for _, m := range w.prefix {
-			w.prefixExp = append(w.prefixExp, uint32(len(w.expect)))
-			w.expect = w.appendMaskRegion(w.expect, m)
-		}
+	// LayoutDSM's columns, each padded to whole 256 B rows and
+	// staggered one row further than the previous one.
+	cols := 4
+	if w.Desc.Grouped() {
+		cols = 6
 	}
+	for k := 1; k <= cols; k++ {
+		a.Alloc((n*db.ColumnWidth+255)&^255+uint64(k)*256, 256)
+	}
+	for range w.Desc.Stages {
+		a.Alloc(uint64(w.regionBytes()), 256)
+	}
+	if w.Plan.Aggregate {
+		a.Alloc(isa.RegisterBytes, 256)
+	}
+	if w.Desc.Grouped() && (w.Plan.Arch == HIVE || w.Plan.Arch == HIPE) {
+		a.Alloc(uint64(w.Desc.Groups*NumAggs)*isa.RegisterBytes, 256)
+		a.Alloc(256, 256)
+	}
+	return a.Used()
 }
 
 // tupleChunks is the chunk geometry of the in-memory tuple plans: a
@@ -305,14 +277,6 @@ func (w *Workload) tupleChunks() (chunks, tuplesPerChunk, stride int) {
 // off.
 func (w *Workload) expectAt(off uint32, c int) uint32 {
 	return off + uint32(c)*isa.MaskBytes(w.Plan.OpSize)
-}
-
-func andMasks(a, b []byte) []byte {
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = a[i] & b[i]
-	}
-	return out
 }
 
 // writePattern stores a 16-lane pattern tiled across one 256 B row.
@@ -338,18 +302,6 @@ func (w *Workload) tupleGroup(i int) int {
 // accAddr is the address of the (group, aggregate) accumulator vector.
 func (w *Workload) accAddr(g, agg int) mem.Addr {
 	return w.AccRegion + mem.Addr((g*NumAggs+agg)*isa.RegisterBytes)
-}
-
-// appendMaskRegion appends a per-tuple bitmask laid out the way the
-// chunked scan stores it: each chunk of OpSize/4 tuples occupies
-// MaskBytes(OpSize) bytes (for chunks smaller than 8 tuples the packing
-// differs from a flat bitmask).
-func (w *Workload) appendMaskRegion(dst, flat []byte) []byte {
-	tpc := int(w.Plan.OpSize) / db.ColumnWidth
-	return appendMasks(dst, w.Table.N/tpc, tpc, func(c, i int) bool {
-		j := c*tpc + i
-		return flat[j/8]&(1<<(j%8)) != 0
-	})
 }
 
 // Check implements isa.Checker: Prepare installs the workload as its
@@ -398,11 +350,12 @@ func (w *Workload) Verify() error {
 	}
 	engine := p.Strategy == ColumnAtATime && (p.Arch == HIVE || p.Arch == HIPE)
 	if engine && (p.Arch == HIVE || !w.Desc.Grouped()) {
-		// The final bitmask region must equal the reference bitmask in
+		// The final bitmask region must equal the last stage's expected
+		// masks, which Prepare checked against the reference bitmask, in
 		// the chunked storage layout (each chunk's tuple bits packed
 		// into MaskBytes(OpSize) bytes).
-		want := w.appendMaskRegion(nil, w.matchMask)
-		got := w.M.Image[w.FinalMask : uint64(w.FinalMask)+uint64(len(want))]
+		want := w.region(w.prefixExp[len(w.prefixExp)-1])
+		got := w.M.Image[w.FinalMask:][:len(want)]
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("query %s: final bitmask differs from reference (%d vs %d matches)",
 				p, isa.PopcountMask(got), isa.PopcountMask(want))
