@@ -154,6 +154,8 @@ type Cache struct {
 	readInUse  int
 	writeInUse int
 	evictInUse int
+	// version moves whenever an MSHR frees (see Version).
+	version uint64
 
 	pf    prefetcher
 	pfBuf []mem.Addr // reused scratch for prefetcher proposals
@@ -236,6 +238,7 @@ func (c *Cache) Reset() {
 		delete(c.pending, la)
 	}
 	c.readInUse, c.writeInUse, c.evictInUse = 0, 0, 0
+	c.version++
 	if c.pf != nil {
 		c.pf.reset()
 	}
@@ -344,6 +347,15 @@ var _ mem.Port = (*Cache)(nil)
 // for a stalled core's skipped ticks. A refusal changes nothing else.
 func (c *Cache) CreditRefusals(n uint64) { c.mshrStalls.Add(n) }
 
+// Version reports the cache's refusal version, which moves whenever a
+// fill (or Reset) frees an MSHR. Access refuses only when an MSHR pool
+// is full, so an access it refused can succeed later only after the
+// version moves or after an access of the requester's own opens an
+// MSHR for the same line. A demand fill calls its requesters back too,
+// but a prefetch fill has no waiter: the version is how a stalled
+// requester learns of it.
+func (c *Cache) Version() uint64 { return c.version }
+
 // newMSHR draws a pooled MSHR, resetting it for line la.
 func (c *Cache) newMSHR(la mem.Addr) *mshr {
 	var m *mshr
@@ -374,7 +386,7 @@ func (c *Cache) issueFill(m *mshr) {
 }
 
 // fillArrived installs the line, releases the MSHR's waiters, and
-// returns it to the pool.
+// returns it to the pool, moving the refusal version.
 func (c *Cache) fillArrived(m *mshr) {
 	c.install(m.lineAddr, false)
 	ln := c.lookup(m.lineAddr)
@@ -398,6 +410,7 @@ func (c *Cache) fillArrived(m *mshr) {
 	}
 	m.waiters = m.waiters[:0]
 	c.mshrFree = append(c.mshrFree, m)
+	c.version++
 }
 
 // install places a line, evicting the LRU victim (with writeback and

@@ -418,3 +418,61 @@ func TestConfigAccessor(t *testing.T) {
 		t.Fatal("fresh cache has pending misses")
 	}
 }
+
+func TestVersionMovesWhenAFillFreesAnMSHR(t *testing.T) {
+	e, c, _, _ := newCache(t, smallCfg(), 100)
+	v := c.Version()
+	read := func(addr mem.Addr) bool {
+		return c.Access(&mem.Request{Addr: addr, Size: 8, Kind: mem.Read, Done: func(sim.Cycle) {}})
+	}
+	// Four misses fill the read pool, one coalesces, the next is refused.
+	for _, a := range []mem.Addr{0, 8, 64, 128, 192} {
+		if !read(a) {
+			t.Fatalf("access %d refused", a)
+		}
+	}
+	if read(256) {
+		t.Fatal("access beyond the MSHR pool accepted")
+	}
+	if c.Version() != v {
+		t.Fatal("a miss, a coalesce or a refusal moved the version")
+	}
+	e.Run()
+	if got := c.Version() - v; got != 4 {
+		t.Fatalf("four demand fills moved the version by %d", got)
+	}
+	v = c.Version()
+	if !read(0) {
+		t.Fatal("hit refused")
+	}
+	e.Run()
+	if c.Version() != v {
+		t.Fatal("a hit moved the version")
+	}
+}
+
+func TestVersionMovesOnPrefetchFill(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Prefetch = PrefetchStride
+	cfg.PrefetchDegree = 1
+	e, c, _, reg := newCache(t, cfg, 100)
+	// Line 256 is present untrained, so the third access of the stride
+	// hits and only its prefetch of line 384 goes to memory.
+	c.install(256, false)
+	for _, a := range []mem.Addr{0, 128} {
+		c.Access(&mem.Request{Addr: a, Size: 8, Kind: mem.Read})
+		e.Run()
+	}
+	v := c.Version()
+	c.Access(&mem.Request{Addr: 256, Size: 8, Kind: mem.Read})
+	if reg.Scope("t").Get("prefetches_issued") != 1 || c.PendingMisses() != 1 {
+		t.Fatal("the strided hit did not prefetch")
+	}
+	if c.Version() != v {
+		t.Fatal("a hit moved the version")
+	}
+	e.Run()
+	if c.Version() != v+1 {
+		t.Fatalf("the prefetch fill moved the version by %d, want 1", c.Version()-v)
+	}
+}

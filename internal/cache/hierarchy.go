@@ -79,7 +79,4 @@ func (h *Hierarchy) Reset() {
 // Access enters the hierarchy at L1.
 func (h *Hierarchy) Access(req *mem.Request) bool { return h.L1.Access(req) }
 
-// CreditRefusals credits L1, the only level the core's requests meet.
-func (h *Hierarchy) CreditRefusals(n uint64) { h.L1.CreditRefusals(n) }
-
 var _ mem.Port = (*Hierarchy)(nil)

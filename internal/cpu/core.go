@@ -40,15 +40,28 @@ func (s *SliceStream) Next() (isa.MicroOp, bool) {
 type OffloadPort interface {
 	// Submit sends one instruction toward the cube; done fires when the
 	// response arrives back at the core. Submit reports false if the port
-	// cannot accept this cycle (retry later).
+	// cannot accept this cycle (retry later). A refusal holds for every
+	// instruction of the same Target until the cycle ends: a port that
+	// can credit its refusals (refusalCounter) is not asked again that
+	// cycle for the target it refused, and is credited instead.
 	Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool
 }
 
 // refusalCounter is a port whose refusals change nothing but its own
 // count of them, so a stalled core's skipped ticks can credit it in
-// bulk.
+// bulk. Its refusals must also hold until a completion callback into
+// the core fires or, for a data cache with a refusal version
+// (versioned), until the version moves: a stalled tick replays on that
+// promise (see replays).
 type refusalCounter interface {
 	CreditRefusals(n uint64)
+}
+
+// versioned is a data cache whose refusals can end without a call into
+// the core, as the L1's do when a prefetch fill frees an MSHR. Version
+// moves whenever that happens.
+type versioned interface {
+	Version() uint64
 }
 
 // The ports that can refuse a request, indexing stallCounts.refused.
@@ -121,6 +134,7 @@ type robEntry struct {
 // are scheduled directly on the entry.
 func (e *robEntry) OnEvent(now sim.Cycle, tag uint64) {
 	c := e.c
+	c.dirty = true
 	if tag == tagBranchResolve {
 		if c.hasBlockingBr && c.blockingBranch == e.seq {
 			// Resolving mispredicted branch: restart the front end after
@@ -176,12 +190,26 @@ type Core struct {
 	pred            *branchPredictor
 	domain          *sim.ClockDomain
 	refusers        [numPorts]refusalCounter // nil: the port cannot be credited
+	dcacheVersion   versioned                // nil: dcache's refusals end with a callback
 	progressed      bool                     // this tick changed pipeline state
 	counts          stallCounts              // this tick's counter increments
 	startCycle      sim.Cycle
 	finishCycle     sim.Cycle
 	running         bool
 	onFinish        func()
+
+	// Replay state. dirty is set by every callback into the core and by
+	// Start; a stalled tick clears it and records its deadline (wake)
+	// and dcache's version (seen). refusedTargets and skipped are
+	// issue's per-tick offload refusals by target and the Submit calls
+	// they saved. replayOff runs every tick in full and offers every
+	// offload to the port: the reference tests compare against.
+	dirty          bool
+	wake           sim.Cycle
+	seen           uint64
+	refusedTargets uint64
+	skipped        uint64
+	replayOff      bool
 
 	committed   *stats.Counter
 	branches    *stats.Counter
@@ -238,6 +266,7 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 	c.refusers[portDCache], _ = dcache.(refusalCounter)
 	c.refusers[portUMem], _ = umem.(refusalCounter)
 	c.refusers[portOffload], _ = offloadPort.(refusalCounter)
+	c.dcacheVersion, _ = dcache.(versioned)
 	c.domain = sim.NewClockDomain(engine, 1, c)
 	return c, nil
 }
@@ -251,10 +280,12 @@ func (c *Core) newEntry(f fetchedOp) *robEntry {
 	} else {
 		e = &robEntry{c: c}
 		e.loadDone = func(now sim.Cycle) {
+			e.c.dirty = true
 			e.c.mobReads--
 			e.c.complete(e)
 		}
 		e.storeDone = func(now sim.Cycle) {
+			e.c.dirty = true
 			e.c.mobWrites--
 			e.c.release(e)
 		}
@@ -306,6 +337,7 @@ func (c *Core) Reset() {
 	}
 	c.pred.reset()
 	c.domain.Reset()
+	c.dirty, c.wake = false, 0
 	c.startCycle, c.finishCycle = 0, 0
 	c.running = false
 	c.onFinish = nil
@@ -320,6 +352,7 @@ func (c *Core) Start(s Stream, onFinish func()) {
 	c.stream = s
 	c.streamDone = false
 	c.running = true
+	c.dirty = true
 	c.onFinish = onFinish
 	c.startCycle = c.engine.Now()
 	c.domain.Kick()
@@ -333,8 +366,15 @@ func (c *Core) Committed() uint64 { return c.committed.Value() }
 
 // Tick implements sim.Ticker: one pipeline cycle. The tick stalls when
 // no stage retires, issues, dispatches, decodes, fetches or drains a
-// store, and no non-pipelined unit is reserved.
+// store, and no non-pipelined unit is reserved. A tick that would
+// repeat the last stalled tick exactly replays it instead: it credits
+// that tick's counts once and runs no stage.
 func (c *Core) Tick(now sim.Cycle) sim.TickResult {
+	if c.replays(now) {
+		c.Credit(1)
+		return sim.Stalled
+	}
+	c.dirty = false
 	for i := range c.issuedThisCycle {
 		c.issuedThisCycle[i] = 0
 	}
@@ -359,14 +399,39 @@ func (c *Core) Tick(now sim.Cycle) sim.TickResult {
 		return sim.Idle
 	}
 	if c.progressed {
+		c.dirty = true
 		return sim.Busy
+	}
+	c.wake = c.stallDeadline(now)
+	if c.dcacheVersion != nil {
+		c.seen = c.dcacheVersion.Version()
 	}
 	return sim.Stalled
 }
 
-// Deadline implements sim.Ticker: a stalled core can move on its own
-// when a fetch bubble ends or a busy non-pipelined unit frees up.
-func (c *Core) Deadline(now sim.Cycle) sim.Cycle {
+// replays reports whether a tick at now would repeat the last stalled
+// tick. A stalled tick reads only the core's own state, now against
+// its deadline, and the acceptance state of the ports that refused it.
+// The core's state changes only in its stages, which mark progress, and
+// in its callbacks, which mark it dirty. A port's refusal holds until it
+// calls the core back or, for a versioned data cache, its version moves
+// (refusalCounter). So a clean core before the deadline, with dcache's
+// version unchanged, would do exactly what its last stalled tick did.
+func (c *Core) replays(now sim.Cycle) bool {
+	if c.dirty || now >= c.wake || c.replayOff {
+		return false
+	}
+	return c.dcacheVersion == nil || c.dcacheVersion.Version() == c.seen
+}
+
+// Deadline implements sim.Ticker: the deadline the last real stalled
+// tick recorded. A replayed tick comes before it, so the deadline
+// computed at the replay's cycle would be the same.
+func (c *Core) Deadline(sim.Cycle) sim.Cycle { return c.wake }
+
+// stallDeadline is when a core stalled at now can move on its own: a
+// fetch bubble ends or a busy non-pipelined unit frees up.
+func (c *Core) stallDeadline(now sim.Cycle) sim.Cycle {
 	d := sim.NoDeadline
 	if c.fetchStallUntil > now {
 		d = c.fetchStallUntil
@@ -532,6 +597,7 @@ func (c *Core) dispatch() {
 // The keep list reuses a scratch buffer swapped with readyQ each cycle.
 func (c *Core) issue(now sim.Cycle) {
 	issued := 0
+	c.refusedTargets = 0
 	keep := c.readyKeep[:0]
 	for _, e := range c.readyQ {
 		if issued >= c.cfg.IssueWidth {
@@ -548,6 +614,10 @@ func (c *Core) issue(now sim.Cycle) {
 	c.readyQ = keep
 	if issued > 0 {
 		c.progressed = true
+	}
+	if c.skipped > 0 {
+		c.refusers[portOffload].CreditRefusals(c.skipped)
+		c.skipped = 0
 	}
 }
 
@@ -604,7 +674,7 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 			c.counts.mob++
 			return false
 		}
-		if !c.offload.Submit(e.uop.Offload, e.loadDone) {
+		if !c.submit(e) {
 			c.counts.retry++
 			c.refused(portOffload)
 			return false
@@ -633,6 +703,25 @@ func (c *Core) tryIssue(e *robEntry, now sim.Cycle) bool {
 		}
 		return true
 	}
+}
+
+// submit offers e's instruction to the offload port. Once the port has
+// refused a target this tick, later instructions for that target are
+// refused without asking it (OffloadPort), and issue credits the port
+// for them.
+func (c *Core) submit(e *robEntry) bool {
+	bit := uint64(1) << e.uop.Offload.Target
+	if c.refusedTargets&bit != 0 {
+		c.skipped++
+		return false
+	}
+	if c.offload.Submit(e.uop.Offload, e.loadDone) {
+		return true
+	}
+	if c.refusers[portOffload] != nil && !c.replayOff {
+		c.refusedTargets |= bit
+	}
+	return false
 }
 
 // waitLink is one edge of a waiter list: the waiting entry and which of

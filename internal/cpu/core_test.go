@@ -57,6 +57,26 @@ func (o *testOffload) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bo
 	return true
 }
 
+// refusingOffload refuses every instruction for one target and passes
+// the rest to a constant-latency port, counting Submit calls by target
+// and the refusals credited to it.
+type refusingOffload struct {
+	testOffload
+	refuse   isa.Target
+	calls    [3]int
+	credited uint64
+}
+
+func (o *refusingOffload) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
+	o.calls[inst.Target]++
+	if inst.Target == o.refuse {
+		return false
+	}
+	return o.testOffload.Submit(inst, done)
+}
+
+func (o *refusingOffload) CreditRefusals(n uint64) { o.credited += n }
+
 func newCore(t *testing.T, memLat sim.Cycle) (*sim.Engine, *Core, *testMem, *testOffload, *stats.Registry) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -507,5 +527,71 @@ func TestVecOpsUseFPPipe(t *testing.T) {
 	cycles := run(t, e, c, ops)
 	if cycles < 12 {
 		t.Fatalf("10 vec ops on 1 FP pipe took %d cycles", cycles)
+	}
+}
+
+func TestRefusedTargetIsNotAskedAgainThisTick(t *testing.T) {
+	const k = 3
+	for _, replay := range []bool{true, false} {
+		e := sim.NewEngine()
+		tm := &testMem{engine: e, latency: 10}
+		port := &refusingOffload{testOffload: testOffload{engine: e, latency: 50}, refuse: isa.TargetHMC}
+		c, err := New(e, TableI("cpu0"), tm, tm, port, stats.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetReplay(c, replay)
+		// k offloads to the refusing target, then one to another target.
+		var ops []isa.MicroOp
+		for i := 0; i <= k; i++ {
+			inst := &isa.OffloadInst{Target: isa.TargetHMC}
+			if i == k {
+				inst.Target = isa.TargetHIVE
+			}
+			ops = append(ops, isa.MicroOp{PC: uint64(4 * i), Class: isa.Offload, Offload: inst})
+		}
+		c.Start(&SliceStream{Ops: ops}, nil)
+		for len(c.readyQ) < k+1 {
+			if !e.Step() {
+				t.Fatal("the offloads never became ready")
+			}
+		}
+		e.Step() // the tick that issues them
+		wantHMC, wantCredit := 1, uint64(k-1)
+		if !replay {
+			wantHMC, wantCredit = k, 0
+		}
+		if port.calls[isa.TargetHMC] != wantHMC || port.credited != wantCredit {
+			t.Errorf("replay %v: %d Submit calls for the refusing target and %d credited, want %d and %d",
+				replay, port.calls[isa.TargetHMC], port.credited, wantHMC, wantCredit)
+		}
+		if c.counts.refused[portOffload] != k || c.counts.retry != k {
+			t.Errorf("replay %v: counted %d refusals and %d retries, want %d", replay,
+				c.counts.refused[portOffload], c.counts.retry, k)
+		}
+		if port.calls[isa.TargetHIVE] != 1 || c.offloads.Value() != 1 {
+			t.Errorf("replay %v: the other target's offload did not issue in the same tick", replay)
+		}
+	}
+}
+
+func TestRestartWithoutResetMatchesFullTicks(t *testing.T) {
+	// A run that ends parked on loads leaves a stall behind it; the next
+	// Start must not replay it.
+	var ops []isa.MicroOp
+	for i := 0; i < 64; i++ {
+		ops = append(ops, isa.MicroOp{PC: uint64(4 * i), Class: isa.Load, Dst: isa.Reg(i%8 + 1),
+			Src1: isa.Reg((i + 7) % 8), Addr: mem.Addr(64 * i), Size: 8})
+	}
+	var cycles [2][2]sim.Cycle
+	for r, replay := range []bool{false, true} {
+		e, c, _, _, _ := newCore(t, 100)
+		SetReplay(c, replay)
+		for i := range cycles[r] {
+			cycles[r][i] = run(t, e, c, ops)
+		}
+	}
+	if cycles[0] != cycles[1] {
+		t.Fatalf("two runs took %v cycles with replay on, %v off", cycles[1], cycles[0])
 	}
 }

@@ -113,7 +113,9 @@ func (m *offloadMux) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) boo
 	}
 }
 
-// CreditRefusals credits HMC, the only engine whose window refuses.
+// CreditRefusals credits HMC, the only engine whose window refuses. The
+// mux carries no refusal version: HMC frees a window slot only as it
+// delivers a response, which calls the core back in the same event.
 func (m *offloadMux) CreditRefusals(n uint64) { m.hmc.CreditRefusals(n) }
 
 // New builds a machine.
@@ -154,7 +156,9 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	mux := &offloadMux{hmc: hmcEng, hive: hiveEng, hipe: hipeEng}
-	c, err := cpu.New(engine, cfg.CPU, caches, umem, mux, reg)
+	// The core's requests meet the L1 only: it is the level whose
+	// refusals the core credits and whose refusal version it watches.
+	c, err := cpu.New(engine, cfg.CPU, caches.L1, umem, mux, reg)
 	if err != nil {
 		return nil, err
 	}

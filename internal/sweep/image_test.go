@@ -10,13 +10,20 @@ import (
 )
 
 // TestRunSizesDefaultImage pins Config.Run's machine: the default one
-// gets an image of db.ImageBytesFor rows instead of the 64 MiB default,
-// with the same result as on the full image, and an explicit machine
-// keeps its own image.
+// gets an image of db.ImageBytesFor rows, below or above the default's
+// 64 MiB, with the same result as on the default image, and an explicit
+// machine keeps its own image.
 func TestRunSizesDefaultImage(t *testing.T) {
 	cfg := Config{Tuples: 1024, Seed: 42}
-	if got, want := cfg.machineFor(cfg.Tuples).ImageBytes, db.ImageBytesFor(cfg.Tuples); got != want {
-		t.Fatalf("default machine image %d B, want %d", got, want)
+	// 2^19 rows need more than 64 MiB; the config alone is checked, since
+	// simulating them takes seconds.
+	for _, rows := range []int{cfg.Tuples, 1 << 19} {
+		if got, want := cfg.machineFor(rows).ImageBytes, db.ImageBytesFor(rows); got != want {
+			t.Fatalf("default machine image at %d rows: %d B, want %d", rows, got, want)
+		}
+	}
+	if got := cfg.machineFor(1 << 19).ImageBytes; got <= machine.Default().ImageBytes {
+		t.Fatalf("default machine image at 2^19 rows: %d B, want more than the default's", got)
 	}
 	mc := machine.Default()
 	explicit := Config{Machine: &mc}

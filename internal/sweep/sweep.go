@@ -50,14 +50,15 @@ func (c Config) machineConfig() machine.Config {
 
 // machineFor is the machine a run over tables of at most rows rows
 // builds: an explicit Machine untouched, else the default with its
-// image sized to the layouts (db.ImageBytesFor) instead of the full
-// 64 MiB. Layouts bump-allocate from address zero, so the image size
-// changes no address and no timing — only how many bytes each machine
-// build and reset touches.
+// image sized to the layouts (db.ImageBytesFor), smaller or larger
+// than the default's; machine.New refuses one past the HMC's capacity.
+// Layouts bump-allocate from address zero, so the image size changes no
+// address and no timing — only how many bytes each machine build and
+// reset touches.
 func (c Config) machineFor(rows int) machine.Config {
 	mc := c.machineConfig()
 	if c.Machine == nil {
-		mc.ImageBytes = min(mc.ImageBytes, db.ImageBytesFor(rows))
+		mc.ImageBytes = db.ImageBytesFor(rows)
 	}
 	return mc
 }
