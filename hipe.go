@@ -357,8 +357,10 @@ func GenerateClustered(n int, seed uint64, noiseDays int32) *Lineitem {
 // Selectivity reports the fraction of t matching q.
 func Selectivity(t *Lineitem, q Q06) float64 { return db.Selectivity(t, q) }
 
-// Run executes one plan on a fresh machine, verifies the computed
-// bitmask against the reference evaluator, and audits energy.
+// Run executes one plan on a machine in its freshly built state (one
+// the process built before and reset, when an earlier exact call used
+// the same machine configuration), verifies the computed bitmask
+// against the reference evaluator, and audits energy.
 func Run(cfg Config, tab *Lineitem, p Plan) (Result, error) { return cfg.Run(tab, p) }
 
 // Figure regenerates one panel of the paper's Figure 3 ("3a".."3d").

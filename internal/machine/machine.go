@@ -10,6 +10,7 @@ package machine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/hipe-sim/hipe/internal/cache"
 	"github.com/hipe-sim/hipe/internal/core"
@@ -82,6 +83,11 @@ type Machine struct {
 	// such as a serving shard's few blocks, would otherwise pay that
 	// growth every time. Reset keeps them.
 	Blocks Blocks
+
+	// cfg is the configuration the machine was built from, the pool's
+	// key; idle is set while the machine sits in the pool.
+	cfg  Config
+	idle atomic.Bool
 }
 
 // Blocks is a µop stream's block storage: the block's µops and its
@@ -163,6 +169,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	return &Machine{
+		cfg:      cfg,
 		Engine:   engine,
 		Registry: reg,
 		Image:    image,
@@ -199,10 +206,10 @@ func (m *Machine) Run(stream cpu.Stream) sim.Cycle {
 // counters at zero, no checker installed — while keeping every
 // allocation (event queue capacity, pooled requests, cache arrays, the
 // image itself). A reset machine produces bit-identical results to a
-// freshly constructed one, which is what lets sweep cells and serving
-// shard replays reuse machines instead of rebuilding the world per run
-// (verified by TestResetMatchesFreshMachine and the worker-count
-// determinism tests).
+// freshly constructed one, which is what lets every exact run draw its
+// machine from the process-wide pool (Get, Put) instead of rebuilding
+// the world (verified by TestResetMatchesFreshMachine and the
+// worker-count and warm-process determinism tests).
 func (m *Machine) Reset() {
 	// The engine resets first: dropping every pending event is what
 	// makes it safe for the components to reclaim their in-flight state.

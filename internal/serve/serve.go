@@ -232,8 +232,9 @@ func (o Options) EffectiveWorkers() int {
 // shards, each scanned by its own simulated machine. A Cluster is
 // immutable after New and safe for concurrent Query calls.
 type Cluster struct {
-	// cfg holds the shard machines' model (Machine is always set) and
-	// the energy model their runs are audited with.
+	// cfg holds the shard machines' model (Machine is always set: the
+	// configuration every shard leg draws from the process-wide machine
+	// pool) and the energy model their runs are audited with.
 	cfg    sweep.Config
 	whole  *db.Table
 	shards []*db.Table
@@ -252,12 +253,6 @@ type Cluster struct {
 	// are pure functions of (table, predicate, candidates), hence
 	// deterministic at any worker count.
 	routes map[routeKey]*cost.Decision
-
-	// mpool recycles simulated machines across shard replays: a Reset
-	// machine is bit-identical to a fresh one, so reuse never changes
-	// answers or timelines — it only stops the fleet from rebuilding
-	// (and re-allocating) the world once per shard task.
-	mpool *machine.Pool
 
 	// adaptMu guards the online feedback-routing state used by the
 	// concurrent Query paths (EnableAdaptive; nil when off). Load-test
@@ -296,7 +291,6 @@ func New(cfg sweep.Config, tab *db.Table, nShards int) (*Cluster, error) {
 		params:  cost.ParamsFor(mc, em),
 		answers: make(map[answerKey]answer),
 		routes:  make(map[routeKey]*cost.Decision),
-		mpool:   machine.NewPool(mc),
 	}, nil
 }
 

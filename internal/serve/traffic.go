@@ -464,7 +464,7 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 // the compute stage under every load test (one plan per distinct
 // routing candidate) and under Cluster.Query (one plan).
 func (c *Cluster) runPlanSet(plans []query.Plan, opt Options, pr cost.Params) ([][]ShardPartial, error) {
-	leg := sweep.Leg{Config: c.cfg, Pool: c.mpool, Params: pr, Exec: opt.Exec, Counters: opt.Counters}
+	leg := sweep.Leg{Config: c.cfg, Params: pr, Exec: opt.Exec, Counters: opt.Counters}
 	nShards := len(c.shards)
 	results := make([]ShardPartial, len(plans)*nShards)
 	errs := make([]error, len(results))

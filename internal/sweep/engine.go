@@ -16,7 +16,6 @@ import (
 
 	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
-	"github.com/hipe-sim/hipe/internal/machine"
 	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 )
@@ -258,12 +257,9 @@ func RunCells(cfg Config, cells []Cell, opt Options) (*ResultSet, error) {
 
 	r := &cellRun{cells: cells, opt: opt, n: n,
 		cache: tableCache{shards: n, tables: map[workload]*tableEntry{}},
-		// Machines are recycled across tasks: a Reset machine is
-		// bit-identical to a fresh one (machine.Reset), so reuse changes
-		// wall-clock only — the worker-count determinism tests double as
-		// reuse determinism tests. The cost model prices estimate legs
-		// and routes auto-arch cells.
-		leg: Leg{Config: cfg, Pool: machine.NewPool(mc),
+		// Exact legs draw mc machines from the process-wide pool. The
+		// cost model prices estimate legs and routes auto-arch cells.
+		leg: Leg{Config: cfg,
 			Params: cost.ParamsFor(mc, cfg.energyModel()),
 			Exec:   opt.Exec, Counters: opt.Counters},
 		slots: make([]CellResult, len(cells)*n),

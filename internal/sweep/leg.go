@@ -1,8 +1,9 @@
 // The task leg and the shard fold: the one unit of work under every
 // sweep cell and every serving shard task, and the one merge of its
-// partials. A leg runs one plan over one table or shard — on a pooled
-// machine in exact mode, through the analytic cost model in estimate
-// mode — and returns a Partial either way. A cell or request cut into
+// partials. A leg runs one plan over one table or shard — on a machine
+// from the process-wide pool (machine.Get) in exact mode, through the
+// analytic cost model in estimate mode — and returns a Partial either
+// way. A cell or request cut into
 // contiguous shards (db.Partition) runs one leg per shard and folds the
 // partials in shard order: cycles as the critical path (the shards run
 // concurrently on real hardware), everything else summed. Legs share
@@ -34,10 +35,11 @@ type Partial struct {
 
 // Leg holds what a leg needs besides its table and plan.
 type Leg struct {
-	// Config supplies the machine and energy models of exact legs.
+	// Config supplies the machine and energy models of exact legs. With
+	// Config.Machine set, every leg draws machines of that one
+	// configuration; unset, each leg's default machine is sized to its
+	// table.
 	Config Config
-	// Pool recycles the exact legs' machines.
-	Pool *machine.Pool
 	// Params is the cost model estimate legs price with.
 	Params cost.Params
 	Exec   ExecMode
@@ -45,12 +47,13 @@ type Leg struct {
 	Counters bool
 }
 
-// Run runs or prices plan p over tab. Exact mode takes a pooled
-// machine, simulates, verifies against the reference evaluator, audits
-// energy and, with Counters set, snapshots the machine's counters
-// before the machine goes back to the pool. Estimate mode builds no
-// machine: cycles and energy come from the cost model walking tab's
-// selectivity profile.
+// Run runs or prices plan p over tab. Exact mode takes a machine from
+// the process-wide pool, simulates, verifies against the reference
+// evaluator, audits energy and, with Counters set, snapshots the
+// machine's counters, all before the machine goes back to the pool: the
+// Partial references nothing of it. Estimate mode builds no machine:
+// cycles and energy come from the cost model walking tab's selectivity
+// profile.
 func (l *Leg) Run(tab *db.Table, p query.Plan) (Partial, error) {
 	if l.Exec == ExecEstimate {
 		est, err := cost.EstimatePlan(l.Params, p, cost.ProfileFor(tab, p))
@@ -67,13 +70,13 @@ func (l *Leg) Run(tab *db.Table, p query.Plan) (Partial, error) {
 			Energy: energy.Breakdown{ReadPJ: dram, LinkPJ: est.EnergyPJ - dram},
 		}}, nil
 	}
-	m, err := l.Pool.Get()
+	m, err := machine.Get(l.Config.machineFor(tab.N))
 	if err != nil {
 		return Partial{}, err
 	}
 	// Recycle on every path: Reset is safe even after a run abandoned
 	// mid-flight, so failed legs keep the pool warm.
-	defer l.Pool.Put(m)
+	defer machine.Put(m)
 	var out Partial
 	if out.Result, err = l.Config.runOn(m, tab, p); err != nil {
 		return Partial{}, err

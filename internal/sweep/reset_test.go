@@ -2,12 +2,14 @@ package sweep
 
 // Machine-reuse equivalence: a Reset machine must be indistinguishable
 // from a freshly constructed one — same cycles, same energy audit, same
-// full counter registry — for every architecture. This is the property
-// that lets the worker pool and the serving layer recycle machines.
+// full counter registry — for every architecture, Q06 and Q01 plans,
+// and uniform and date-clustered tables. This is the property that lets
+// every exact run draw its machine from the process-wide pool.
 // Every run also checks the core's cycle conservation law.
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
@@ -17,39 +19,62 @@ import (
 
 func TestResetMatchesFreshMachine(t *testing.T) {
 	cfg := Config{Tuples: 1024, Seed: 42}
-	q := db.DefaultQ06()
-	plans := []query.Plan{
-		{Arch: query.X86, Strategy: query.ColumnAtATime, OpSize: 64, Unroll: 8, Q: q},
-		{Arch: query.HMC, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
-		{Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Fused: true, Q: q},
-		{Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
-		{Arch: query.X86, Strategy: query.TupleAtATime, OpSize: 64, Unroll: 1, Q: q},
+	q, q1 := db.DefaultQ06(), db.DefaultQ01()
+	uniform := db.GenerateMemo(cfg.Tuples, cfg.Seed)
+	// A date-ordered table: HIVE skips the chunks its filter empties and
+	// HIPE squashes their loads, so a machine's state after such a run
+	// differs from one after a uniform-table run.
+	clustered := db.GenerateClusteredMemo(cfg.Tuples, cfg.Seed, 10)
+	runs := []struct {
+		p   query.Plan
+		tab *db.Table
+	}{
+		{query.Plan{Arch: query.X86, Strategy: query.ColumnAtATime, OpSize: 64, Unroll: 8, Q: q}, uniform},
+		{query.Plan{Arch: query.HMC, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q}, uniform},
+		{query.Plan{Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Fused: true, Q: q}, uniform},
+		{query.Plan{Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q}, uniform},
+		{query.Plan{Arch: query.X86, Strategy: query.TupleAtATime, OpSize: 64, Unroll: 1, Q: q}, uniform},
 		// Both clock domains parked: the core waits on the sequencer.
-		{Arch: query.HIVE, Strategy: query.TupleAtATime, OpSize: 16, Unroll: 1, Q: q},
+		{query.Plan{Arch: query.HIVE, Strategy: query.TupleAtATime, OpSize: 16, Unroll: 1, Q: q}, uniform},
 		// The core parked on a full HMC window, crediting its refusals.
-		{Arch: query.HMC, Strategy: query.TupleAtATime, OpSize: 16, Unroll: 1, Q: q},
+		{query.Plan{Arch: query.HMC, Strategy: query.TupleAtATime, OpSize: 16, Unroll: 1, Q: q}, uniform},
+		// Q01 aggregation: the engines' accumulators and group regions.
+		{query.Plan{Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Kind: query.Q1Agg, Q1: q1}, uniform},
+		{query.Plan{Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Kind: query.Q1Agg, Q1: q1}, uniform},
+		// Squashed loads and skipped chunks over the clustered table.
+		{query.Plan{Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q}, clustered},
+		{query.Plan{Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Kind: query.Q1Agg, Q1: q1}, clustered},
 	}
-	tab := db.GenerateMemo(cfg.Tuples, cfg.Seed)
 
-	// Fresh machine per plan: the reference outcomes.
-	fresh := make([]Result, len(plans))
-	freshRegs := make([]string, len(plans))
-	for i, p := range plans {
+	// Fresh machine per run: the reference outcomes.
+	fresh := make([]Result, len(runs))
+	freshRegs := make([]string, len(runs))
+	for i, r := range runs {
 		m, err := machine.New(cfg.machineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[i], err = cfg.runOn(m, tab, p)
+		fresh[i], err = cfg.runOn(m, r.tab, r.p)
 		if err != nil {
-			t.Fatalf("fresh %s: %v", p, err)
+			t.Fatalf("fresh %s: %v", r.p, err)
 		}
 		checkActiveCycles(t, m, fresh[i])
 		freshRegs[i] = m.Registry.String()
 	}
+	if fresh[9].Squashed == 0 {
+		t.Fatalf("HIPE over the clustered table squashed nothing: %+v", fresh[9])
+	}
 
-	// One machine, Reset between plans — in two different orders, so a
-	// leak that only shows under a particular predecessor is caught.
-	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}} {
+	// One machine, Reset between runs — in two different orders, so a
+	// leak that only shows under a particular predecessor is caught: Q06
+	// into Q01 and back, uniform into clustered and back.
+	forward := make([]int, len(runs))
+	for i := range forward {
+		forward[i] = i
+	}
+	backward := slices.Clone(forward)
+	slices.Reverse(backward)
+	for _, order := range [][]int{forward, backward} {
 		m, err := machine.New(cfg.machineConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -58,17 +83,17 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 			if runIdx > 0 {
 				m.Reset()
 			}
-			got, err := cfg.runOn(m, tab, plans[i])
+			got, err := cfg.runOn(m, runs[i].tab, runs[i].p)
 			if err != nil {
-				t.Fatalf("reused %s: %v", plans[i], err)
+				t.Fatalf("reused %s: %v", runs[i].p, err)
 			}
 			checkActiveCycles(t, m, got)
 			if !reflect.DeepEqual(got, fresh[i]) {
-				t.Fatalf("plan %s on reused machine: %+v, fresh machine: %+v", plans[i], got, fresh[i])
+				t.Fatalf("run %d (%s) on reused machine: %+v, fresh machine: %+v", i, runs[i].p, got, fresh[i])
 			}
 			if reg := m.Registry.String(); reg != freshRegs[i] {
-				t.Fatalf("plan %s: registry diverges on reused machine\n--- reused ---\n%s\n--- fresh ---\n%s",
-					plans[i], reg, freshRegs[i])
+				t.Fatalf("run %d (%s): registry diverges on reused machine\n--- reused ---\n%s\n--- fresh ---\n%s",
+					i, runs[i].p, reg, freshRegs[i])
 			}
 		}
 	}
@@ -80,14 +105,14 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := query.Prepare(m, tab, plans[0])
+		w, err := query.Prepare(m, uniform, runs[0].p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.CPU.Start(w.Stream(), nil)
 		m.Engine.RunLimit(5000) // abandon mid-flight
 		m.Reset()
-		got, err := cfg.runOn(m, tab, plans[1])
+		got, err := cfg.runOn(m, uniform, runs[1].p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // Package sweep is the experiment-execution engine of the reproduction:
-// the single-plan runner (Config.Run — build a machine, lay out the
+// the single-plan runner (Config.Run — take a machine, lay out the
 // table, generate the µop stream, simulate, verify, audit energy) and a
 // worker-pool fan-out that executes whole parameter sweeps — declarative
 // cross-products over architecture, scan strategy, operation size,
@@ -49,7 +49,7 @@ func (c Config) machineConfig() machine.Config {
 }
 
 // machineFor is the machine a run over tables of at most rows rows
-// builds: an explicit Machine untouched, else the default with its
+// draws: an explicit Machine untouched, else the default with its
 // image sized to the layouts (db.ImageBytesFor), smaller or larger
 // than the default's; machine.New refuses one past the HMC's capacity.
 // Layouts bump-allocate from address zero, so the image size changes no
@@ -94,19 +94,19 @@ func (r Result) Speedup(baseCycles uint64) float64 {
 	return float64(baseCycles) / float64(r.Cycles)
 }
 
-// Run executes one plan on a fresh machine, verifies the computed
-// bitmask against the reference evaluator, and audits energy.
+// Run executes one plan on a machine from the process-wide pool
+// (machine.Get) in its post-New state, verifies the computed bitmask
+// against the reference evaluator, and audits energy: one exact leg
+// over the whole table. The machine goes back to the pool before Run
+// returns, and the Result references nothing of it.
 func (c Config) Run(tab *db.Table, p query.Plan) (Result, error) {
-	m, err := machine.New(c.machineFor(tab.N))
-	if err != nil {
-		return Result{}, err
-	}
-	return c.runOn(m, tab, p)
+	out, err := (&Leg{Config: c}).Run(tab, p)
+	return out.Result, err
 }
 
-// runOn executes one plan on an already-built machine in a pristine
-// (fresh or Reset) state — the worker pool's machine-reuse path. The
-// machine is left dirty; callers Reset it before the next run.
+// runOn executes one plan on a machine in its post-New (fresh or Reset)
+// state. The machine is left dirty; callers Reset it (machine.Put does)
+// before the next run.
 func (c Config) runOn(m *machine.Machine, tab *db.Table, p query.Plan) (Result, error) {
 	w, err := query.Prepare(m, tab, p)
 	if err != nil {

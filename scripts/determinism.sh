@@ -3,7 +3,10 @@
 # every result artifact — figure tables, sweep CSV/JSON exports, serve
 # reports — is byte-identical at any worker count. This script makes the
 # claim an explicit pipeline gate: it renders each artifact at 1 worker
-# and at all cores, and fails on the first byte of difference. The sweep
+# and at all cores, and fails on the first byte of difference. The
+# figure tables are also rendered panel by panel, one process each, and
+# compared with the four panels of one process, whose later panels run
+# on machines the earlier ones used. The sweep
 # and serve runs include Q01 aggregation cells/requests so the grouped
 # workload family is gated alongside the Q06 selection scan, and the
 # auto-routing block gates the adaptive planner's routing decisions.
@@ -23,6 +26,17 @@ echo "== figure tables: GOMAXPROCS=1 vs GOMAXPROCS=$many =="
 GOMAXPROCS=1 go run ./cmd/hipe-bench -timing=false -tuples 4096 >"$out/figs.1"
 GOMAXPROCS="$many" go run ./cmd/hipe-bench -timing=false -tuples 4096 >"$out/figs.N"
 cmp "$out/figs.1" "$out/figs.N"
+
+echo "== figure tables: four panels in one process vs one process per panel =="
+# One process's panels share its simulated machines through the
+# process-wide machine pool; a panel in a process of its own builds them
+# fresh. Without the header line and the blank lines the two must match.
+panels() { grep -v -e '^HIPE reproduction' -e '^$'; }
+panels <"$out/figs.1" >"$out/figs.warm"
+for fig in 3a 3b 3c 3d; do
+  go run ./cmd/hipe-bench -timing=false -tuples 4096 -fig "$fig" | panels
+done >"$out/figs.cold"
+cmp "$out/figs.warm" "$out/figs.cold"
 
 echo "== sweep CSV/JSON: -workers 1 vs -workers $many =="
 sweep() {
