@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"weak"
 )
 
 // poolConfig is a small machine configuration of its own, so no other
@@ -50,6 +53,7 @@ func TestPoolReusesResetMachines(t *testing.T) {
 func TestPutOfAnotherConfigDropsIdleMachines(t *testing.T) {
 	a, b := poolConfig(256), poolConfig(320)
 	a1, a2 := mustGet(t, a), mustGet(t, a)
+	gone := []weak.Pointer[Machine]{weak.Make(a1), weak.Make(a2)}
 	Put(a1)
 	Put(a2)
 	b1 := mustGet(t, b)
@@ -57,11 +61,22 @@ func TestPutOfAnotherConfigDropsIdleMachines(t *testing.T) {
 		t.Fatal("Get handed out a machine of another configuration")
 	}
 	Put(b1)
-	// The pool now holds b1 alone: a's machines are dropped.
-	for range 2 {
-		if m := mustGet(t, a); m == a1 || m == a2 {
-			t.Fatal("idle machines of a survived a Put of another configuration")
+	// The bound: the pool now holds b1 alone, and nothing keeps a's
+	// idle machines alive.
+	pool.mu.Lock()
+	idle := slices.Clone(pool.idle)
+	pool.mu.Unlock()
+	if len(idle) != 1 || idle[0] != b1 {
+		t.Fatalf("after a Put of another configuration the pool holds %d idle machines, want b's one", len(idle))
+	}
+	runtime.GC()
+	for _, w := range gone {
+		if w.Value() != nil {
+			t.Fatal("an idle machine of the previous configuration is still reachable")
 		}
+	}
+	if m := mustGet(t, a); m == b1 {
+		t.Fatal("Get handed out a machine of another configuration")
 	}
 	if m := mustGet(t, b); m != b1 {
 		t.Fatal("the last configuration's idle machine was not reused")

@@ -3,13 +3,13 @@
 // partials. A leg runs one plan over one table or shard — on a machine
 // from the process-wide pool (machine.Get) in exact mode, through the
 // analytic cost model in estimate mode — and returns a Partial either
-// way. A cell or request cut into
-// contiguous shards (db.Partition) runs one leg per shard and folds the
-// partials in shard order: cycles as the critical path (the shards run
-// concurrently on real hardware), everything else summed. Legs share
-// no state until the fold, and the fold reads index-ordered slots, so
-// sharded results are byte-identical at any worker count. A whole-table
-// cell is the one-shard case: nothing to fold.
+// way. A cell or request cut into contiguous shards (db.Partition)
+// runs one leg per shard and folds the partials in shard order: cycles
+// as the critical path (the shards run concurrently on real hardware),
+// everything else summed. Legs share no state until the fold, and the
+// fold reads index-ordered slots, so sharded results are byte-identical
+// at any worker count. A whole-table cell is the one-shard case:
+// nothing to fold.
 package sweep
 
 import (

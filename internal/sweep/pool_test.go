@@ -84,34 +84,44 @@ func TestPooledMachinesRepeatAcrossCalls(t *testing.T) {
 
 // TestWarmRunCellsDoNotAllocateMachines pins the pool from the outside:
 // a RunCells call repeated with one configuration builds no machine, so
-// it allocates fewer bytes than one machine's image. The pool is first
-// filled with one machine per worker, so the pin holds whatever ran
-// before and however the workers interleave.
+// it allocates fewer bytes than one machine's image. It first warms one
+// machine per worker on the whole cell list, so the pin holds whatever
+// ran before and however the workers interleave.
 func TestWarmRunCellsDoNotAllocateMachines(t *testing.T) {
 	const tuples = 4096
 	cfg := Config{Tuples: tuples, Seed: 42}
 	cells := mixedCells(t, tuples)
 	mc := cfg.machineFor(tuples)
+	get := func() *machine.Machine {
+		t.Helper()
+		m, err := machine.Get(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	for _, workers := range []int{1, 2} {
 		ms := make([]*machine.Machine, workers)
 		for i := range ms {
-			var err error
-			if ms[i], err = machine.Get(mc); err != nil {
+			ms[i] = get()
+		}
+		// Each machine in turn goes back to the pool last, so Get hands
+		// it out first: a one-worker call runs every cell on it, growing
+		// its event pools and lent block buffers (and building the
+		// tables), and the next Get takes the same machine back.
+		for i := range ms {
+			machine.Put(ms[i])
+			if _, err := RunCells(cfg, cells, Options{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
+			ms[i] = get()
 		}
 		for _, m := range ms {
 			machine.Put(m)
 		}
-		opt := Options{Workers: workers}
-		// The first call fills what runs grow on demand: the tables, the
-		// machines' event pools and lent block buffers.
-		if _, err := RunCells(cfg, cells, opt); err != nil {
-			t.Fatal(err)
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunCells(cfg, cells, opt); err != nil {
+		if _, err := RunCells(cfg, cells, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
