@@ -107,7 +107,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"os"
@@ -277,8 +276,8 @@ func main() {
 			fail("-exec estimate cannot produce machine-replay traces (spans need exact simulation)")
 		}
 	}
-	// Architectures validate against the backend registry, so the error
-	// message tracks whatever backends are actually registered.
+	// Architectures validate against the backend table, so the error
+	// message lists exactly the table's backends.
 	var mix []hipe.Arch
 	for _, s := range strings.Split(*archs, ",") {
 		s = strings.TrimSpace(s)
@@ -597,16 +596,16 @@ func main() {
 			report.Completed, elapsed.Round(time.Millisecond), opt.EffectiveWorkers())
 	}
 	if *csvPath != "" {
-		writeExport(*csvPath, report.WriteCSV)
+		cliutil.WriteExport(*csvPath, report.WriteCSV)
 	}
 	if *jsonPath != "" {
-		writeExport(*jsonPath, report.WriteJSON)
+		cliutil.WriteExport(*jsonPath, report.WriteJSON)
 	}
 	if *traceJSON != "" {
-		writeExport(*traceJSON, report.WriteChromeTrace)
+		cliutil.WriteExport(*traceJSON, report.WriteChromeTrace)
 	}
 	if *spansCSV != "" {
-		writeExport(*spansCSV, report.WriteSpanCSV)
+		cliutil.WriteExport(*spansCSV, report.WriteSpanCSV)
 	}
 }
 
@@ -688,22 +687,4 @@ func parseClasses(s string) ([]hipe.ClassSpec, error) {
 		})
 	}
 	return out, nil
-}
-
-func writeExport(path string, write func(w io.Writer) error) {
-	f := os.Stdout
-	if path != "-" {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if path != "-" {
-		log.Printf("wrote %s", path)
-	}
 }

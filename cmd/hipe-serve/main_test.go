@@ -67,7 +67,7 @@ func TestMixedQ1LoadTestRuns(t *testing.T) {
 }
 
 // TestArchValidationListsRegistry: an unknown -archs entry fails with a
-// usage message that lists the registered backends (not a hard-coded
+// usage message that lists the table's backends (not a hard-coded
 // string), including the planner's "auto".
 func TestArchValidationListsRegistry(t *testing.T) {
 	code, out := runBinary(t, "-archs", "riscv")

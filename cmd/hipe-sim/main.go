@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	hipe "github.com/hipe-sim/hipe"
 	"github.com/hipe-sim/hipe/internal/cliutil"
@@ -67,10 +68,11 @@ func main() {
 		return
 	}
 
-	archs := map[string]hipe.Arch{"x86": hipe.X86, "hmc": hipe.HMC, "hive": hipe.HIVE, "hipe": hipe.HIPE}
-	a, ok := archs[*arch]
-	if !ok {
-		fail("unknown arch %q (have x86, hmc, hive, hipe)", *arch)
+	// hipe-sim runs one concrete plan, so the planner's "auto" is no
+	// architecture here.
+	a, ok := hipe.ParseArch(*arch)
+	if !ok || a == hipe.ArchAuto {
+		fail("unknown arch %q (have %s)", *arch, strings.Join(hipe.ArchNames(), ", "))
 	}
 	strategies := map[string]hipe.Strategy{"tuple": hipe.TupleAtATime, "column": hipe.ColumnAtATime}
 	s, ok := strategies[*strategy]

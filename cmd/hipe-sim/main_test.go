@@ -32,6 +32,7 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"positional arg", []string{"extra"}, "unexpected argument"},
 		{"unknown arch", []string{"-arch", "riscv"}, `unknown arch "riscv"`},
+		{"auto arch", []string{"-arch", "auto"}, `unknown arch "auto" (have x86, hmc, hive, hipe)`},
 		{"unknown strategy", []string{"-strategy", "vector"}, `unknown strategy "vector"`},
 		{"bad tuples", []string{"-tuples", "100"}, "positive multiple of 64"},
 		{"bad plan shape", []string{"-opsize", "7"}, "usage of hipe-sim"},

@@ -56,7 +56,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
@@ -95,7 +94,7 @@ func fail(format string, args ...any) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hipe-sweep: ")
-	archs := flag.String("archs", "x86,hmc,hive,hipe", "comma list of architectures; \"auto\" adds planner-routed cells (validated against the backend registry)")
+	archs := flag.String("archs", "x86,hmc,hive,hipe", "comma list of architectures; \"auto\" adds planner-routed cells (validated against the backend table)")
 	strategies := flag.String("strategies", "column", "comma list of scan strategies (tuple,column)")
 	opsizes := flag.String("opsizes", "256", "comma list of operation sizes in bytes")
 	unrolls := flag.String("unrolls", "32", "comma list of loop unroll depths")
@@ -159,8 +158,8 @@ func main() {
 		NoiseDays:   int32(*noise),
 		SkipInvalid: !*strict,
 	}
-	// Architectures validate against the backend registry, so the error
-	// message tracks whatever backends are actually registered.
+	// Architectures validate against the backend table, so the error
+	// message lists exactly the table's backends.
 	for _, s := range splitList(*archs) {
 		a, ok := hipe.ParseArch(s)
 		if !ok {
@@ -228,10 +227,10 @@ func main() {
 	}
 
 	if *csvPath != "" {
-		writeExport(*csvPath, rs.WriteCSV)
+		cliutil.WriteExport(*csvPath, rs.WriteCSV)
 	}
 	if *jsonPath != "" {
-		writeExport(*jsonPath, rs.WriteJSON)
+		cliutil.WriteExport(*jsonPath, rs.WriteJSON)
 	}
 }
 
@@ -251,24 +250,6 @@ func printSummary(rs *hipe.ResultSet, elapsed time.Duration, opt hipe.SweepOptio
 	}
 	fmt.Printf("\n%d cells in %v (%d workers)\n",
 		len(rs.Cells), elapsed.Round(time.Millisecond), opt.EffectiveWorkers())
-}
-
-func writeExport(path string, write func(w io.Writer) error) {
-	f := os.Stdout
-	if path != "-" {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if path != "-" {
-		log.Printf("wrote %s", path)
-	}
 }
 
 func splitList(s string) []string {

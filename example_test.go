@@ -101,7 +101,7 @@ func ExampleServe() {
 
 // ExampleServe_autoRouting routes a request with hipe.ArchAuto: the
 // adaptive planner profiles the predicate's selectivity on the served
-// table, estimates every registered backend's cycles with the analytic
+// table, estimates every backend's cycles with the analytic
 // cost model, and executes the predicted-fastest backend — here HIPE,
 // whose predication skips whole chunks on the date-clustered layout at
 // Query 06's low selectivity.

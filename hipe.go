@@ -181,8 +181,8 @@ type (
 
 // Architectures. ArchAuto is the adaptive planner's sentinel: a plan
 // (or serving request, or sweep cell) carrying it is routed to the
-// predicted-fastest registered backend by the analytic cost model
-// before it compiles.
+// predicted-fastest backend by the analytic cost model before it
+// compiles.
 const (
 	X86      = query.X86
 	HMC      = query.HMC
@@ -217,11 +217,11 @@ func ParseExecMode(s string) (ExecMode, bool) { return sweep.ParseExecMode(s) }
 // ExecModeChoices renders the valid -exec spellings for usage errors.
 func ExecModeChoices() string { return sweep.ExecModeChoices() }
 
-// Backend registry and cost-model types (aliases into the
-// implementation packages).
+// Backend table and cost-model types (aliases into the implementation
+// packages).
 type (
-	// Backend is one registered execution architecture: a µop-stream
-	// compiler plus its static capability report.
+	// Backend is one of the paper's four execution architectures: its
+	// Arch and its static capability report.
 	Backend = query.Backend
 	// BackendCaps is a backend's capability/constraint envelope.
 	BackendCaps = query.Caps
@@ -254,16 +254,15 @@ type (
 // far below anything a generated table can produce.
 const MaxAdaptiveBuckets = cost.MaxAdaptiveBuckets
 
-// Backends returns the registered execution backends in architecture
-// order.
+// Backends returns the execution backends in architecture order.
 func Backends() []Backend { return query.Backends() }
 
-// ArchNames returns the registered backend names — what CLIs validate
-// -arch flags against instead of a hard-coded list.
+// ArchNames returns the backend names — what CLIs validate -arch flags
+// against instead of a hard-coded list.
 func ArchNames() []string { return query.BackendNames() }
 
 // ArchChoices renders the valid -arch spellings for usage errors: the
-// registered backend names plus "auto".
+// backend names plus "auto".
 func ArchChoices() string { return query.ArchChoices() }
 
 // ParseArch resolves a backend name (or "auto") to its architecture.

@@ -208,15 +208,6 @@ func EstimatePlan(pr Params, p query.Plan, prof Profile) (Estimate, error) {
 	if err := p.Validate(); err != nil {
 		return Estimate{}, err
 	}
-	switch p.Arch {
-	case query.X86, query.HMC, query.HIVE, query.HIPE:
-	default:
-		// A newly registered backend validates through the registry but
-		// has no estimator yet: report it so Pick skips the candidate
-		// instead of guessing (or crashing) — the planner degrades to
-		// routing among the modelled backends.
-		return Estimate{}, fmt.Errorf("cost: no cost model for backend %s", p.Arch)
-	}
 	var est Estimate
 	if p.Strategy == query.ColumnAtATime {
 		est = estimateColumn(pr, p, prof)
@@ -445,7 +436,7 @@ func estimateTuple(pr Params, p query.Plan, prof Profile) Estimate {
 			perChunk += tuplesPerChunk * sel * (tupleLines*pr.CacheMiss*pr.CacheMLP + 8*pr.CPUOp)
 		}
 		return Estimate{Cycles: fixHMC + chunks*perChunk, DRAMBytes: chunks * cmpReads * S}
-	default: // HIVE (HIPE registers no tuple plan; EstimatePlan gated the rest)
+	case query.HIVE: // HIPE has no tuple plan
 		S := float64(p.OpSize)
 		if S < db.TupleBytes {
 			S = db.TupleBytes
@@ -461,4 +452,5 @@ func estimateTuple(pr Params, p query.Plan, prof Profile) Estimate {
 		}
 		return Estimate{Cycles: fixEngineQ6 + chunks*perChunk, DRAMBytes: chunks * S}
 	}
+	panic("cost: unreachable")
 }

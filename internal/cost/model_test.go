@@ -216,3 +216,56 @@ func TestProfileSurvival(t *testing.T) {
 		t.Errorf("uniform table survival %.3f, want ~1", profU.Survival[0])
 	}
 }
+
+// TestEstimatePlanPricesEveryValidPlan: every plan Validate accepts —
+// backend × strategy × op size × unroll × fused × aggregate × {Q06,
+// Q01} — gets a priced estimate with positive cycles, so a backend
+// table row without an estimator fails here rather than in the planner.
+func TestEstimatePlanPricesEveryValidPlan(t *testing.T) {
+	pr := cost.DefaultParams()
+	tab := db.GenerateMemo(4096, 42)
+	priced := map[query.Arch]int{}
+	for _, b := range query.Backends() {
+		for _, strat := range []query.Strategy{query.TupleAtATime, query.ColumnAtATime} {
+			for _, op := range []uint32{16, 32, 64, 128, 256} {
+				for _, unroll := range []int{1, 8, 32} {
+					for _, fused := range []bool{false, true} {
+						for _, agg := range []bool{false, true} {
+							for _, kind := range []query.QueryKind{query.Q6Select, query.Q1Agg} {
+								p := query.Plan{Arch: b.Arch(), Strategy: strat, OpSize: op, Unroll: unroll,
+									Fused: fused, Aggregate: agg, Kind: kind}
+								if kind == query.Q1Agg {
+									p.Q1 = db.DefaultQ01()
+								} else {
+									p.Q = db.DefaultQ06()
+								}
+								if p.Validate() != nil {
+									continue
+								}
+								est, err := cost.EstimatePlan(pr, p, cost.ProfileFor(tab, p))
+								if err != nil {
+									t.Errorf("%s: Validate accepts it but EstimatePlan: %v", p, err)
+									continue
+								}
+								if !(est.Cycles > 0) {
+									t.Errorf("%s: estimated %v cycles", p, est.Cycles)
+								}
+								priced[b.Arch()]++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, b := range query.Backends() {
+		if priced[b.Arch()] == 0 {
+			t.Errorf("no %s plan validated", b.Name())
+		}
+	}
+	// An architecture outside the table never reaches an estimator.
+	bad := query.Plan{Arch: query.HIPE + 1, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: db.DefaultQ06()}
+	if _, err := cost.EstimatePlan(pr, bad, cost.ProfileFor(tab, bad)); err == nil {
+		t.Errorf("EstimatePlan priced %s", bad)
+	}
+}

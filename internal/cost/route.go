@@ -68,30 +68,12 @@ func (d *Decision) EstimateFor(a query.Arch) *Estimate {
 // (e.g. Q01 accumulator-overflow bounds) are skipped; an error is
 // returned only when no candidate survives.
 func Pick(pr Params, tab *db.Table, candidates []query.Plan) (*Decision, error) {
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("cost: no candidate plans")
-	}
-	d := &Decision{ChosenIndex: -1}
 	profs := newProfileCache(tab)
-	for _, p := range candidates {
+	return pick(candidates, "workload", func(p query.Plan) (Estimate, float64, error) {
 		prof := profs.get(p)
 		est, err := EstimatePlan(pr, p, prof)
-		if err != nil {
-			continue
-		}
-		if d.Estimates == nil {
-			d.Selectivity = prof.Sel
-		}
-		d.Estimates = append(d.Estimates, est)
-		if d.ChosenIndex < 0 || est.Cycles < d.Estimates[d.ChosenIndex].Cycles {
-			d.ChosenIndex = len(d.Estimates) - 1
-		}
-	}
-	if d.ChosenIndex < 0 {
-		return nil, fmt.Errorf("cost: no candidate plan fits the workload (%d candidates rejected)", len(candidates))
-	}
-	d.Chosen = d.Estimates[d.ChosenIndex].Plan
-	return d, nil
+		return est, prof.Sel, err
+	})
 }
 
 // PickSharded ranks candidates over a horizontally partitioned table —
@@ -107,29 +89,40 @@ func PickSharded(pr Params, shards []*db.Table, candidates []query.Plan) (*Decis
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cost: no shards")
 	}
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("cost: no candidate plans")
-	}
-	d := &Decision{ChosenIndex: -1}
 	caches := make([]*profileCache, len(shards))
 	for i, s := range shards {
 		caches[i] = newProfileCache(s)
 	}
+	return pick(candidates, "sharded workload", func(p query.Plan) (Estimate, float64, error) {
+		return estimateShardedWith(pr, shards, caches, p)
+	})
+}
+
+// pick is Pick's and PickSharded's ranking loop: estimate each
+// candidate, skip the ones est rejects, take the first survivor's
+// selectivity and keep the earliest minimum. what names the workload in
+// the error returned when no candidate survives. est does not escape,
+// so the callers' closures stay on their stacks.
+func pick(candidates []query.Plan, what string, est func(query.Plan) (Estimate, float64, error)) (*Decision, error) {
+	if len(candidates) == 0 {
+		return nil, fmt.Errorf("cost: no candidate plans")
+	}
+	d := &Decision{ChosenIndex: -1}
 	for _, p := range candidates {
-		agg, sel, err := estimateShardedWith(pr, shards, caches, p)
+		e, sel, err := est(p)
 		if err != nil {
 			continue
 		}
 		if d.Estimates == nil {
 			d.Selectivity = sel
 		}
-		d.Estimates = append(d.Estimates, agg)
-		if d.ChosenIndex < 0 || agg.Cycles < d.Estimates[d.ChosenIndex].Cycles {
+		d.Estimates = append(d.Estimates, e)
+		if d.ChosenIndex < 0 || e.Cycles < d.Estimates[d.ChosenIndex].Cycles {
 			d.ChosenIndex = len(d.Estimates) - 1
 		}
 	}
 	if d.ChosenIndex < 0 {
-		return nil, fmt.Errorf("cost: no candidate plan fits the sharded workload (%d candidates rejected)", len(candidates))
+		return nil, fmt.Errorf("cost: no candidate plan fits the %s (%d candidates rejected)", what, len(candidates))
 	}
 	d.Chosen = d.Estimates[d.ChosenIndex].Plan
 	return d, nil

@@ -8,6 +8,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/hipe-sim/hipe/internal/isa"
@@ -103,6 +104,18 @@ func (r *RNG) Intn(n int64) int64 { return int64(r.Next() % uint64(n)) }
 // safe under a logarithm.
 func (r *RNG) Float64() float64 {
 	return (float64(r.Next()>>11) + 1) / (1 << 53)
+}
+
+// ExpGap draws one exponential gap with the given mean (an arrival
+// process's interarrival time), rounded to a whole number. The unit
+// draw is clamped away from zero so the log stays finite and the gap
+// cannot overflow.
+func (r *RNG) ExpGap(mean float64) uint64 {
+	u := r.Float64()
+	if u < 1e-12 {
+		u = 1e-12
+	}
+	return uint64(math.Round(-math.Log(u) * mean))
 }
 
 // Generate builds a lineitem table of n tuples with dbgen-like

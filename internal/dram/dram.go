@@ -147,7 +147,6 @@ type Vault struct {
 	bytesRead    *stats.Counter
 	bytesWritten *stats.Counter
 	refreshes    *stats.Counter
-	latency      stats.Histogram
 }
 
 // HMC is the full DRAM assembly: all vaults of one cube.
@@ -204,7 +203,6 @@ func (h *HMC) Reset() {
 		v.busFreeAt = 0
 		v.arrivalFree = 0
 		v.nextRefresh = v.timing.RefreshInterval
-		v.latency.Reset()
 	}
 }
 
@@ -313,7 +311,6 @@ func (v *Vault) access(req *mem.Request, loc mem.Location) {
 		v.writes.Inc()
 		v.bytesWritten.Add(uint64(req.Size))
 	}
-	v.latency.Observe(uint64(done - now))
 
 	if req.Done != nil {
 		// ScheduleCall stores the callback without a wrapper closure:
@@ -322,9 +319,6 @@ func (v *Vault) access(req *mem.Request, loc mem.Location) {
 		v.engine.ScheduleCall(done, req.Done)
 	}
 }
-
-// LatencyStats exposes the vault's observed request latency histogram.
-func (v *Vault) LatencyStats() *stats.Histogram { return &v.latency }
 
 // ID reports the vault index.
 func (v *Vault) ID() uint32 { return v.id }

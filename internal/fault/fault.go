@@ -151,24 +151,14 @@ type stream struct {
 	windows  []window
 }
 
-// expGap draws one exponential gap with the given mean, quantised to
-// whole cycles; the clamp keeps the log finite, the +1 keeps every
-// segment strictly advancing the clock.
-func expGap(r *db.RNG, mean uint64) uint64 {
-	u := r.Float64()
-	if u < 1e-12 {
-		u = 1e-12
-	}
-	return uint64(math.Round(-math.Log(u)*float64(mean))) + 1
-}
-
 // extend materialises windows until the generation frontier passes t,
 // so every window overlapping [0, t] exists.
 func (st *stream) extend(t uint64) {
 	for st.frontier <= t {
-		up := expGap(&st.r, st.meanUp)
+		// The +1 keeps every segment strictly advancing the clock.
+		up := st.r.ExpGap(float64(st.meanUp)) + 1
 		start := st.frontier + up
-		down := expGap(&st.r, st.meanDown)
+		down := st.r.ExpGap(float64(st.meanDown)) + 1
 		if st.maxDown > 0 && down > st.maxDown {
 			down = st.maxDown
 		}

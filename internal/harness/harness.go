@@ -124,14 +124,13 @@ func Fig3c(c Config) (*Table, error) {
 }
 
 // BestPlans returns the per-architecture best configurations compared in
-// Figure 3d.
+// Figure 3d (query.BestPlan of every backend).
 func BestPlans(q db.Q06) map[query.Arch]query.Plan {
-	return map[query.Arch]query.Plan{
-		query.X86:  {Arch: query.X86, Strategy: query.ColumnAtATime, OpSize: 64, Unroll: 8, Q: q},
-		query.HMC:  {Arch: query.HMC, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
-		query.HIVE: {Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Fused: true, Q: q},
-		query.HIPE: {Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
+	plans := map[query.Arch]query.Plan{}
+	for _, b := range query.Backends() {
+		plans[b.Arch()] = query.BestPlan(b.Arch(), q)
 	}
+	return plans
 }
 
 // Fig3d reproduces "Best cases of each architecture compared to HIPE":

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/query"
+	"github.com/hipe-sim/hipe/internal/serve"
 )
 
 func small() Config {
@@ -71,8 +73,24 @@ func TestFigureDispatch(t *testing.T) {
 	}
 }
 
+// TestBestPlansValidate pins the shapes the backend table derives to
+// the paper's Figure 3d best cases, for both the figure harness and the
+// serving layer's default plans, and checks that each validates.
 func TestBestPlansValidate(t *testing.T) {
-	for arch, p := range BestPlans(db.DefaultQ06()) {
+	q := db.DefaultQ06()
+	want := map[query.Arch]query.Plan{
+		query.X86:  {Arch: query.X86, Strategy: query.ColumnAtATime, OpSize: 64, Unroll: 8, Q: q},
+		query.HMC:  {Arch: query.HMC, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
+		query.HIVE: {Arch: query.HIVE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Fused: true, Q: q},
+		query.HIPE: {Arch: query.HIPE, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q},
+	}
+	if got := BestPlans(q); !reflect.DeepEqual(got, want) {
+		t.Errorf("BestPlans = %v, want %v", got, want)
+	}
+	for arch, p := range want {
+		if got := serve.DefaultPlan(arch, q); got != p {
+			t.Errorf("serve.DefaultPlan(%s) = %s, want %s", arch, got, p)
+		}
 		if err := p.Validate(); err != nil {
 			t.Errorf("best plan for %s invalid: %v", arch, err)
 		}

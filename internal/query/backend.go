@@ -1,17 +1,16 @@
-// The backend registry: every execution architecture is one registered
-// Backend — a compiler from a prepared Workload to a µop stream plus a
-// static capability report. Plan validation, the CLIs' architecture
-// lists and the adaptive planner (internal/cost, internal/serve) all
-// consult the registry instead of hard-wiring the four architectures,
-// so adding a backend is one Register call, not a sweep across the
-// stack.
+// The backend table: the paper's four execution architectures (x86,
+// HMC, HIVE, HIPE — Table I, Figure 3), one row each, indexed by Arch.
+// A row is the architecture's static capability report. Plan
+// validation, the CLIs' architecture lists, the Figure 3d best shapes
+// and the adaptive planner (internal/cost, internal/serve) all read the
+// table; Workload.Stream picks the architecture's generator.
 package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/isa"
 )
 
@@ -51,68 +50,74 @@ func (c Caps) Supports(s Strategy) bool {
 	return c.ColumnAtATime
 }
 
-// Backend is one registered execution architecture: a µop-stream
-// compiler for prepared workloads plus its static capability report.
-type Backend interface {
-	// Arch is the architecture the backend implements.
-	Arch() Arch
-	// Name is the backend's registered name (the CLI spelling).
-	Name() string
-	// Caps reports the backend's capability envelope.
-	Caps() Caps
-	// Compile generates the µop stream for a prepared workload whose
-	// (validated) plan names this backend.
-	Compile(w *Workload) Stream
+// Backend is one execution architecture of the paper: a row of the
+// backend table, its Arch and its static capability report.
+type Backend struct {
+	arch Arch
+	caps Caps
 }
 
-// registry maps architectures to their registered backends. Backends
-// register at package init; the map is read-only afterwards, so
-// concurrent readers need no locking.
-var registry = map[Arch]Backend{}
+// Arch is the architecture the backend implements.
+func (b Backend) Arch() Arch { return b.arch }
 
-// Register adds a backend to the registry. It panics on a duplicate
-// architecture — backend identity is 1:1 with the Arch enum.
-func Register(b Backend) {
-	if _, dup := registry[b.Arch()]; dup {
-		panic(fmt.Sprintf("query: backend %s registered twice", b.Name()))
-	}
-	registry[b.Arch()] = b
-}
+// Name is the backend's CLI spelling.
+func (b Backend) Name() string { return b.arch.String() }
 
-// BackendFor returns the backend registered for an architecture.
-func BackendFor(a Arch) (Backend, bool) {
-	b, ok := registry[a]
-	return b, ok
-}
+// Caps reports the backend's capability envelope.
+func (b Backend) Caps() Caps { return b.caps }
 
-// Backends returns the registered backends in architecture order — the
+// backends is the table, indexed by Arch; its order is the
 // deterministic iteration order planners and CLIs use.
-func Backends() []Backend {
-	out := make([]Backend, 0, len(registry))
-	for _, b := range registry {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Arch() < out[j].Arch() })
-	return out
+var backends = [...]Backend{
+	// AVX-512 caps vector ops at 64 B; the paper's compilers stop
+	// unrolling at 8.
+	X86:  {X86, Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 64, MaxUnroll: 8}},
+	HMC:  {HMC, Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32}},
+	HIVE: {HIVE, Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Fused: true}},
+	// The predicated plan is defined for column-at-a-time scans; the
+	// in-memory Q06 aggregation is its extension.
+	HIPE: {HIPE, Caps{ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Aggregate: true}},
 }
 
-// BackendNames returns the registered backend names in architecture
-// order — what CLI error messages list instead of a hard-coded string.
+// BackendFor returns the table's row for an architecture; ok is false
+// for an architecture outside the table, ArchAuto included.
+func BackendFor(a Arch) (b Backend, ok bool) {
+	if int(a) < len(backends) {
+		return backends[a], true
+	}
+	return Backend{}, false
+}
+
+// Backends returns a copy of the table in architecture order, so a
+// caller (hipe.Backends hands it out) cannot write into the table.
+func Backends() []Backend { return append([]Backend(nil), backends[:]...) }
+
+// BackendNames returns the backend names in architecture order — what
+// CLI error messages list instead of a hard-coded string.
 func BackendNames() []string {
-	bs := Backends()
-	names := make([]string, len(bs))
-	for i, b := range bs {
+	names := make([]string, len(backends))
+	for i, b := range backends {
 		names[i] = b.Name()
 	}
 	return names
 }
 
+// BestPlan returns architecture a's best configuration over predicate
+// q, its Figure 3d shape: column-at-a-time at the row's widest op size
+// and deepest unroll, fused where the row has the fused variant. An
+// architecture outside the table gets a plan Validate rejects.
+func BestPlan(a Arch, q db.Q06) Plan {
+	b, _ := BackendFor(a)
+	return Plan{Arch: a, Strategy: ColumnAtATime, OpSize: b.caps.MaxOpSize,
+		Unroll: b.caps.MaxUnroll, Fused: b.caps.Fused, Q: q}
+}
+
 // ArchAuto is the adaptive planner's sentinel architecture: a plan
 // carrying it names no backend — the cost model resolves it to the
-// predicted-fastest registered backend (given the workload's
-// selectivity profile) before the plan compiles. Validate accepts an
-// auto plan when at least one registered backend could serve as its
-// resolution; compiling an unresolved auto plan panics.
+// predicted-fastest backend (given the workload's selectivity profile)
+// before the plan compiles. Validate accepts an auto plan when at least
+// one backend could serve as its resolution; compiling an unresolved
+// auto plan panics.
 const ArchAuto Arch = 0xFF
 
 // ParseArch resolves a backend name (or "auto") to its architecture.
@@ -120,28 +125,28 @@ func ParseArch(name string) (Arch, bool) {
 	if name == ArchAuto.String() {
 		return ArchAuto, true
 	}
-	for _, b := range Backends() {
+	for _, b := range backends {
 		if b.Name() == name {
-			return b.Arch(), true
+			return b.arch, true
 		}
 	}
 	return 0, false
 }
 
 // ArchChoices renders the valid -arch spellings for CLI usage errors:
-// the registered backend names plus the planner's "auto".
+// the backend names plus the planner's "auto".
 func ArchChoices() string {
 	return strings.Join(append(BackendNames(), ArchAuto.String()), ", ")
 }
 
 // Candidates returns the concrete plans an auto plan can resolve to:
-// the plan with each registered backend's architecture substituted,
-// trimmed to the backends whose envelope admits the plan's shape for an
-// n-row table, in architecture order. A non-auto plan returns itself
-// when valid. This is the sweep engine's resolution rule — the cell
-// keeps its shape axes and the planner picks among backends that can
-// run that shape; the serving layer instead routes among per-backend
-// best shapes (see serve.DefaultPlan).
+// the plan with each backend's architecture substituted, trimmed to the
+// backends whose envelope admits the plan's shape for an n-row table,
+// in architecture order. A non-auto plan returns itself when valid.
+// This is the sweep engine's resolution rule — the cell keeps its shape
+// axes and the planner picks among backends that can run that shape;
+// the serving layer instead routes among per-backend best shapes (see
+// BestPlan).
 func (p Plan) Candidates(tuples int) []Plan {
 	if p.Arch != ArchAuto {
 		if p.ValidateFor(tuples) != nil {
@@ -150,9 +155,9 @@ func (p Plan) Candidates(tuples int) []Plan {
 		return []Plan{p}
 	}
 	var out []Plan
-	for _, b := range Backends() {
+	for _, b := range backends {
 		q := p
-		q.Arch = b.Arch()
+		q.Arch = b.arch
 		if q.ValidateFor(tuples) == nil {
 			out = append(out, q)
 		}
@@ -160,98 +165,38 @@ func (p Plan) Candidates(tuples int) []Plan {
 	return out
 }
 
-// Stream builds the µop stream for the workload's plan through its
-// registered backend. The registered backends' streams borrow their
-// block buffers from the workload's machine.
+// Stream builds the µop stream for the workload's plan: the generator
+// its architecture, strategy and query shape name. Every stream borrows
+// its block buffers from the workload's machine.
 func (w *Workload) Stream() Stream {
-	b, ok := BackendFor(w.Plan.Arch)
-	if !ok {
+	a, tuple, grouped := w.Plan.Arch, w.Plan.Strategy == TupleAtATime, w.Desc.Grouped()
+	var s *chunkedStream
+	switch {
+	case a == X86 && tuple:
+		s = w.x86Tuple()
+	case a == X86 && grouped:
+		s = w.q1x86Column()
+	case a == X86:
+		s = w.x86Column()
+	case a == HMC && tuple:
+		s = w.hmcTuple()
+	case a == HMC && grouped:
+		s = w.q1hmcColumn()
+	case a == HMC:
+		s = w.hmcColumn()
+	case a == HIVE && tuple:
+		s = w.hiveTuple()
+	case a == HIVE && w.Plan.Fused:
+		s = w.hiveFusedColumn()
+	case a == HIVE:
+		s = w.hiveColumn()
+	case a == HIPE && grouped:
+		s = w.q1hipeColumn()
+	case a == HIPE:
+		s = w.hipeColumn()
+	default:
 		panic(fmt.Sprintf("query: plan %s names no registered backend (auto plans must be resolved before compiling)", w.Plan))
 	}
-	s := b.Compile(w)
-	if cs, ok := s.(*chunkedStream); ok {
-		cs.spare = &w.M.Blocks
-	}
+	s.spare = &w.M.Blocks
 	return s
-}
-
-// The four architectures of the paper, registered behind the Backend
-// interface. Each Compile dispatches on the plan's strategy (and, where
-// the architecture compiles them apart, on whether the query groups)
-// to the generator that produces the architecture's µop stream.
-
-func init() {
-	Register(x86Backend{})
-	Register(hmcBackend{})
-	Register(hiveBackend{})
-	Register(hipeBackend{})
-}
-
-type x86Backend struct{}
-
-func (x86Backend) Arch() Arch   { return X86 }
-func (x86Backend) Name() string { return X86.String() }
-func (x86Backend) Caps() Caps {
-	// AVX-512 caps vector ops at 64 B; the paper's compilers stop
-	// unrolling at 8.
-	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 64, MaxUnroll: 8}
-}
-func (x86Backend) Compile(w *Workload) Stream {
-	switch {
-	case w.Plan.Strategy == TupleAtATime:
-		return w.x86Tuple()
-	case w.Desc.Grouped():
-		return w.q1x86Column()
-	}
-	return w.x86Column()
-}
-
-type hmcBackend struct{}
-
-func (hmcBackend) Arch() Arch   { return HMC }
-func (hmcBackend) Name() string { return HMC.String() }
-func (hmcBackend) Caps() Caps {
-	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32}
-}
-func (hmcBackend) Compile(w *Workload) Stream {
-	switch {
-	case w.Plan.Strategy == TupleAtATime:
-		return w.hmcTuple()
-	case w.Desc.Grouped():
-		return w.q1hmcColumn()
-	}
-	return w.hmcColumn()
-}
-
-type hiveBackend struct{}
-
-func (hiveBackend) Arch() Arch   { return HIVE }
-func (hiveBackend) Name() string { return HIVE.String() }
-func (hiveBackend) Caps() Caps {
-	return Caps{TupleAtATime: true, ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Fused: true}
-}
-func (hiveBackend) Compile(w *Workload) Stream {
-	switch {
-	case w.Plan.Strategy == TupleAtATime:
-		return w.hiveTuple()
-	case w.Plan.Fused:
-		return w.hiveFusedColumn()
-	}
-	return w.hiveColumn()
-}
-
-type hipeBackend struct{}
-
-func (hipeBackend) Arch() Arch   { return HIPE }
-func (hipeBackend) Name() string { return HIPE.String() }
-func (hipeBackend) Caps() Caps {
-	// The predicated plan is defined for column-at-a-time scans; the
-	// in-memory Q06 aggregation is its extension.
-	return Caps{ColumnAtATime: true, MaxOpSize: 256, MaxUnroll: 32, Aggregate: true}
-}
-func (hipeBackend) Compile(w *Workload) Stream {
-	if w.Desc.Grouped() {
-		return w.q1hipeColumn()
-	}
-	return w.hipeColumn()
 }

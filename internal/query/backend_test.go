@@ -27,6 +27,25 @@ func TestRegistryNames(t *testing.T) {
 	if ArchAuto.String() != "auto" {
 		t.Errorf("ArchAuto.String() = %q", ArchAuto)
 	}
+	// Each row of the table sits at its own architecture's index.
+	for i := range backends {
+		a := Arch(i)
+		if b, ok := BackendFor(a); !ok || b.Arch() != a || b.Name() != a.String() {
+			t.Errorf("BackendFor(%v) = %v/%q, %t", a, b.Arch(), b.Name(), ok)
+		}
+	}
+	if _, ok := BackendFor(ArchAuto); ok {
+		t.Error("BackendFor(ArchAuto) reported a backend")
+	}
+	// Backends hands out a copy: writing into it leaves the table intact.
+	bs := Backends()
+	bs[0] = bs[3]
+	if b, _ := BackendFor(X86); b.Arch() != X86 || b.Caps().MaxOpSize != 64 {
+		t.Errorf("writing into Backends() changed the table's x86 row to %v", b.Arch())
+	}
+	if got := Backends(); got[0].Arch() != X86 {
+		t.Errorf("Backends()[0] = %v after a caller's write, want x86", got[0].Arch())
+	}
 }
 
 // TestCapsMatchValidate pins the capability reports to the validation

@@ -21,7 +21,7 @@ import (
 // {Q6,Q1}×{fused,aggregate} combination's full µop stream, over each
 // golden table, is serialised canonically and hashed, and the hashes
 // are committed. Any refactor of
-// the generators or the registry layer that changes a single byte of a
+// the generators or the Stream switch that changes a single byte of a
 // single µop — opcode, register, address, size, predicate, offload
 // payload — changes a hash and fails this test. Regenerate with
 //

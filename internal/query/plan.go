@@ -112,8 +112,8 @@ var validOpSizes = map[uint32]bool{16: true, 32: true, 64: true, 128: true, 256:
 func (p Plan) Auto() bool { return p.Arch == ArchAuto }
 
 // Validate rejects configurations outside the paper's evaluated space.
-// Per-backend constraints come from the registry's capability reports;
-// an auto plan validates when at least one registered backend could
+// Per-backend constraints come from the backend table's capability
+// reports; an auto plan validates when at least one backend could
 // resolve it.
 func (p Plan) Validate() error {
 	if !validOpSizes[p.OpSize] {
@@ -134,9 +134,9 @@ func (p Plan) Validate() error {
 		}
 	}
 	if p.Auto() {
-		for _, b := range Backends() {
+		for _, b := range backends {
 			q := p
-			q.Arch = b.Arch()
+			q.Arch = b.arch
 			if q.Validate() == nil {
 				return nil
 			}
@@ -147,7 +147,7 @@ func (p Plan) Validate() error {
 	if !ok {
 		return fmt.Errorf("query: unknown architecture %d", p.Arch)
 	}
-	caps := be.Caps()
+	caps := be.caps
 	if p.Fused && !(caps.Fused && p.Strategy == ColumnAtATime) {
 		return fmt.Errorf("query: fused plans only exist for HIVE column-at-a-time")
 	}

@@ -102,9 +102,9 @@ func (p Plan) ValidateFor(tuples int) error {
 	if p.Auto() {
 		// Validate accepted the shape; the table-dependent envelope
 		// holds when at least one backend substitution survives it.
-		for _, b := range Backends() {
+		for _, b := range backends {
 			q := p
-			q.Arch = b.Arch()
+			q.Arch = b.arch
 			if q.ValidateFor(tuples) == nil {
 				return nil
 			}

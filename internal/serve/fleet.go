@@ -43,7 +43,7 @@ type poolEstimate struct {
 
 // NewFleet builds a fleet over tab cut into nShards shards, with one
 // complete replica per entry of pools, pinned to that architecture.
-// Pools must name registered concrete backends — ArchAuto names no
+// Pools must name concrete backends of the table — ArchAuto names no
 // backend family to pin a replica to and is rejected.
 func NewFleet(cfg sweep.Config, tab *db.Table, nShards int, pools []query.Arch) (*Fleet, error) {
 	if len(pools) == 0 {

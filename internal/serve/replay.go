@@ -1,6 +1,6 @@
 // The serving replay: the one load-test driver under Cluster.LoadTest
 // and Fleet.LoadTest. A Cluster is a one-pool fleet whose pool runs
-// every registered backend and whose requests arrive routed — each
+// every backend and whose requests arrive routed — each
 // request's single candidate is its admission-resolved plan, and its
 // routing decision is the static one made at admission. A Fleet's
 // requests carry one candidate per replica pool that can serve them and

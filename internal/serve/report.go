@@ -196,7 +196,7 @@ var CSVHeader = []string{
 
 // RoutingCSVHeader returns the routing-decision columns appended for
 // reports with routed requests: the routed flag, the profiled
-// selectivity, and one estimated-cycles column per registered backend
+// selectivity, and one estimated-cycles column per backend
 // — the full audit trail of each pick.
 func RoutingCSVHeader() []string {
 	cols := []string{"routed", "est_selectivity"}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestAutoQueryRoutesAndVerifies: an ArchAuto request resolves to a
-// registered backend, executes, verifies against the reference, and
+// concrete backend, executes, verifies against the reference, and
 // carries the full routing decision in the response.
 func TestAutoQueryRoutesAndVerifies(t *testing.T) {
 	tab := db.GenerateClusteredMemo(1024, 42, 10)

@@ -65,20 +65,15 @@ type Request struct {
 const ArchAuto = query.ArchAuto
 
 // DefaultPlan returns the per-architecture best configuration (the
-// Figure 3d shapes) over predicate q — the natural plan for a serving
-// request that only picks an architecture. ArchAuto returns the
-// unresolved auto request plan; the cluster routes it at admission.
+// Figure 3d shape, query.BestPlan) over predicate q — the natural plan
+// for a serving request that only picks an architecture. ArchAuto
+// returns the unresolved auto request plan; the cluster routes it at
+// admission.
 func DefaultPlan(arch query.Arch, q db.Q06) query.Plan {
-	switch arch {
-	case query.ArchAuto:
+	if arch == query.ArchAuto {
 		return query.Plan{Arch: query.ArchAuto, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q}
-	case query.X86:
-		return query.Plan{Arch: arch, Strategy: query.ColumnAtATime, OpSize: 64, Unroll: 8, Q: q}
-	case query.HIVE:
-		return query.Plan{Arch: arch, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Fused: true, Q: q}
-	default: // HMC, HIPE
-		return query.Plan{Arch: arch, Strategy: query.ColumnAtATime, OpSize: 256, Unroll: 32, Q: q}
 	}
+	return query.BestPlan(arch, q)
 }
 
 // DefaultQ1Plan returns the per-architecture best configuration for the
@@ -390,7 +385,7 @@ func (c *Cluster) maxShardRows() int {
 }
 
 // resolve routes an ArchAuto request to the predicted-fastest backend:
-// the candidates are every registered backend's best serving shape over
+// the candidates are every backend's best serving shape over
 // the request's predicate, trimmed to the plans every shard can
 // execute, ranked by the cost model against the served table's
 // selectivity profile. Fixed-architecture requests pass through

@@ -57,7 +57,7 @@ type StreamSpec struct {
 
 // Requests materialises the stream. Malformed specs — a non-positive
 // length, a negative cadence or class count, an architecture outside
-// the backend registry — are rejected up front, never panicked on.
+// the backend table — are rejected up front, never panicked on.
 func (s StreamSpec) Requests() ([]Request, error) {
 	if s.N <= 0 {
 		return nil, fmt.Errorf("serve: stream of %d requests", s.N)
@@ -284,7 +284,7 @@ func (t *TraceSpec) gap(r *db.RNG, burst *burstProcess, now uint64) uint64 {
 	if burst != nil && burst.active(now) {
 		rate *= t.BurstFactor
 	}
-	return expGap(r, float64(t.Mean)/rate)
+	return r.ExpGap(float64(t.Mean) / rate)
 }
 
 // burstProcess is a seeded on/off renewal process: alternating quiet
@@ -307,7 +307,7 @@ func newBurstProcess(t *TraceSpec, seed uint64) *burstProcess {
 // segment draws one exponential segment length; the +1 keeps every
 // segment strictly advancing the clock, so active never loops forever.
 func (b *burstProcess) segment(mean uint64) uint64 {
-	return expGap(b.r, float64(mean)) + 1
+	return b.r.ExpGap(float64(mean)) + 1
 }
 
 // active reports whether time now falls inside a burst, advancing
@@ -322,17 +322,6 @@ func (b *burstProcess) active(now uint64) bool {
 		}
 	}
 	return b.on
-}
-
-// expGap draws one exponential gap with the given mean, quantised to
-// whole cycles. The unit draw is clamped away from zero so the log can
-// never overflow the cycle counter.
-func expGap(r *db.RNG, mean float64) uint64 {
-	u := r.Float64()
-	if u < 1e-12 {
-		u = 1e-12
-	}
-	return uint64(math.Round(-math.Log(u) * mean))
 }
 
 // validate rejects malformed specs before any simulation runs.
@@ -407,7 +396,7 @@ func (s LoadSpec) arrivals() []uint64 {
 			gap = s.Trace.gap(r, burst, now)
 		} else {
 			// Exponential gap, quantised to whole cycles.
-			gap = expGap(r, float64(s.MeanInterarrival))
+			gap = r.ExpGap(float64(s.MeanInterarrival))
 		}
 		now += gap
 		if s.DurationCycles > 0 && now >= s.DurationCycles {
@@ -419,7 +408,7 @@ func (s LoadSpec) arrivals() []uint64 {
 }
 
 // LoadTest runs the load spec against the cluster: the one serving
-// replay with a single pool that can run every registered backend. It
+// replay with a single pool that can run every backend. It
 // admits the stream — routing ArchAuto requests to their
 // predicted-fastest backend first — computes every distinct (plan,
 // shard) service time on the bounded executor pool, verifies every

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -82,69 +81,6 @@ func TestScopesOrder(t *testing.T) {
 	got := r.Scopes()
 	if len(got) != 2 || got[0].Name() != "one" || got[1].Name() != "two" {
 		t.Fatalf("scopes = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for _, v := range []uint64{0, 1, 2, 3, 4, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 100 {
-		t.Fatalf("max = %d", h.Max())
-	}
-	wantMean := float64(0+1+2+3+4+100) / 6
-	if h.Mean() != wantMean {
-		t.Fatalf("mean = %f, want %f", h.Mean(), wantMean)
-	}
-	if h.Bucket(0) != 1 { // v==0
-		t.Fatalf("bucket0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // v==1
-		t.Fatalf("bucket1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(2) != 2 { // v in {2,3}
-		t.Fatalf("bucket2 = %d", h.Bucket(2))
-	}
-	if h.Bucket(-1) != 0 || h.Bucket(99) != 0 {
-		t.Fatal("out-of-range bucket not 0")
-	}
-}
-
-func TestHistogramEmptyMean(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 {
-		t.Fatal("empty histogram mean != 0")
-	}
-}
-
-// Property: histogram count equals samples, sum of buckets equals count,
-// and mean*count equals the true sum.
-func TestHistogramProperty(t *testing.T) {
-	f := func(samples []uint32) bool {
-		var h Histogram
-		var sum uint64
-		for _, s := range samples {
-			h.Observe(uint64(s))
-			sum += uint64(s)
-		}
-		var bsum uint64
-		for i := 0; i < 32; i++ {
-			bsum += h.Bucket(i)
-		}
-		if h.Count() != uint64(len(samples)) || bsum != h.Count() {
-			return false
-		}
-		if len(samples) == 0 {
-			return h.Mean() == 0
-		}
-		return h.Mean() == float64(sum)/float64(len(samples))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

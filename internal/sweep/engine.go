@@ -97,9 +97,9 @@ type CellResult struct {
 	// or the group's best cycles when the group has no x86 cell.
 	Speedup float64
 	// Routing records the adaptive planner's decision for an auto-arch
-	// cell: the candidates were the cell's shape with each registered
-	// backend's architecture substituted (trimmed to fitting
-	// envelopes), and Result.Plan is the chosen backend's plan. Nil —
+	// cell: the candidates were the cell's shape with each backend's
+	// architecture substituted (trimmed to fitting envelopes), and
+	// Result.Plan is the chosen backend's plan. Nil —
 	// and JSON-omitted — for fixed-architecture cells.
 	Routing *cost.Decision `json:",omitempty"`
 	// Counters is the cell's machine-counter snapshot when
@@ -350,7 +350,7 @@ func (r *cellRun) prepare(c int, e *tableEntry, head *CellResult) {
 	}
 	err := e.err
 	if err == nil && cell.Plan.Auto() {
-		// Substitute each registered backend into the cell's shape and
+		// Substitute each backend into the cell's shape and
 		// run the predicted-fastest.
 		head.Routing, err = cost.Pick(r.leg.Params, e.tab, cell.Plan.Candidates(cell.Tuples))
 	}

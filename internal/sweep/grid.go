@@ -61,8 +61,8 @@ func (c Cell) String() string {
 type Grid struct {
 	// Archs are the architectures to sweep. Default: {HIPE}. The axis
 	// may include query.ArchAuto: an auto cell keeps the grid's shape
-	// axes and the engine routes it to the predicted-fastest registered
-	// backend whose envelope admits that shape (the routing decision is
+	// axes and the engine routes it to the predicted-fastest backend
+	// whose envelope admits that shape (the routing decision is
 	// recorded in the cell result and the exports' routing columns).
 	Archs []query.Arch
 	// Strategies are the scan strategies. Default: {ColumnAtATime}.
