@@ -192,6 +192,41 @@ func TestPickDeterministicTies(t *testing.T) {
 	}
 }
 
+// TestPickRejectsEveryCandidate pins the errors of the ranking loop
+// Pick and PickSharded share: an empty list and a list whose every
+// candidate the estimator rejects fail with each function's own text.
+func TestPickRejectsEveryCandidate(t *testing.T) {
+	pr := cost.DefaultParams()
+	tab := db.GenerateMemo(1024, 42)
+	shards, err := db.Partition(tab, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := servePlan(query.HIPE, db.DefaultQ06())
+	bad.Arch = query.HIPE + 1 // outside the backend table: no estimator prices it
+	rejected := []query.Plan{bad, bad}
+	for _, tc := range []struct {
+		name string
+		pick func([]query.Plan) (*cost.Decision, error)
+		want string
+	}{
+		{"pick", func(c []query.Plan) (*cost.Decision, error) { return cost.Pick(pr, tab, c) },
+			"cost: no candidate plan fits the workload (2 candidates rejected)"},
+		{"sharded", func(c []query.Plan) (*cost.Decision, error) { return cost.PickSharded(pr, shards, c) },
+			"cost: no candidate plan fits the sharded workload (2 candidates rejected)"},
+	} {
+		if d, err := tc.pick(rejected); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: every candidate rejected gave %v, %v; want error %q", tc.name, d, err, tc.want)
+		}
+		if _, err := tc.pick(nil); err == nil || err.Error() != "cost: no candidate plans" {
+			t.Errorf("%s: empty candidate list gave error %v", tc.name, err)
+		}
+	}
+	if _, err := cost.PickSharded(pr, nil, []query.Plan{servePlan(query.HIPE, db.DefaultQ06())}); err == nil || err.Error() != "cost: no shards" {
+		t.Errorf("PickSharded without shards gave error %v", err)
+	}
+}
+
 // TestProfileSurvival checks the profiler against a hand-computed
 // clustered layout: a date cut at half the range must leave about half
 // the chunks alive.

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -214,5 +215,32 @@ func TestLayoutDSM(t *testing.T) {
 	padded := (uint64(tab.N*ColumnWidth) + 255) &^ 255
 	if uint64(l.ColBase[FieldDiscount]) < uint64(l.ColBase[FieldShipDate])+padded {
 		t.Fatal("columns overlap")
+	}
+}
+
+// TestRNGExpGap pins the one exponential-gap draw serve's arrivals and
+// fault's windows share: a seed fixes the sequence, the draws average
+// to the requested mean, the clamp bounds every draw at -ln(1e-12)
+// means, and a zero mean draws zero.
+func TestRNGExpGap(t *testing.T) {
+	const mean, n = 1000.0, 20000
+	a, b := NewRNG(7), NewRNG(7)
+	limit := uint64(math.Round(-math.Log(1e-12) * mean))
+	var sum float64
+	for i := 0; i < n; i++ {
+		g := a.ExpGap(mean)
+		if h := b.ExpGap(mean); g != h {
+			t.Fatalf("draw %d: %d then %d from the same seed", i, g, h)
+		}
+		if g > limit {
+			t.Fatalf("draw %d: gap %d past the clamp's bound %d", i, g, limit)
+		}
+		sum += float64(g)
+	}
+	if got := sum / n; math.Abs(got-mean) > 0.03*mean {
+		t.Errorf("mean gap %.1f over %d draws, want %.0f within 3%%", got, n, mean)
+	}
+	if g := NewRNG(7).ExpGap(0); g != 0 {
+		t.Errorf("zero mean drew gap %d", g)
 	}
 }
