@@ -222,27 +222,37 @@ func ExampleSweep_estimateMode() {
 // concurrently on the executor pool, partials merge in shard order, and
 // the report's cycle figure is the scatter-gather critical path — so
 // the answer and the report bytes are identical at any worker count.
+// Each query runs on a cluster of its own: a cluster keeps the shard
+// legs it has verified, so a second query on one cluster would
+// simulate nothing.
 func ExampleServe_parallelShards() {
 	cfg := hipe.Default()
 	cfg.Tuples = 1024
 	tab := hipe.Generate(cfg.Tuples, cfg.Seed)
-
-	cluster, err := hipe.Serve(cfg, tab, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
 	req := hipe.ServeRequest{Plan: hipe.ServePlan(hipe.HIPE, hipe.DefaultQ06())}
-	serial, err := cluster.Query(req, hipe.ServeOptions{Workers: 1})
-	if err != nil {
-		log.Fatal(err)
+
+	query := func(workers int) (*hipe.ServeResponse, int) {
+		cluster, err := hipe.Serve(cfg, tab, 4)
+		if err != nil {
+			log.Fatal(err)
+		}
+		legs := 0
+		resp, err := cluster.Query(req, hipe.ServeOptions{
+			Workers: workers,
+			OnTask:  func(int, int) { legs++ },
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return resp, legs
 	}
-	wide, err := cluster.Query(req, hipe.ServeOptions{Workers: 8})
-	if err != nil {
-		log.Fatal(err)
-	}
+	serial, serialLegs := query(1)
+	wide, wideLegs := query(8)
+	fmt.Println("shard legs simulated:", serialLegs, wideLegs)
 	fmt.Println("same answer:", wide.Matches == serial.Matches && wide.Revenue == serial.Revenue)
 	fmt.Println("same critical path:", wide.Cycles == serial.Cycles)
 	// Output:
+	// shard legs simulated: 4 4
 	// same answer: true
 	// same critical path: true
 }

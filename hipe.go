@@ -102,8 +102,11 @@ type (
 	// ServeResponse is a merged, verified whole-table answer.
 	ServeResponse = serve.Response
 	// ServeOptions tune cluster execution: the executor pool running
-	// shard simulations, counter capture, virtual-time tracing, and the
-	// execution mode (exact simulation or the estimate fast path).
+	// shard simulations, counter capture, virtual-time tracing, the
+	// execution mode (exact simulation or the estimate fast path), and
+	// an OnTask progress callback that fires once per shard leg a call
+	// runs (a cluster simulates each exact leg once and serves repeats
+	// from its memo, which OnTask does not count).
 	ServeOptions = serve.Options
 	// StreamSpec declares a seeded mixed-selectivity request stream.
 	StreamSpec = serve.StreamSpec

@@ -222,38 +222,36 @@ func TestFleetAdaptiveWithinNoiseWhenCalibrated(t *testing.T) {
 // exports — with exploration firing — are byte-identical at any
 // executor worker count, because observations fold in during the
 // single-threaded replay and exploration draws are pure functions of
-// (seed, request index).
+// (seed, request index). Each run gets a fresh fleet, so each one
+// simulates its legs.
 func TestFleetAdaptiveDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := fleetSpecs(t)["poisson"]
 	spec.Adaptive = &cost.AdaptiveConfig{ExplorePct: 10, Seed: 5}
-	f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
 	var wantCSV, wantJSON []byte
+	var firstLegs int
 	explored := false
 	for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
-		rep, err := f.LoadTest(spec, Options{Workers: workers})
+		f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
+		var legs int
+		rep, err := f.LoadTest(spec, countLegs(Options{Workers: workers}, &legs))
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkSimulated(t, legs, &firstLegs)
 		for _, tr := range rep.Requests {
 			if tr.Routing != nil && tr.Routing.Explored {
 				explored = true
 			}
 		}
-		var csvBuf, jsonBuf bytes.Buffer
-		if err := rep.WriteCSV(&csvBuf); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(&jsonBuf); err != nil {
-			t.Fatal(err)
-		}
+		csvOut, jsonOut := exports(t, rep)
 		if wantCSV == nil {
-			wantCSV, wantJSON = csvBuf.Bytes(), jsonBuf.Bytes()
+			wantCSV, wantJSON = csvOut, jsonOut
 			continue
 		}
-		if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
+		if !bytes.Equal(csvOut, wantCSV) {
 			t.Fatalf("adaptive CSV differs at %d workers", workers)
 		}
-		if !bytes.Equal(jsonBuf.Bytes(), wantJSON) {
+		if !bytes.Equal(jsonOut, wantJSON) {
 			t.Fatalf("adaptive JSON differs at %d workers", workers)
 		}
 	}

@@ -6,9 +6,11 @@
 //
 // Replicas hold the same data, so a (plan, shard) service time is
 // identical on every pool that can run the plan; the fleet therefore
-// shares the Cluster's executor pool, memoised shard simulations and
-// replay (replay.go), in which only the single-threaded virtual-time
-// timeline knows about pools. Reports stay byte-identical at any
+// shares the Cluster's executor pool, its memo of verified exact shard
+// legs and its replay (replay.go), in which only the single-threaded
+// virtual-time timeline knows about pools. The memo spans calls: a leg
+// any load test or query of the fleet (or of its embedded Cluster) has
+// verified is not simulated again. Reports stay byte-identical at any
 // worker count.
 package serve
 
@@ -24,8 +26,9 @@ import (
 
 // Fleet is a replicated serving fleet: the embedded Cluster's shards,
 // replicated across len(pools) complete replicas, each pinned to one
-// backend family. Immutable after NewFleet and safe for concurrent
-// Query calls.
+// backend family. Its pools are fixed at NewFleet; its caches, the
+// Cluster's and its per-plan estimates, fill as it serves. Safe for
+// concurrent Query and LoadTest calls.
 type Fleet struct {
 	*Cluster
 	pools []query.Arch
@@ -192,7 +195,8 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 // LoadTest runs the load spec against the fleet: the one serving
 // replay (see Cluster.LoadTest) with one pool per replica. Every
 // distinct candidate plan's (plan, shard) service times are computed
-// once on the bounded executor pool and each plan's merged answer is
+// on the bounded executor pool, each exact one once per fleet
+// (runPlanSet), and each plan's merged answer is
 // verified against the unsharded reference evaluator. The serving
 // timeline is then replayed single-threaded in virtual time — per
 // arrival, the router ranks the request's (pool, plan) candidates by

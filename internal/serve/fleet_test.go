@@ -120,35 +120,33 @@ func fleetSpecs(t *testing.T) map[string]LoadSpec {
 // TestFleetReportDeterministicAcrossWorkerCounts is the tentpole
 // acceptance check: fleet reports — CSV and JSON — are byte-identical
 // at 1, 2, 8 and GOMAXPROCS executor workers for both Poisson and
-// trace-driven arrivals.
+// trace-driven arrivals. Each run gets a fresh fleet, so each one
+// simulates its legs.
 func TestFleetReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	for name, spec := range fleetSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
 			var wantCSV, wantJSON []byte
+			var firstLegs int
 			for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
-				rep, err := f.LoadTest(spec, Options{Workers: workers})
+				f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
+				var legs int
+				rep, err := f.LoadTest(spec, countLegs(Options{Workers: workers}, &legs))
 				if err != nil {
 					t.Fatal(err)
 				}
-				var csvBuf, jsonBuf bytes.Buffer
-				if err := rep.WriteCSV(&csvBuf); err != nil {
-					t.Fatal(err)
-				}
-				if err := rep.WriteJSON(&jsonBuf); err != nil {
-					t.Fatal(err)
-				}
+				checkSimulated(t, legs, &firstLegs)
+				csvOut, jsonOut := exports(t, rep)
 				if wantCSV == nil {
-					wantCSV, wantJSON = csvBuf.Bytes(), jsonBuf.Bytes()
+					wantCSV, wantJSON = csvOut, jsonOut
 					if rep.Shed == 0 && name == "trace" {
 						t.Log("trace spec shed nothing; burst overload may be under-sized")
 					}
 					continue
 				}
-				if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
+				if !bytes.Equal(csvOut, wantCSV) {
 					t.Fatalf("CSV differs at %d workers", workers)
 				}
-				if !bytes.Equal(jsonBuf.Bytes(), wantJSON) {
+				if !bytes.Equal(jsonOut, wantJSON) {
 					t.Fatalf("JSON differs at %d workers", workers)
 				}
 			}

@@ -15,22 +15,25 @@ import (
 // machines may run anything else of their configuration. A report made
 // on machines that last ran sweep cells — every architecture, Q06 and
 // Q01 plans, a uniform and a date-clustered table — must be
-// byte-identical to one made on fresh machines.
+// byte-identical to one made on fresh machines. Each report comes from
+// a new cluster over the same table: a cluster's second load test
+// would simulate nothing, its legs served from the cluster's memo.
 func TestReportRepeatsAfterSweepCells(t *testing.T) {
 	c := testCluster(t, 2)
 	mc := *c.cfg.Machine
+	rows := c.shards[len(c.shards)-1].N
 	spec := OpenLoop(testStream(t, 8), 50_000, 0, 11)
-	report := func() []byte {
+	var firstLegs int
+	report := func(c *Cluster) []byte {
 		t.Helper()
-		r, err := c.LoadTest(spec, Options{Workers: 2, Counters: true})
+		var legs int
+		r, err := c.LoadTest(spec, countLegs(Options{Workers: 2, Counters: true}, &legs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b bytes.Buffer
-		if err := r.WriteJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+		checkSimulated(t, legs, &firstLegs)
+		_, out := exports(t, r)
+		return out
 	}
 
 	// A Put of another configuration drops the pool's idle machines, so
@@ -42,9 +45,8 @@ func TestReportRepeatsAfterSweepCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine.Put(m)
-	fresh := report()
+	fresh := report(c)
 
-	rows := c.shards[len(c.shards)-1].N
 	cells, err := sweep.Grid{
 		Archs:       []query.Arch{query.X86, query.HMC, query.HIVE, query.HIPE},
 		Strategies:  []query.Strategy{query.ColumnAtATime, query.TupleAtATime},
@@ -64,7 +66,7 @@ func TestReportRepeatsAfterSweepCells(t *testing.T) {
 	if _, err := sweep.RunCells(sweep.Config{Machine: &mc}, cells, sweep.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := report(); !bytes.Equal(got, fresh) {
+	if got := report(testCluster(t, 2)); !bytes.Equal(got, fresh) {
 		t.Fatalf("report on machines that last ran sweep cells differs from the fresh machines' (%d vs %d bytes)",
 			len(got), len(fresh))
 	}

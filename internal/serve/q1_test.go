@@ -96,45 +96,39 @@ func TestStreamSpecQ1Mix(t *testing.T) {
 	}
 }
 
+// TestQ1MixedLoadTestDeterministicAcrossWorkerCounts: a mixed Q06/Q01
+// load test's report and exports are identical at 1, 2 and 8 workers.
+// Each run gets a fresh cluster, so each one simulates its legs.
 func TestQ1MixedLoadTestDeterministicAcrossWorkerCounts(t *testing.T) {
 	tab := testTable()
-	cluster, err := New(sweep.Config{Tuples: tab.N, Seed: 42}, tab, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs, err := StreamSpec{N: 16, Seed: 9, Q1Every: 4}.Requests()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := OpenLoop(reqs, 40_000, 0, 11)
 	var base *Report
-	var baseCSV, baseJSON bytes.Buffer
+	var baseCSV, baseJSON []byte
+	var firstLegs int
 	for _, workers := range []int{1, 2, 8} {
-		rep, err := cluster.LoadTest(spec, Options{Workers: workers})
+		cluster, err := New(sweep.Config{Tuples: tab.N, Seed: 42}, tab, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var legs int
+		rep, err := cluster.LoadTest(spec, countLegs(Options{Workers: workers}, &legs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSimulated(t, legs, &firstLegs)
+		csvOut, jsonOut := exports(t, rep)
 		if base == nil {
-			base = rep
-			if err := rep.WriteCSV(&baseCSV); err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.WriteJSON(&baseJSON); err != nil {
-				t.Fatal(err)
-			}
+			base, baseCSV, baseJSON = rep, csvOut, jsonOut
 			continue
 		}
 		if !reflect.DeepEqual(base, rep) {
 			t.Fatalf("report differs at %d workers", workers)
 		}
-		var csvB, jsonB bytes.Buffer
-		if err := rep.WriteCSV(&csvB); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(&jsonB); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(baseCSV.Bytes(), csvB.Bytes()) || !bytes.Equal(baseJSON.Bytes(), jsonB.Bytes()) {
+		if !bytes.Equal(baseCSV, csvOut) || !bytes.Equal(baseJSON, jsonOut) {
 			t.Fatalf("exports differ at %d workers", workers)
 		}
 	}

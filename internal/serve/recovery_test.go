@@ -339,8 +339,8 @@ func TestFleetDegradedCoverageConsistency(t *testing.T) {
 // TestFleetFaultedDeterministicAcrossWorkerCounts extends the
 // determinism gate to the fault path: the full faulted, recovering
 // report — CSV and JSON — is byte-identical at any executor width.
+// Each run gets a fresh fleet, so each one simulates its legs.
 func TestFleetFaultedDeterministicAcrossWorkerCounts(t *testing.T) {
-	f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
 	spec := fleetSpecs(t)["poisson"]
 	for i := range spec.Classes {
 		spec.Classes[i].TimeoutCycles = 600_000
@@ -358,26 +358,24 @@ func TestFleetFaultedDeterministicAcrossWorkerCounts(t *testing.T) {
 		Hedge: true, Failover: true,
 	}
 	var wantCSV, wantJSON []byte
+	var firstLegs int
 	for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
-		rep, err := f.LoadTest(spec, Options{Workers: workers, Counters: true})
+		f := testFleet(t, 2, query.HIPE, query.X86, query.HMC)
+		var legs int
+		rep, err := f.LoadTest(spec, countLegs(Options{Workers: workers, Counters: true}, &legs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var csvBuf, jsonBuf bytes.Buffer
-		if err := rep.WriteCSV(&csvBuf); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(&jsonBuf); err != nil {
-			t.Fatal(err)
-		}
+		checkSimulated(t, legs, &firstLegs)
+		csvOut, jsonOut := exports(t, rep)
 		if wantCSV == nil {
-			wantCSV, wantJSON = csvBuf.Bytes(), jsonBuf.Bytes()
+			wantCSV, wantJSON = csvOut, jsonOut
 			continue
 		}
-		if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
+		if !bytes.Equal(csvOut, wantCSV) {
 			t.Fatalf("faulted CSV differs at %d workers", workers)
 		}
-		if !bytes.Equal(jsonBuf.Bytes(), wantJSON) {
+		if !bytes.Equal(jsonOut, wantJSON) {
 			t.Fatalf("faulted JSON differs at %d workers", workers)
 		}
 	}

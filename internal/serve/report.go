@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -311,6 +312,9 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	// csv.Writer.Write copies a record's fields out before it returns,
+	// so one record slice serves every row.
+	var rec []string
 	for _, tr := range r.Requests {
 		p, q := tr.Plan, tr.Plan.Q
 		if p.Kind == query.Q1Agg {
@@ -320,7 +324,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			// schema — and Q06-only exports — byte-stable.
 			q = db.Q06{ShipLo: 0, ShipHi: p.Q1.ShipCut + 1}
 		}
-		rec := []string{
+		rec = append(rec[:0],
 			strconv.Itoa(tr.Index),
 			strconv.Itoa(tr.Client),
 			p.Arch.String(),
@@ -341,18 +345,18 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			strconv.FormatUint(tr.Work, 10),
 			strconv.Itoa(tr.Matches),
 			strconv.FormatInt(tr.Revenue, 10),
-		}
+		)
 		if fleet {
-			rec = append(rec, r.fleetColumns(&tr)...)
+			rec = r.appendFleetColumns(rec, &tr)
 		}
 		if faults {
-			rec = append(rec, faultColumns(&tr)...)
+			rec = appendFaultColumns(rec, &tr)
 		}
 		if routed {
-			rec = append(rec, routingColumns(tr.Routing, backends)...)
+			rec = appendRoutingColumns(rec, tr.Routing, backends)
 		}
 		if adaptive {
-			rec = append(rec, adaptiveColumns(tr.Routing)...)
+			rec = appendAdaptiveColumns(rec, tr.Routing)
 		}
 		if r.ExecMode != "" {
 			rec = append(rec, r.ExecMode)
@@ -365,9 +369,10 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// fleetColumns renders one trace's fleet cells. The slo_met cell is
-// blank for classes without an SLO, "true"/"false" otherwise.
-func (r *Report) fleetColumns(tr *RequestTrace) []string {
+// appendFleetColumns appends one trace's fleet cells to rec. The
+// slo_met cell is blank for classes without an SLO, "true"/"false"
+// otherwise.
+func (r *Report) appendFleetColumns(rec []string, tr *RequestTrace) []string {
 	pool, arch, queue := "", "", ""
 	if tr.Pool != nil {
 		pool = strconv.Itoa(tr.Pool.Pool)
@@ -384,61 +389,74 @@ func (r *Report) fleetColumns(tr *RequestTrace) []string {
 			met = strconv.FormatBool(!tr.Degraded && tr.Latency <= bound)
 		}
 	}
-	return []string{strconv.Itoa(tr.Class), pool, arch, queue, slo, met}
+	return append(rec, strconv.Itoa(tr.Class), pool, arch, queue, slo, met)
 }
 
-// faultColumns renders one trace's recovery cells.
-func faultColumns(tr *RequestTrace) []string {
-	return []string{
+// appendFaultColumns appends one trace's recovery cells to rec.
+func appendFaultColumns(rec []string, tr *RequestTrace) []string {
+	return append(rec,
 		strconv.Itoa(tr.Attempts),
 		strconv.Itoa(tr.Hedges),
 		strconv.FormatBool(tr.Degraded),
 		strconv.FormatFloat(tr.Coverage, 'g', -1, 64),
 		strconv.FormatFloat(tr.ErrMatches, 'g', -1, 64),
 		strconv.FormatFloat(tr.ErrRevenue, 'g', -1, 64),
-	}
+	)
 }
 
-// routingColumns renders one trace's routing-decision cells: empty
-// estimates for fixed-architecture rows in a mixed stream, whole-cycle
-// estimates (deterministic integer formatting) for routed rows.
-func routingColumns(d *cost.Decision, backends []query.Backend) []string {
-	cols := make([]string, 0, 2+len(backends))
+// appendRoutingColumns appends one trace's routing-decision cells to
+// rec: empty estimates for fixed-architecture rows in a mixed stream,
+// whole-cycle estimates (formatCycles) for routed rows.
+func appendRoutingColumns(rec []string, d *cost.Decision, backends []query.Backend) []string {
 	if d == nil {
-		cols = append(cols, "false", "")
+		rec = append(rec, "false", "")
 		for range backends {
-			cols = append(cols, "")
+			rec = append(rec, "")
 		}
-		return cols
+		return rec
 	}
-	cols = append(cols, "true", strconv.FormatFloat(d.Selectivity, 'g', -1, 64))
+	rec = append(rec, "true", strconv.FormatFloat(d.Selectivity, 'g', -1, 64))
 	for _, b := range backends {
 		if est := d.EstimateFor(b.Arch()); est != nil {
-			cols = append(cols, strconv.FormatFloat(est.Cycles, 'f', 0, 64))
+			rec = append(rec, formatCycles(est.Cycles))
 		} else {
-			cols = append(cols, "")
+			rec = append(rec, "")
 		}
 	}
-	return cols
+	return rec
 }
 
-// adaptiveColumns renders one trace's adaptive-routing cells. Rows the
-// feedback router never saw — fixed-architecture requests in a mixed
-// stream, or static decisions — read "static" with blank provenance.
-func adaptiveColumns(d *cost.Decision) []string {
+// appendAdaptiveColumns appends one trace's adaptive-routing cells to
+// rec. Rows the feedback router never saw — fixed-architecture requests
+// in a mixed stream, or static decisions — read "static" with blank
+// provenance.
+func appendAdaptiveColumns(rec []string, d *cost.Decision) []string {
 	if d == nil || d.RouteMode == "" {
-		return []string{"static", "", "", ""}
+		return append(rec, "static", "", "", "")
 	}
 	obsCell, samplesCell := "", ""
 	if d.ChosenIndex >= 0 && d.ChosenIndex < len(d.ObsCycles) {
 		if v := d.ObsCycles[d.ChosenIndex]; v > 0 {
-			obsCell = strconv.FormatFloat(v, 'f', 0, 64)
+			obsCell = formatCycles(v)
 		}
 	}
 	if d.ChosenIndex >= 0 && d.ChosenIndex < len(d.BucketSamples) {
 		samplesCell = strconv.FormatUint(d.BucketSamples[d.ChosenIndex], 10)
 	}
-	return []string{d.RouteMode, obsCell, samplesCell, strconv.FormatBool(d.Explored)}
+	return append(rec, d.RouteMode, obsCell, samplesCell, strconv.FormatBool(d.Explored))
+}
+
+// formatCycles renders a cycle count as whole cycles, byte-identical to
+// strconv.FormatFloat(x, 'f', 0, 64). FormatFloat takes strconv's slow
+// multi-precision path (bigFtoa) for 'f' at any fixed precision, so
+// every value an int64 holds exactly — below 2^53 and without the sign
+// bit, since −0 prints "-0" — goes through FormatInt instead, rounded
+// half to even as FormatFloat rounds.
+func formatCycles(x float64) string {
+	if !math.Signbit(x) && x < 1<<53 {
+		return strconv.FormatInt(int64(math.RoundToEven(x)), 10)
+	}
+	return strconv.FormatFloat(x, 'f', 0, 64)
 }
 
 // WriteChromeTrace writes the load test's span timeline in Chrome

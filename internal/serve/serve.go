@@ -118,6 +118,14 @@ type ShardPartial struct {
 	Revenue int64
 }
 
+// clone returns a copy of sp sharing no memory with it, so the caller
+// may edit the copy's Groups and Counters.
+func (sp ShardPartial) clone() ShardPartial {
+	sp.Groups = slices.Clone(sp.Groups)
+	sp.Counters = sp.Counters.Clone()
+	return sp
+}
+
 // Response is a merged, verified whole-table answer.
 type Response struct {
 	Request Request
@@ -166,9 +174,12 @@ type Options struct {
 	// <= 0 means runtime.GOMAXPROCS(0). The worker count never changes
 	// answers or reports, only wall-clock time.
 	Workers int
-	// OnTask, when non-nil, is called after each finished shard task
-	// with the number completed so far and the total. Calls are
-	// serialised but arrive in completion order — progress only.
+	// OnTask, when non-nil, is called after each shard leg the call
+	// runs, with the number completed so far and the total of legs it
+	// runs. A leg served from the cluster's memo of verified exact legs
+	// runs nothing and is not counted, so a call that runs no leg makes
+	// no call. Calls are serialised but arrive in completion order —
+	// progress only.
 	OnTask func(completed, total int)
 	// Counters enables machine-counter capture: each shard run
 	// snapshots its machine's counter registry (plus the event engine's
@@ -224,8 +235,13 @@ func (o Options) EffectiveWorkers() int {
 }
 
 // Cluster is a sharded serving fleet: one table cut into contiguous
-// shards, each scanned by its own simulated machine. A Cluster is
-// immutable after New and safe for concurrent Query calls.
+// shards, each scanned by its own simulated machine. Its machine and
+// energy models and its shards are fixed at New. Its caches fill as it
+// serves and are never evicted: reference answers per (table,
+// predicate), routing decisions per (kind, predicate) and verified
+// exact shard legs per (plan, shard, counters), one entry per distinct
+// key served. A Cluster is safe for concurrent Query and LoadTest
+// calls.
 type Cluster struct {
 	// cfg holds the shard machines' model (Machine is always set: the
 	// configuration every shard leg draws from the process-wide machine
@@ -248,6 +264,12 @@ type Cluster struct {
 	// are pure functions of (table, predicate, candidates), hence
 	// deterministic at any worker count.
 	routes map[routeKey]*cost.Decision
+	// legs memoises verified exact shard partials per (plan, shard,
+	// counters): an exact leg is a pure function of the models fixed at
+	// New, the shard and the plan, so repeated load tests and queries
+	// run each one once. Estimate legs and failed legs are never
+	// stored, and entries are handed out as clones (runPlanSet).
+	legs map[legKey]ShardPartial
 
 	// adaptMu guards the online feedback-routing state used by the
 	// concurrent Query paths (EnableAdaptive; nil when off). Load-test
@@ -286,6 +308,7 @@ func New(cfg sweep.Config, tab *db.Table, nShards int) (*Cluster, error) {
 		params:  cost.ParamsFor(mc, em),
 		answers: make(map[answerKey]answer),
 		routes:  make(map[routeKey]*cost.Decision),
+		legs:    make(map[legKey]ShardPartial),
 	}, nil
 }
 
@@ -311,12 +334,13 @@ func (c *Cluster) EnableAdaptive(cfg cost.AdaptiveConfig) error {
 
 // Calibrate replaces the routing planner's cost model and drops every
 // cached routing decision. Answers and exact-mode service times are
-// untouched — the simulated machines keep their real timing — so a
-// drifted calibration changes only which backend the planner predicts
-// fastest. This is the hook mis-calibration experiments and the
-// adaptive-routing benchmarks use to pull the analytic prior away from
-// the served machine. Estimate-mode runs price service times from the
-// same model and would inherit the drift.
+// untouched — the simulated machines keep their real timing, and the
+// memo of verified exact legs survives — so a drifted calibration
+// changes only which backend the planner predicts fastest. This is the
+// hook mis-calibration experiments and the adaptive-routing benchmarks
+// use to pull the analytic prior away from the served machine.
+// Estimate-mode runs price service times from the same model and would
+// inherit the drift.
 func (c *Cluster) Calibrate(p cost.Params) {
 	c.mu.Lock()
 	c.params = p
@@ -331,6 +355,13 @@ func (c *Cluster) costParams() cost.Params {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.params
+}
+
+// legKey identifies one memoised exact shard leg.
+type legKey struct {
+	plan     query.Plan
+	shard    int
+	counters bool
 }
 
 // routeKey identifies one distinct routable query.

@@ -411,7 +411,8 @@ func (s LoadSpec) arrivals() []uint64 {
 // replay with a single pool that can run every backend. It
 // admits the stream — routing ArchAuto requests to their
 // predicted-fastest backend first — computes every distinct (plan,
-// shard) service time on the bounded executor pool, verifies every
+// shard) service time on the bounded executor pool (an exact one only
+// if the cluster has not verified it before, runPlanSet), verifies every
 // merged answer against the unsharded reference evaluator, replays the
 // serving timeline in virtual time, and returns the report.
 // Deterministic at any worker count (routing happens once,
@@ -446,20 +447,40 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 // mode and cost-model snapshot pr, on the sweep engine's worker pool
 // (sweep.ForEach). Identical plans over the same shard are bit-identical
 // legs, so mixed streams — which repeat a small set of plans — dedupe to
-// far fewer legs than (requests × shards). The returned slice is
-// indexed [plan][shard], in the caller's plan order; results are
-// slot-indexed so worker scheduling cannot leak into them, and the
-// returned error is the first failure in (plan, shard) order. This is
-// the compute stage under every load test (one plan per distinct
-// routing candidate) and under Cluster.Query (one plan).
+// far fewer legs than (requests × shards), and an exact leg the cluster
+// has verified before is served from its memo (Cluster.legs) without
+// running at all. The returned slice is indexed [plan][shard], in the
+// caller's plan order; results are slot-indexed so worker scheduling
+// cannot leak into them, every partial is the caller's own (a memo hit
+// is a clone), and the returned error is the first failure in (plan,
+// shard) order. This is the compute stage under every load test (one
+// plan per distinct routing candidate) and under Cluster.Query (one
+// plan).
 func (c *Cluster) runPlanSet(plans []query.Plan, opt Options, pr cost.Params) ([][]ShardPartial, error) {
 	leg := sweep.Leg{Config: c.cfg, Params: pr, Exec: opt.Exec, Counters: opt.Counters}
+	exact := opt.Exec == sweep.ExecExact
 	nShards := len(c.shards)
 	results := make([]ShardPartial, len(plans)*nShards)
+	key := func(t int) legKey {
+		return legKey{plan: plans[t/nShards], shard: t % nShards, counters: opt.Counters}
+	}
+	// Only the legs the memo cannot serve run: estimate legs price from
+	// pr, which Calibrate replaces, so they always run.
+	var todo []int
+	c.mu.Lock()
+	for t := range results {
+		if sp, ok := c.legs[key(t)]; ok && exact {
+			results[t] = sp.clone()
+		} else {
+			todo = append(todo, t)
+		}
+	}
+	c.mu.Unlock()
 	errs := make([]error, len(results))
 	var progressMu sync.Mutex
 	completed := 0
-	sweep.ForEach(len(results), opt.EffectiveWorkers(), func(t int) {
+	sweep.ForEach(len(todo), opt.EffectiveWorkers(), func(i int) {
+		t := todo[i]
 		s, p := t%nShards, plans[t/nShards]
 		part, err := leg.Run(c.shards[s], p)
 		if err == nil {
@@ -468,12 +489,19 @@ func (c *Cluster) runPlanSet(plans []query.Plan, opt Options, pr cost.Params) ([
 			a := c.answer(c.shards[s], p)
 			part.Groups = slices.Clone(a.groups)
 			results[t] = ShardPartial{Shard: s, Partial: part, Matches: a.matches, Revenue: a.revenue}
+			if exact {
+				// Concurrent first callers may both run this leg; it is a
+				// pure function of its key, so either store is right.
+				c.mu.Lock()
+				c.legs[key(t)] = results[t].clone()
+				c.mu.Unlock()
+			}
 		}
 		errs[t] = err
 		if opt.OnTask != nil {
 			progressMu.Lock()
 			completed++
-			opt.OnTask(completed, len(results))
+			opt.OnTask(completed, len(todo))
 			progressMu.Unlock()
 		}
 	})

@@ -19,6 +19,42 @@ func testCluster(t *testing.T, nShards int) *Cluster {
 	return c
 }
 
+// countLegs returns opt with an OnTask that counts the shard legs a
+// call runs into *n.
+func countLegs(opt Options, n *int) Options {
+	opt.OnTask = func(int, int) { *n++ }
+	return opt
+}
+
+// checkSimulated fails t unless a call ran legs > 0 shard legs, as
+// many as the first call of its series, whose count *first records.
+// The determinism tests use it to show that every run they compare was
+// simulated, not served from a cluster's memo of verified legs.
+func checkSimulated(t *testing.T, legs int, first *int) {
+	t.Helper()
+	switch {
+	case legs == 0:
+		t.Fatal("the call simulated no shard leg")
+	case *first == 0:
+		*first = legs
+	case legs != *first:
+		t.Fatalf("the call simulated %d shard legs, the series' first %d", legs, *first)
+	}
+}
+
+// exports renders r's CSV and JSON exports.
+func exports(t *testing.T, r *Report) (csvOut, jsonOut []byte) {
+	t.Helper()
+	var c, j bytes.Buffer
+	if err := r.WriteCSV(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	return c.Bytes(), j.Bytes()
+}
+
 func testStream(t *testing.T, n int) []Request {
 	t.Helper()
 	reqs, err := StreamSpec{N: n, Seed: 7, Aggregate: true}.Requests()
@@ -57,9 +93,9 @@ func TestStreamSpecDeterministicAndMixed(t *testing.T) {
 
 // TestReportDeterministicAcrossWorkerCounts is the satellite acceptance
 // check: a load-test report — CSV and JSON — is byte-identical at 1, 2,
-// 8 and GOMAXPROCS executor workers, for both load disciplines.
+// 8 and GOMAXPROCS executor workers, for both load disciplines. Each
+// run gets a fresh cluster, so each one simulates its legs.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
-	c := testCluster(t, 4)
 	reqs := testStream(t, 8)
 	specs := map[string]LoadSpec{
 		"open":   OpenLoop(reqs, 200000, 0, 99),
@@ -67,26 +103,23 @@ func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	for name, spec := range specs {
 		var wantCSV, wantJSON []byte
+		var firstLegs int
 		for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
-			r, err := c.LoadTest(spec, Options{Workers: workers})
+			var legs int
+			r, err := testCluster(t, 4).LoadTest(spec, countLegs(Options{Workers: workers}, &legs))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			var csvBuf, jsonBuf bytes.Buffer
-			if err := r.WriteCSV(&csvBuf); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.WriteJSON(&jsonBuf); err != nil {
-				t.Fatal(err)
-			}
+			checkSimulated(t, legs, &firstLegs)
+			csvOut, jsonOut := exports(t, r)
 			if wantCSV == nil {
-				wantCSV, wantJSON = csvBuf.Bytes(), jsonBuf.Bytes()
+				wantCSV, wantJSON = csvOut, jsonOut
 				continue
 			}
-			if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
+			if !bytes.Equal(csvOut, wantCSV) {
 				t.Fatalf("%s: CSV differs at %d workers", name, workers)
 			}
-			if !bytes.Equal(jsonBuf.Bytes(), wantJSON) {
+			if !bytes.Equal(jsonOut, wantJSON) {
 				t.Fatalf("%s: JSON differs at %d workers", name, workers)
 			}
 		}
@@ -276,6 +309,28 @@ func TestLoadTestMemoisesRepeatedPlans(t *testing.T) {
 		if tr.Latency != solo.Requests[0].Latency {
 			t.Fatalf("identical requests served with different latencies: %+v", solo.Requests)
 		}
+	}
+	// The cluster memoises verified exact legs across calls: the same
+	// load test again simulates nothing, and its exports equal the first
+	// run's and a fresh cluster's byte for byte.
+	firstCSV, firstJSON := exports(t, r)
+	again, err := c.LoadTest(ClosedLoop(reqs, 2), Options{
+		OnTask: func(int, int) { t.Error("a memoised leg ran again") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := testCluster(t, 2).LoadTest(ClosedLoop(reqs, 2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	againCSV, againJSON := exports(t, again)
+	freshCSV, freshJSON := exports(t, fresh)
+	if !bytes.Equal(againCSV, firstCSV) || !bytes.Equal(againJSON, firstJSON) {
+		t.Fatal("a memoised load test's exports differ from the first run's")
+	}
+	if !bytes.Equal(againCSV, freshCSV) || !bytes.Equal(againJSON, freshJSON) {
+		t.Fatal("a memoised load test's exports differ from a fresh cluster's")
 	}
 }
 
