@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the reproduction: a
 // machine counter snapshot (Counters), a virtual-time request tracer
-// (Trace) with Chrome trace_event and CSV exporters, and the CLI
-// profiling hooks (Profile).
+// (Trace) with Chrome trace_event and CSV exporters, the CLI profiling
+// hooks (Profile), and the CSV encoder (CSV) that every CSV export of
+// the repository — these two, the sweep result set and the serve
+// report — writes through.
 //
 // Everything in this package is off by default and free when off: no
 // simulation or serving hot path calls into obs unless a caller opted
@@ -184,6 +186,9 @@ func (c *Counters) Entries() []Entry {
 	return append([]Entry(nil), c.entries...)
 }
 
+// KeyAt returns the i-th key in sorted order, 0 <= i < Len().
+func (c *Counters) KeyAt(i int) string { return c.entries[i].Key }
+
 // Keys returns the sorted keys.
 func (c *Counters) Keys() []string {
 	if c == nil {
@@ -288,18 +293,22 @@ func (c *Counters) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WriteCSV writes the snapshot as a two-column key,value CSV.
+// WriteCSV writes the snapshot as a two-column counter,value CSV. A key
+// that holds a comma or a quote is quoted, so every row reads back.
 func (c *Counters) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "counter,value\n"); err != nil {
+	enc := NewCSV(w)
+	enc.Strings("counter", "value")
+	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	if c == nil {
-		return nil
-	}
-	for _, e := range c.entries {
-		if _, err := fmt.Fprintf(w, "%s,%d\n", e.Key, e.Value); err != nil {
-			return err
+	if c != nil {
+		for _, e := range c.entries {
+			enc.String(e.Key)
+			enc.Uint(e.Value)
+			if err := enc.EndRow(); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return enc.Flush()
 }

@@ -1,16 +1,15 @@
 // Trace exporters: Chrome trace_event JSON (loadable in Perfetto or
 // chrome://tracing) and a flat span CSV. Both render spans in record
-// order with hand-built, field-ordered JSON — no map iteration anywhere
-// — so an export is byte-identical across runs and worker counts.
+// order — the JSON hand-built and field-ordered, the CSV through the
+// CSV encoder — with no map iteration anywhere, so an export is
+// byte-identical across runs and worker counts.
 package obs
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // jstr renders s as a JSON string literal.
@@ -97,33 +96,35 @@ var SpanCSVHeader = []string{
 
 // WriteCSV writes the spans as a flat CSV with SpanCSVHeader's columns.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(SpanCSVHeader); err != nil {
+	enc := NewCSV(w)
+	enc.Strings(SpanCSVHeader...)
+	if err := enc.EndRow(); err != nil {
 		return err
 	}
 	if t != nil {
+		var args []byte // one span's "key=value" pairs, reused
 		for i := range t.spans {
 			s := &t.spans[i]
-			pairs := make([]string, len(s.Args))
+			enc.String(s.Phase.String())
+			enc.String(s.Name)
+			enc.String(s.Cat)
+			enc.Int(int64(s.Pid))
+			enc.Int(int64(s.Tid))
+			enc.Int(int64(s.ID))
+			enc.Uint(s.Ts)
+			enc.Uint(s.Dur)
+			args = args[:0]
 			for j, a := range s.Args {
-				pairs[j] = a.Key + "=" + a.Val
+				if j > 0 {
+					args = append(args, ';')
+				}
+				args = append(append(append(args, a.Key...), '='), a.Val...)
 			}
-			rec := []string{
-				s.Phase.String(),
-				s.Name,
-				s.Cat,
-				strconv.Itoa(s.Pid),
-				strconv.Itoa(s.Tid),
-				strconv.Itoa(s.ID),
-				strconv.FormatUint(s.Ts, 10),
-				strconv.FormatUint(s.Dur, 10),
-				strings.Join(pairs, ";"),
-			}
-			if err := cw.Write(rec); err != nil {
+			enc.Bytes(args)
+			if err := enc.EndRow(); err != nil {
 				return err
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return enc.Flush()
 }

@@ -1,0 +1,146 @@
+package serve
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/hipe-sim/hipe/internal/cost"
+	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/fault"
+	"github.com/hipe-sim/hipe/internal/query"
+	"github.com/hipe-sim/hipe/internal/sweep"
+)
+
+// admitStream mixes, over one Q06 predicate, auto-routed plain and
+// Aggregate plans — equal but for Aggregate — with fixed HIPE plain and
+// Aggregate plans, a second predicate and an auto Q01 plan, in two
+// classes.
+func admitStream(n int) []Request {
+	q := db.DefaultQ06()
+	narrow := q
+	narrow.QtyHi = 10
+	agg := func(p query.Plan) query.Plan { p.Aggregate = true; return p }
+	plans := []query.Plan{
+		DefaultPlan(ArchAuto, q),
+		agg(DefaultPlan(ArchAuto, q)),
+		DefaultQ1Plan(ArchAuto, db.DefaultQ01()),
+		DefaultPlan(query.HIPE, q),
+		agg(DefaultPlan(query.HIPE, q)),
+		DefaultPlan(ArchAuto, narrow),
+	}
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Plan: plans[(i*7/3)%len(plans)], Class: i % 2}
+	}
+	return reqs
+}
+
+// admitSpecs are the load tests the admission memo must not change:
+// shed classes, faults recovered by retries, hedging and failover,
+// adaptive routing, a closed loop, and the faulted spec in estimate
+// mode.
+func admitSpecs() map[string]struct {
+	spec LoadSpec
+	opt  Options
+} {
+	reqs := admitStream(60)
+	classes := []ClassSpec{
+		{Name: "batch", SLOCycles: 20_000, PatienceCycles: 3_000, TimeoutCycles: 20_000, HedgeCycles: 6_000},
+		{Name: "rt", SLOCycles: 15_000, TimeoutCycles: 20_000, HedgeCycles: 6_000},
+	}
+	shed := OpenLoop(reqs, 500, 0, 9)
+	shed.Classes, shed.Shed = classes, true
+	faulted := OpenLoop(reqs, 3_000, 0, 9)
+	faulted.Classes, faulted.Shed = classes, true
+	faulted.Faults = &fault.Spec{Seed: 7,
+		Crashes:    []fault.Crash{{Pool: 0, At: 20_000, Down: 30_000}},
+		CrashEvery: 60_000, CrashDown: 15_000,
+		StraggleEvery: 30_000, StraggleFor: 10_000, StraggleFactor: 3,
+		StallEvery: 20_000, StallFor: 2_000, StallMax: 6_000}
+	faulted.Recovery = &RecoverySpec{MaxRetries: 2, BackoffCycles: 5_000,
+		BackoffCapCycles: 40_000, Hedge: true, Failover: true}
+	adaptive := OpenLoop(reqs, 3_000, 0, 9)
+	adaptive.Classes = classes
+	adaptive.Adaptive = &cost.AdaptiveConfig{ExplorePct: 10, HalfLife: 4, Seed: 11}
+	closed := ClosedLoop(reqs, 3)
+	closed.Classes = classes
+	exact := Options{Workers: 2, Counters: true, Trace: true}
+	return map[string]struct {
+		spec LoadSpec
+		opt  Options
+	}{
+		"shed":     {shed, exact},
+		"faulted":  {faulted, exact},
+		"adaptive": {adaptive, exact},
+		"closed":   {closed, exact},
+		"estimate": {faulted, Options{Workers: 2, Exec: sweep.ExecEstimate}},
+	}
+}
+
+// TestFleetAdmissionMemoMatchesPerRequest: Fleet.LoadTest, which admits
+// each distinct request plan once and shares its candidate list, writes
+// the same CSV, JSON and span CSV as the same replay admitting every
+// request afresh — for shed classes, faults and recovery, adaptive
+// routing, a closed loop and estimate mode.
+func TestFleetAdmissionMemoMatchesPerRequest(t *testing.T) {
+	f := testFleet(t, 4, query.HIPE, query.X86, query.HMC)
+	for name, tc := range admitSpecs() {
+		t.Run(name, func(t *testing.T) {
+			memo, err := f.LoadTest(tc.spec, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := f.costParams()
+			fresh, err := f.loadTest(tc.spec, tc.opt, pr, f.pools, func(req Request) ([]candidate, *cost.Decision, error) {
+				cs, err := f.candidatesFor(req, pr)
+				return cs, nil, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotCSV, gotJSON := exports(t, memo)
+			wantCSV, wantJSON := exports(t, fresh)
+			var gotSpans, wantSpans bytes.Buffer
+			if err := memo.WriteSpanCSV(&gotSpans); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.WriteSpanCSV(&wantSpans); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want []byte
+			}{{"CSV", gotCSV, wantCSV}, {"JSON", gotJSON, wantJSON}, {"span CSV", gotSpans.Bytes(), wantSpans.Bytes()}} {
+				if !bytes.Equal(c.got, c.want) {
+					t.Errorf("%s differs with the admission memo", c.what)
+				}
+			}
+			// Both Aggregate variants of the shared predicate reach HIPE,
+			// so a memo that merged them would show.
+			aggregate := map[bool]bool{}
+			for _, tr := range memo.Requests {
+				if tr.Plan.Arch == query.HIPE && tr.Plan.Kind == query.Q6Select && tr.Plan.Q == db.DefaultQ06() {
+					aggregate[tr.Plan.Aggregate] = true
+				}
+			}
+			if !aggregate[false] || !aggregate[true] {
+				t.Errorf("HIPE served the shared predicate with Aggregate in %v only", aggregate)
+			}
+			switch name {
+			case "shed":
+				if memo.Shed == 0 {
+					t.Error("the shed spec shed nothing")
+				}
+			case "faulted", "estimate":
+				fs := memo.Faults
+				if fs.Retries == 0 || fs.Hedges == 0 || fs.Failovers == 0 || fs.CrashKills+fs.StallDelays+fs.Straggles == 0 {
+					t.Errorf("the faulted spec left a mechanism idle: %+v", *fs)
+				}
+			case "adaptive":
+				if !memo.HasAdaptive() {
+					t.Error("the adaptive spec routed nothing adaptively")
+				}
+			}
+		})
+	}
+}

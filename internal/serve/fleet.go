@@ -208,8 +208,19 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 // worker count.
 func (f *Fleet) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	pr := f.costParams()
+	// A request's candidates are a pure function of its whole plan under
+	// pr, so each distinct plan is admitted once per load test and its
+	// requests share one candidate list.
+	admitted := make(map[query.Plan][]candidate)
 	return f.loadTest(spec, opt, pr, f.pools, func(req Request) ([]candidate, *cost.Decision, error) {
-		cs, err := f.candidatesFor(req, pr)
-		return cs, nil, err
+		cs, ok := admitted[req.Plan]
+		if !ok {
+			var err error
+			if cs, err = f.candidatesFor(req, pr); err != nil {
+				return nil, nil, err
+			}
+			admitted[req.Plan] = cs
+		}
+		return cs, nil, nil
 	})
 }

@@ -130,7 +130,7 @@ type attemptOutcome struct {
 // first-time shard completions accumulate into cov. With a nil injector
 // and no timeout every task completes and nothing allocates.
 func (rp *replay) runAttempt(reqName string, c candidate, t, timeout uint64, cov *coverage) attemptOutcome {
-	parts := rp.byPlan[rp.planIndex[c.plan]]
+	parts := rp.byPlan[c.slot]
 	free := rp.free[c.pool]
 	lanes := rp.lanes[c.pool]
 	deadline := uint64(math.MaxUint64)

@@ -431,20 +431,19 @@ func TestRecoveryGateZeroAlloc(t *testing.T) {
 		parts[s].Cycles = uint64(100 + s)
 	}
 	rp := &replay{
-		c:         c,
-		report:    &Report{},
-		planIndex: map[query.Plan]int{plan: 0},
-		byPlan:    [][]ShardPartial{parts},
-		free:      [][]uint64{make([]uint64, 4)},
-		lanes:     [][]ShardStats{newShardStats(4)},
-		slow:      []float64{1},
-		done:      make([]bool, 4),
+		c:      c,
+		report: &Report{},
+		byPlan: [][]ShardPartial{parts},
+		free:   [][]uint64{make([]uint64, 4)},
+		lanes:  [][]ShardStats{newShardStats(4)},
+		slow:   []float64{1},
+		done:   make([]bool, 4),
 	}
 	var at uint64
 	allocs := testing.AllocsPerRun(200, func() {
 		var cov coverage
 		clear(rp.done)
-		out := rp.runAttempt("", candidate{plan: plan}, at, 0, &cov)
+		out := rp.runAttempt("", candidate{plan: plan, numbered: true}, at, 0, &cov)
 		if !out.success || cov.rows != c.Rows() {
 			t.Fatalf("healthy booking failed: %+v, covered %d rows", out, cov.rows)
 		}

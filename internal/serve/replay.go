@@ -27,17 +27,23 @@ import (
 )
 
 // candidate is one routable (replica pool, plan) pair with its cached
-// cost estimate.
+// cost estimate. loadTest numbers it before the replay: slot is the
+// plan's index among the load test's distinct plans (byPlan, planResp),
+// and numbered marks slot as set.
 type candidate struct {
-	pool int
-	plan query.Plan
-	est  cost.Estimate
-	sel  float64
+	pool     int
+	plan     query.Plan
+	est      cost.Estimate
+	sel      float64
+	slot     int
+	numbered bool
 }
 
 // admitFunc expands one request into its routable candidates, in pool
 // order, plus the static routing decision made at admission (nil when
-// the request is routed at dispatch, or needs no routing).
+// the request is routed at dispatch, or needs no routing). Requests may
+// share one candidate list; loadTest numbers it once and the replay
+// only reads it.
 type admitFunc func(Request) ([]candidate, *cost.Decision, error)
 
 // loadTest runs spec over the cluster's shards with cost-model snapshot
@@ -86,15 +92,23 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 
 	// Compute stage: every distinct candidate plan, first-occurrence
 	// order, each (plan, shard) simulated exactly once; merge + verify
-	// once per plan.
+	// once per plan. Numbering each candidate with its plan's slot spares
+	// the replay a plan hash per request; a list shared by several
+	// requests is numbered at the first of them.
 	planIndex := make(map[query.Plan]int)
 	var plans []query.Plan
 	for _, cs := range cands {
-		for _, cd := range cs {
-			if _, ok := planIndex[cd.plan]; !ok {
-				planIndex[cd.plan] = len(plans)
-				plans = append(plans, cd.plan)
+		if cs[0].numbered {
+			continue
+		}
+		for j := range cs {
+			slot, ok := planIndex[cs[j].plan]
+			if !ok {
+				slot = len(plans)
+				planIndex[cs[j].plan] = slot
+				plans = append(plans, cs[j].plan)
 			}
+			cs[j].slot, cs[j].numbered = slot, true
 		}
 	}
 	byPlan, err := c.runPlanSet(plans, opt, pr)
@@ -111,10 +125,11 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 	}
 
 	r := &Report{
-		Mode:    spec.Mode.String(),
-		Shards:  len(c.shards),
-		Rows:    c.whole.N,
-		Offered: len(spec.Requests),
+		Mode:     spec.Mode.String(),
+		Shards:   len(c.shards),
+		Rows:     c.whole.N,
+		Offered:  len(spec.Requests),
+		Requests: make([]RequestTrace, 0, len(reqs)),
 	}
 	if opt.Exec == sweep.ExecEstimate {
 		r.ExecMode = opt.Exec.String()
@@ -130,21 +145,20 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 	}
 	nPools := max(1, len(pools))
 	rp := &replay{
-		c:         c,
-		report:    r,
-		pools:     pools,
-		classes:   classes,
-		accums:    newClassAccums(classes),
-		shed:      spec.Shed,
-		static:    static,
-		planIndex: planIndex,
-		byPlan:    byPlan,
-		planResp:  planResp,
-		free:      make([][]uint64, nPools),
-		lanes:     make([][]ShardStats, nPools),
-		slow:      make([]float64, nPools),
-		done:      make([]bool, len(c.shards)),
-		rec:       spec.Recovery,
+		c:        c,
+		report:   r,
+		pools:    pools,
+		classes:  classes,
+		accums:   newClassAccums(classes),
+		shed:     spec.Shed,
+		static:   static,
+		byPlan:   byPlan,
+		planResp: planResp,
+		free:     make([][]uint64, nPools),
+		lanes:    make([][]ShardStats, nPools),
+		slow:     make([]float64, nPools),
+		done:     make([]bool, len(c.shards)),
+		rec:      spec.Recovery,
 	}
 	for p := range nPools {
 		rp.free[p] = make([]uint64, len(c.shards))
@@ -256,10 +270,12 @@ type replay struct {
 	shed    bool
 	// static holds each request's admission-time routing decision; a
 	// cluster dispatches on it instead of ranking.
-	static    []*cost.Decision
-	planIndex map[query.Plan]int
-	byPlan    [][]ShardPartial
-	planResp  []*Response
+	static []*cost.Decision
+	// byPlan and planResp are indexed by a candidate's slot.
+	byPlan   [][]ShardPartial
+	planResp []*Response
+	// buf holds the routing inputs of the ranking in progress.
+	buf routeBuf
 	// free is each pool's per-shard free time, in virtual cycles — the
 	// router's queue-depth signal and the FIFO state; lanes is the
 	// matching per-(pool, shard) load accounting.
@@ -295,6 +311,29 @@ type router struct {
 	routed, explored, observed uint64
 }
 
+// routeBuf is reusable storage for one ranking's inputs: the queue
+// penalties and health that loads fills, and the estimates and blended
+// observations that rank fills. cost.RankLoadedHealth copies every
+// input the decision keeps, so a replay ranks all its requests in one
+// routeBuf.
+type routeBuf struct {
+	queue  []float64
+	health []cost.Health
+	ests   []cost.Estimate
+	obs    []float64
+}
+
+// sized returns s resliced to n zeroed elements, reallocated only when
+// its capacity falls short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // rank is the one candidate-ranking policy: cost.RankLoadedHealth over
 // the candidates' estimates under the given queue penalties and replica
 // health (nil: health-blind). With adaptive state each candidate's
@@ -303,13 +342,17 @@ type router struct {
 // floor may override the pick for this request index — never onto a
 // down replica, so the draw stays a pure function of (seed, index).
 // When every candidate is down the pick falls back to health-blind
-// ranking: queue for the earliest recovery.
-func (rt *router) rank(index int, cands []candidate, queue []float64, health []cost.Health) (*cost.Decision, error) {
-	ests := make([]cost.Estimate, len(cands))
+// ranking: queue for the earliest recovery. buf supplies the estimate
+// and observation inputs.
+func (rt *router) rank(index int, cands []candidate, queue []float64, health []cost.Health, buf *routeBuf) (*cost.Decision, error) {
+	buf.ests = sized(buf.ests, len(cands))
+	ests := buf.ests
 	var obsCycles []float64
 	var samples []uint64
 	if rt != nil {
-		obsCycles = make([]float64, len(cands))
+		buf.obs = sized(buf.obs, len(cands))
+		obsCycles = buf.obs
+		// The decision keeps the sample counts without a copy.
 		samples = make([]uint64, len(cands))
 	}
 	for i, c := range cands {
@@ -350,7 +393,7 @@ func (rt *router) rankNext(cands []candidate) (*cost.Decision, error) {
 		index = rt.seq
 		rt.seq++
 	}
-	return rt.rank(index, cands, make([]float64, len(cands)), nil)
+	return rt.rank(index, cands, make([]float64, len(cands)), nil, &routeBuf{})
 }
 
 // observe feeds one completed request's service cycles into the cell of
@@ -374,15 +417,18 @@ func (rp *replay) backlogAt(p int, t uint64) uint64 {
 	return backlog
 }
 
-// loads snapshots the candidates' routing inputs at cycle t: each one's
-// pool backlog as its queue penalty and, under failover, its pool's
-// health — with a down pool's outage wait folded into its penalty, so
-// the all-down fallback ranks by earliest recovery plus backlog.
+// loads snapshots the candidates' routing inputs at cycle t into
+// rp.buf: each one's pool backlog as its queue penalty and, under
+// failover, its pool's health — with a down pool's outage wait folded
+// into its penalty, so the all-down fallback ranks by earliest recovery
+// plus backlog. The slices are valid until the next call.
 func (rp *replay) loads(cands []candidate, t uint64) ([]float64, []cost.Health) {
-	queue := make([]float64, len(cands))
+	rp.buf.queue = sized(rp.buf.queue, len(cands))
+	queue := rp.buf.queue
 	var health []cost.Health
 	if rp.rec != nil && rp.rec.Failover {
-		health = make([]cost.Health, len(cands))
+		rp.buf.health = sized(rp.buf.health, len(cands))
+		health = rp.buf.health
 	}
 	for i, c := range cands {
 		queue[i] = float64(rp.backlogAt(c.pool, t))
@@ -406,7 +452,7 @@ func (rp *replay) route(index int, cands []candidate, t uint64) (*cost.Decision,
 		return rp.static[index], cands[0], false, nil
 	}
 	queue, health := rp.loads(cands, t)
-	d, err := rp.ad.rank(index, cands, queue, health)
+	d, err := rp.ad.rank(index, cands, queue, health, &rp.buf)
 	if err != nil {
 		return nil, candidate{}, false, err
 	}
@@ -434,7 +480,7 @@ func (rp *replay) hedgeCandidate(cands []candidate, primary int, t uint64) (cand
 	}
 	queue, health := rp.loads(others, t)
 	var static *router
-	d, err := static.rank(0, others, queue, health)
+	d, err := static.rank(0, others, queue, health, &rp.buf)
 	if err != nil || (health != nil && health[d.ChosenIndex].Down) {
 		return candidate{}, false
 	}
@@ -582,7 +628,7 @@ func (rp *replay) dispatch(index, client int, arrival uint64, req Request, cands
 		}
 	}
 
-	resp := rp.planResp[rp.planIndex[chosen.plan]]
+	resp := rp.planResp[chosen.slot]
 	latency := completion - arrival
 	covFrac := 1.0
 	matches, revenue := resp.Matches, resp.Revenue

@@ -6,12 +6,9 @@
 package serve
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 
 	"github.com/hipe-sim/hipe/internal/cost"
@@ -284,39 +281,34 @@ func (r *Report) HasFleet() bool {
 // fixed-architecture exports stay byte-identical to their original
 // form, and adaptive-off exports to their pre-adaptive form.
 func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	routed := r.HasRouting()
 	fleet := r.HasFleet()
 	faults := r.HasFaults()
 	adaptive := r.HasAdaptive()
-	header := CSVHeader
 	backends := query.Backends()
-	if fleet || routed || faults || adaptive || r.ExecMode != "" {
-		header = append([]string{}, CSVHeader...)
-		if fleet {
-			header = append(header, FleetCSVHeader()...)
-		}
-		if faults {
-			header = append(header, FaultCSVHeader()...)
-		}
-		if routed {
-			header = append(header, RoutingCSVHeader()...)
-		}
-		if adaptive {
-			header = append(header, AdaptiveCSVHeader()...)
-		}
-		if r.ExecMode != "" {
-			header = append(header, "exec_mode")
-		}
+	enc := obs.NewCSV(w)
+	enc.Strings(CSVHeader...)
+	if fleet {
+		enc.Strings(FleetCSVHeader()...)
 	}
-	if err := cw.Write(header); err != nil {
+	if faults {
+		enc.Strings(FaultCSVHeader()...)
+	}
+	if routed {
+		enc.Strings(RoutingCSVHeader()...)
+	}
+	if adaptive {
+		enc.Strings(AdaptiveCSVHeader()...)
+	}
+	if r.ExecMode != "" {
+		enc.String("exec_mode")
+	}
+	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	// csv.Writer.Write copies a record's fields out before it returns,
-	// so one record slice serves every row.
-	var rec []string
-	for _, tr := range r.Requests {
-		p, q := tr.Plan, tr.Plan.Q
+	for i := range r.Requests {
+		tr := &r.Requests[i]
+		p, q := &tr.Plan, tr.Plan.Q
 		if p.Kind == query.Q1Agg {
 			// Aggregation rows render their filter in the shared date
 			// columns ([0, ShipCut] as a half-open range); the zero
@@ -324,139 +316,131 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			// schema — and Q06-only exports — byte-stable.
 			q = db.Q06{ShipLo: 0, ShipHi: p.Q1.ShipCut + 1}
 		}
-		rec = append(rec[:0],
-			strconv.Itoa(tr.Index),
-			strconv.Itoa(tr.Client),
-			p.Arch.String(),
-			p.Strategy.String(),
-			strconv.FormatUint(uint64(p.OpSize), 10),
-			strconv.Itoa(p.Unroll),
-			strconv.FormatBool(p.Fused),
-			strconv.FormatBool(p.Aggregate),
-			strconv.FormatInt(int64(q.ShipLo), 10),
-			strconv.FormatInt(int64(q.ShipHi), 10),
-			strconv.FormatInt(int64(q.DiscLo), 10),
-			strconv.FormatInt(int64(q.DiscHi), 10),
-			strconv.FormatInt(int64(q.QtyHi), 10),
-			strconv.FormatUint(tr.Arrival, 10),
-			strconv.FormatUint(tr.Completion, 10),
-			strconv.FormatUint(tr.Latency, 10),
-			strconv.FormatUint(tr.Service, 10),
-			strconv.FormatUint(tr.Work, 10),
-			strconv.Itoa(tr.Matches),
-			strconv.FormatInt(tr.Revenue, 10),
-		)
+		enc.Int(int64(tr.Index))
+		enc.Int(int64(tr.Client))
+		enc.String(p.Arch.String())
+		enc.String(p.Strategy.String())
+		enc.Uint(uint64(p.OpSize))
+		enc.Int(int64(p.Unroll))
+		enc.Bool(p.Fused)
+		enc.Bool(p.Aggregate)
+		enc.Int(int64(q.ShipLo))
+		enc.Int(int64(q.ShipHi))
+		enc.Int(int64(q.DiscLo))
+		enc.Int(int64(q.DiscHi))
+		enc.Int(int64(q.QtyHi))
+		enc.Uint(tr.Arrival)
+		enc.Uint(tr.Completion)
+		enc.Uint(tr.Latency)
+		enc.Uint(tr.Service)
+		enc.Uint(tr.Work)
+		enc.Int(int64(tr.Matches))
+		enc.Int(tr.Revenue)
 		if fleet {
-			rec = r.appendFleetColumns(rec, &tr)
+			r.writeFleetCells(enc, tr)
 		}
 		if faults {
-			rec = appendFaultColumns(rec, &tr)
+			writeFaultCells(enc, tr)
 		}
 		if routed {
-			rec = appendRoutingColumns(rec, tr.Routing, backends)
+			writeRoutingCells(enc, tr.Routing, backends)
 		}
 		if adaptive {
-			rec = appendAdaptiveColumns(rec, tr.Routing)
+			writeAdaptiveCells(enc, tr.Routing)
 		}
 		if r.ExecMode != "" {
-			rec = append(rec, r.ExecMode)
+			enc.String(r.ExecMode)
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := enc.EndRow(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return enc.Flush()
 }
 
-// appendFleetColumns appends one trace's fleet cells to rec. The
-// slo_met cell is blank for classes without an SLO, "true"/"false"
-// otherwise.
-func (r *Report) appendFleetColumns(rec []string, tr *RequestTrace) []string {
-	pool, arch, queue := "", "", ""
-	if tr.Pool != nil {
-		pool = strconv.Itoa(tr.Pool.Pool)
-		arch = tr.Pool.Arch
-		queue = strconv.FormatUint(tr.Pool.QueueCycles, 10)
+// writeFleetCells writes one trace's fleet cells. The slo_met cell is
+// blank for classes without an SLO, "true"/"false" otherwise.
+func (r *Report) writeFleetCells(enc *obs.CSV, tr *RequestTrace) {
+	enc.Int(int64(tr.Class))
+	if pp := tr.Pool; pp != nil {
+		enc.Int(int64(pp.Pool))
+		enc.String(pp.Arch)
+		enc.Uint(pp.QueueCycles)
+	} else {
+		enc.Empty()
+		enc.Empty()
+		enc.Empty()
 	}
-	slo, met := "", ""
 	if tr.Class >= 0 && tr.Class < len(r.Classes) {
 		if bound := r.Classes[tr.Class].SLOCycles; bound > 0 {
-			slo = strconv.FormatUint(bound, 10)
+			enc.Uint(bound)
 			// A degraded answer misses its SLO however fast the fleet gave
 			// up; Degraded is always false on fault-free reports, so their
 			// cells are unchanged.
-			met = strconv.FormatBool(!tr.Degraded && tr.Latency <= bound)
+			enc.Bool(!tr.Degraded && tr.Latency <= bound)
+			return
 		}
 	}
-	return append(rec, strconv.Itoa(tr.Class), pool, arch, queue, slo, met)
+	enc.Empty()
+	enc.Empty()
 }
 
-// appendFaultColumns appends one trace's recovery cells to rec.
-func appendFaultColumns(rec []string, tr *RequestTrace) []string {
-	return append(rec,
-		strconv.Itoa(tr.Attempts),
-		strconv.Itoa(tr.Hedges),
-		strconv.FormatBool(tr.Degraded),
-		strconv.FormatFloat(tr.Coverage, 'g', -1, 64),
-		strconv.FormatFloat(tr.ErrMatches, 'g', -1, 64),
-		strconv.FormatFloat(tr.ErrRevenue, 'g', -1, 64),
-	)
+// writeFaultCells writes one trace's recovery cells.
+func writeFaultCells(enc *obs.CSV, tr *RequestTrace) {
+	enc.Int(int64(tr.Attempts))
+	enc.Int(int64(tr.Hedges))
+	enc.Bool(tr.Degraded)
+	enc.Float(tr.Coverage)
+	enc.Float(tr.ErrMatches)
+	enc.Float(tr.ErrRevenue)
 }
 
-// appendRoutingColumns appends one trace's routing-decision cells to
-// rec: empty estimates for fixed-architecture rows in a mixed stream,
-// whole-cycle estimates (formatCycles) for routed rows.
-func appendRoutingColumns(rec []string, d *cost.Decision, backends []query.Backend) []string {
+// writeRoutingCells writes one trace's routing-decision cells: empty
+// estimates for fixed-architecture rows in a mixed stream, whole-cycle
+// estimates for routed rows.
+func writeRoutingCells(enc *obs.CSV, d *cost.Decision, backends []query.Backend) {
 	if d == nil {
-		rec = append(rec, "false", "")
+		enc.Bool(false)
+		enc.Empty()
 		for range backends {
-			rec = append(rec, "")
+			enc.Empty()
 		}
-		return rec
+		return
 	}
-	rec = append(rec, "true", strconv.FormatFloat(d.Selectivity, 'g', -1, 64))
+	enc.Bool(true)
+	enc.Float(d.Selectivity)
 	for _, b := range backends {
 		if est := d.EstimateFor(b.Arch()); est != nil {
-			rec = append(rec, formatCycles(est.Cycles))
+			enc.Cycles(est.Cycles)
 		} else {
-			rec = append(rec, "")
+			enc.Empty()
 		}
 	}
-	return rec
 }
 
-// appendAdaptiveColumns appends one trace's adaptive-routing cells to
-// rec. Rows the feedback router never saw — fixed-architecture requests
-// in a mixed stream, or static decisions — read "static" with blank
-// provenance.
-func appendAdaptiveColumns(rec []string, d *cost.Decision) []string {
+// writeAdaptiveCells writes one trace's adaptive-routing cells. Rows the
+// feedback router never saw — fixed-architecture requests in a mixed
+// stream, or static decisions — read "static" with blank provenance.
+func writeAdaptiveCells(enc *obs.CSV, d *cost.Decision) {
 	if d == nil || d.RouteMode == "" {
-		return append(rec, "static", "", "", "")
+		enc.String("static")
+		enc.Empty()
+		enc.Empty()
+		enc.Empty()
+		return
 	}
-	obsCell, samplesCell := "", ""
-	if d.ChosenIndex >= 0 && d.ChosenIndex < len(d.ObsCycles) {
-		if v := d.ObsCycles[d.ChosenIndex]; v > 0 {
-			obsCell = formatCycles(v)
-		}
+	enc.String(d.RouteMode)
+	if i := d.ChosenIndex; i >= 0 && i < len(d.ObsCycles) && d.ObsCycles[i] > 0 {
+		enc.Cycles(d.ObsCycles[i])
+	} else {
+		enc.Empty()
 	}
-	if d.ChosenIndex >= 0 && d.ChosenIndex < len(d.BucketSamples) {
-		samplesCell = strconv.FormatUint(d.BucketSamples[d.ChosenIndex], 10)
+	if i := d.ChosenIndex; i >= 0 && i < len(d.BucketSamples) {
+		enc.Uint(d.BucketSamples[i])
+	} else {
+		enc.Empty()
 	}
-	return append(rec, d.RouteMode, obsCell, samplesCell, strconv.FormatBool(d.Explored))
-}
-
-// formatCycles renders a cycle count as whole cycles, byte-identical to
-// strconv.FormatFloat(x, 'f', 0, 64). FormatFloat takes strconv's slow
-// multi-precision path (bigFtoa) for 'f' at any fixed precision, so
-// every value an int64 holds exactly — below 2^53 and without the sign
-// bit, since −0 prints "-0" — goes through FormatInt instead, rounded
-// half to even as FormatFloat rounds.
-func formatCycles(x float64) string {
-	if !math.Signbit(x) && x < 1<<53 {
-		return strconv.FormatInt(int64(math.RoundToEven(x)), 10)
-	}
-	return strconv.FormatFloat(x, 'f', 0, 64)
+	enc.Bool(d.Explored)
 }
 
 // WriteChromeTrace writes the load test's span timeline in Chrome

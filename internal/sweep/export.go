@@ -1,17 +1,16 @@
-// Exporters: CSV for spreadsheets/plotting toolchains, JSON for
-// programmatic consumers. Both emit cells in index order with
-// deterministic number formatting, so a sweep's export is byte-stable
-// across runs and worker counts.
+// Exporters: CSV for spreadsheets/plotting toolchains (through the
+// obs.CSV encoder), JSON for programmatic consumers. Both emit cells in
+// index order with deterministic number formatting, so a sweep's export
+// is byte-stable across runs and worker counts.
 package sweep
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"io"
 	"sort"
-	"strconv"
 
 	"github.com/hipe-sim/hipe/internal/db"
+	"github.com/hipe-sim/hipe/internal/obs"
 	"github.com/hipe-sim/hipe/internal/query"
 )
 
@@ -80,14 +79,14 @@ func (rs *ResultSet) HasCounters() bool {
 }
 
 // counterKeys returns the sorted union of every cell's counter keys —
-// the "ctr_<key>" column set. Snapshot keys are already sorted, so the
-// union is a sorted merge.
+// the "ctr_<key>" column set.
 func (rs *ResultSet) counterKeys() []string {
 	var keys []string
 	seen := map[string]bool{}
 	for i := range rs.Cells {
-		for _, k := range rs.Cells[i].Counters.Keys() {
-			if !seen[k] {
+		ctr := rs.Cells[i].Counters
+		for j := range ctr.Len() {
+			if k := ctr.KeyAt(j); !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
 			}
@@ -97,10 +96,6 @@ func (rs *ResultSet) counterKeys() []string {
 	return keys
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteCSV writes the set as CSV with CSVHeader's columns, plus — in
 // this order, each only when active — RoutingCSVHeader's columns for
 // auto-arch cells, an exec_mode column for estimate-mode runs, a shards
@@ -108,7 +103,6 @@ func formatFloat(v float64) string {
 // captured machine counter. A plain exact whole-table counter-off
 // export keeps the original schema byte-for-byte.
 func (rs *ResultSet) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	routed := rs.HasRouting()
 	modes := rs.HasModes()
 	sharded := rs.HasSharding()
@@ -116,27 +110,26 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 	if rs.HasCounters() {
 		ctrKeys = rs.counterKeys()
 	}
-	header := CSVHeader
-	if routed || modes || sharded || len(ctrKeys) > 0 {
-		header = append([]string{}, CSVHeader...)
-		if routed {
-			header = append(header, RoutingCSVHeader()...)
-		}
-		if modes {
-			header = append(header, "exec_mode")
-		}
-		if sharded {
-			header = append(header, "shards")
-		}
-		for _, k := range ctrKeys {
-			header = append(header, "ctr_"+k)
-		}
+	enc := obs.NewCSV(w)
+	enc.Strings(CSVHeader...)
+	if routed {
+		enc.Strings(RoutingCSVHeader()...)
 	}
-	if err := cw.Write(header); err != nil {
+	if modes {
+		enc.String("exec_mode")
+	}
+	if sharded {
+		enc.String("shards")
+	}
+	for _, k := range ctrKeys {
+		enc.String("ctr_" + k)
+	}
+	if err := enc.EndRow(); err != nil {
 		return err
 	}
-	for _, c := range rs.Cells {
-		p, q, r := c.Cell.Plan, c.Cell.Plan.Q, c.Result
+	for i := range rs.Cells {
+		c := &rs.Cells[i]
+		p, q, r := &c.Cell.Plan, c.Cell.Plan.Q, &c.Result
 		if p.Kind == query.Q1Agg {
 			// Aggregation rows render their filter in the shared date
 			// columns, [0, ShipCut] as a half-open range; the discount
@@ -144,60 +137,58 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 			// schema stays fixed, so Q06-only exports are byte-stable.
 			q = db.Q06{ShipLo: 0, ShipHi: p.Q1.ShipCut + 1}
 		}
-		rec := []string{
-			strconv.Itoa(c.Index),
-			p.Arch.String(),
-			p.Strategy.String(),
-			strconv.FormatUint(uint64(p.OpSize), 10),
-			strconv.Itoa(p.Unroll),
-			strconv.FormatBool(p.Fused),
-			strconv.FormatBool(p.Aggregate),
-			strconv.Itoa(c.Cell.Tuples),
-			strconv.FormatUint(c.Cell.Seed, 10),
-			strconv.FormatBool(c.Cell.Clustered),
-			strconv.FormatInt(int64(c.Cell.NoiseDays), 10),
-			strconv.FormatInt(int64(q.ShipLo), 10),
-			strconv.FormatInt(int64(q.ShipHi), 10),
-			strconv.FormatInt(int64(q.DiscLo), 10),
-			strconv.FormatInt(int64(q.DiscHi), 10),
-			strconv.FormatInt(int64(q.QtyHi), 10),
-			formatFloat(c.Selectivity),
-			strconv.FormatUint(r.Cycles, 10),
-			formatFloat(float64(r.Cycles) / float64(c.Cell.Tuples)),
-			formatFloat(c.Speedup),
-			formatFloat(r.Energy.DRAMPJ()),
-			formatFloat(r.Energy.TotalPJ()),
-			strconv.FormatUint(r.Squashed, 10),
-			strconv.FormatUint(r.SquashedDRAMBytes, 10),
-			strconv.Itoa(r.Checked),
-		}
+		enc.Int(int64(c.Index))
+		enc.String(p.Arch.String())
+		enc.String(p.Strategy.String())
+		enc.Uint(uint64(p.OpSize))
+		enc.Int(int64(p.Unroll))
+		enc.Bool(p.Fused)
+		enc.Bool(p.Aggregate)
+		enc.Int(int64(c.Cell.Tuples))
+		enc.Uint(c.Cell.Seed)
+		enc.Bool(c.Cell.Clustered)
+		enc.Int(int64(c.Cell.NoiseDays))
+		enc.Int(int64(q.ShipLo))
+		enc.Int(int64(q.ShipHi))
+		enc.Int(int64(q.DiscLo))
+		enc.Int(int64(q.DiscHi))
+		enc.Int(int64(q.QtyHi))
+		enc.Float(c.Selectivity)
+		enc.Uint(r.Cycles)
+		enc.Float(float64(r.Cycles) / float64(c.Cell.Tuples))
+		enc.Float(c.Speedup)
+		enc.Float(r.Energy.DRAMPJ())
+		enc.Float(r.Energy.TotalPJ())
+		enc.Uint(r.Squashed)
+		enc.Uint(r.SquashedDRAMBytes)
+		enc.Int(int64(r.Checked))
 		if routed {
 			if d := c.Routing; d != nil {
-				rec = append(rec, d.Chosen.Arch.String(),
-					strconv.FormatFloat(d.Estimates[d.ChosenIndex].Cycles, 'f', 0, 64))
+				enc.String(d.Chosen.Arch.String())
+				enc.Cycles(d.Estimates[d.ChosenIndex].Cycles)
 			} else {
-				rec = append(rec, "", "")
+				enc.Empty()
+				enc.Empty()
 			}
 		}
 		if modes {
-			rec = append(rec, c.Mode.String())
+			enc.String(c.Mode.String())
 		}
 		if sharded {
-			rec = append(rec, strconv.Itoa(c.Shards))
+			enc.Int(int64(c.Shards))
 		}
 		for _, k := range ctrKeys {
 			if v, ok := c.Counters.Get(k); ok {
-				rec = append(rec, strconv.FormatUint(v, 10))
+				enc.Uint(v)
 			} else {
-				rec = append(rec, "")
+				enc.Empty()
 			}
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := enc.EndRow(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return enc.Flush()
 }
 
 // WriteJSON writes the set as indented JSON: {"cells": [...]}.
