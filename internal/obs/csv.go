@@ -32,7 +32,9 @@ type CSV struct {
 	cell bool // the row has a cell already, so the next one needs a comma
 }
 
-// NewCSV returns an encoder writing to w.
+// NewCSV returns an encoder writing to w. The buffer has room past
+// csvChunk for the row that crosses it, so rows under 4 KB never
+// regrow it.
 func NewCSV(w io.Writer) *CSV {
 	return &CSV{w: w, buf: make([]byte, 0, csvChunk+csvChunk/8)}
 }

@@ -193,8 +193,10 @@ func (f *Fleet) Query(req Request, opt Options) (*Response, error) {
 }
 
 // LoadTest runs the load spec against the fleet: the one serving
-// replay (see Cluster.LoadTest) with one pool per replica. Every
-// distinct candidate plan's (plan, shard) service times are computed
+// replay (see Cluster.LoadTest) with one pool per replica. Each
+// distinct request plan is admitted once, its requests sharing one
+// candidate list. Every distinct candidate plan's (plan, shard)
+// service times are computed
 // on the bounded executor pool, each exact one once per fleet
 // (runPlanSet), and each plan's merged answer is
 // verified against the unsharded reference evaluator. The serving
