@@ -13,6 +13,7 @@ package cost
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/isa"
@@ -45,7 +46,10 @@ func (p Profile) FinalSurvival() float64 {
 
 // ProfileFor computes the exact profile of plan p's predicate over tab
 // at p's chunk granularity. O(tuples × stages), deterministic; the
-// serving layer caches it per distinct predicate.
+// serving layer caches it per distinct predicate. It walks the table
+// one chunk at a time and keeps the chunk's live tuples in 64-bit
+// masks, one word per 64 tuples, so it allocates the profile and
+// nothing that grows with the table.
 func ProfileFor(tab *db.Table, p query.Plan) Profile {
 	d := p.Desc()
 	tuplesPerChunk := int(p.OpSize) / db.ColumnWidth
@@ -63,56 +67,76 @@ func ProfileFor(tab *db.Table, p query.Plan) Profile {
 	if tab.N == 0 {
 		return prof
 	}
-	// alive[i] tracks whether tuple i has passed every stage so far.
-	alive := make([]bool, tab.N)
-	for i := range alive {
-		alive[i] = true
+	// Every shipped predicate has at most three stages, so the scans
+	// stay on the stack.
+	var buf [3]stageScan
+	scans := buf[:0]
+	for _, st := range d.Stages {
+		lo, hi, ranged := stageRange(st)
+		scans = append(scans, stageScan{col: query.Column(tab, st.Col), st: st, lo: lo, hi: hi, ranged: ranged})
 	}
 	matches := 0
-	chunks := (tab.N + tuplesPerChunk - 1) / tuplesPerChunk
-	for s, st := range d.Stages {
-		col := query.Column(tab, st.Col)
-		liveChunks := 0
-		last := s == len(d.Stages)-1
-		// The planner runs once per distinct predicate but on the whole
-		// table, so the per-tuple test matters: stages whose bounds form
-		// a plain range (every shipped predicate) compare inline instead
-		// of walking the bound list per tuple.
-		lo, hi, ranged := stageRange(st)
-		for c := 0; c < chunks; c++ {
-			base := c * tuplesPerChunk
-			end := base + tuplesPerChunk
-			if end > tab.N {
-				end = tab.N
-			}
-			live := false
-			for i := base; i < end; i++ {
-				if !alive[i] {
-					continue
+	for base := 0; base < tab.N; base += tuplesPerChunk {
+		end := min(base+tuplesPerChunk, tab.N)
+		// depth is the most stages any word of the chunk survived: the
+		// chunk holds a live tuple after stages 0..depth-1.
+		depth := 0
+		// A chunk wider than 64 tuples (an op size Validate rejects) is
+		// walked one word at a time.
+		for w := base; w < end; w += 64 {
+			live := ^uint64(0) >> (64 - min(64, end-w))
+			for s := range scans {
+				// A word stops at the first stage that empties it.
+				if live = scans[s].keep(w, live); live == 0 {
+					break
 				}
-				v := col[i]
-				if ranged {
-					if v < lo || v > hi {
-						alive[i] = false
-						continue
-					}
-				} else if !st.Match(v) {
-					alive[i] = false
-					continue
+				depth = max(depth, s+1)
+				if s == len(scans)-1 {
+					matches += bits.OnesCount64(live)
 				}
-				live = true
-				if last {
-					matches++
-				}
-			}
-			if live {
-				liveChunks++
 			}
 		}
-		prof.Survival[s] = float64(liveChunks) / float64(chunks)
+		for s := range depth {
+			scans[s].liveChunks++
+		}
+	}
+	chunks := (tab.N + tuplesPerChunk - 1) / tuplesPerChunk
+	for s := range scans {
+		prof.Survival[s] = float64(scans[s].liveChunks) / float64(chunks)
 	}
 	prof.Sel = float64(matches) / float64(tab.N)
 	return prof
+}
+
+// stageScan is one predicate stage as ProfileFor applies it: the
+// column it reads, the count of chunks still holding a live tuple
+// after it, and its bounds reduced to one range where stageRange can
+// (every shipped predicate), so the per-tuple test compares inline
+// instead of walking the bound list.
+type stageScan struct {
+	col        []int32
+	st         query.Stage
+	lo, hi     int32
+	ranged     bool
+	liveChunks int
+}
+
+// keep returns live without the bits whose tuples, at rows base+i,
+// the stage rejects. Only live tuples are tested.
+func (sc *stageScan) keep(base int, live uint64) uint64 {
+	vals := sc.col[base:]
+	for m := live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		v := vals[i]
+		if sc.ranged {
+			if v < sc.lo || v > sc.hi {
+				live &^= 1 << i
+			}
+		} else if !sc.st.Match(v) {
+			live &^= 1 << i
+		}
+	}
+	return live
 }
 
 // stageRange reduces a stage's bound list to one [lo, hi] range when

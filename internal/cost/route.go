@@ -224,7 +224,10 @@ var ErrAllDown = errors.New("cost: every candidate replica is down")
 // (Decision.Health, Decision.ObsCycles, Decision.RouteMode) so
 // failover and adaptive picks stay auditable; when every candidate is
 // down the error wraps ErrAllDown. Ties break toward the earlier
-// candidate.
+// candidate. The decision keeps ests itself as its Estimates, so many
+// decisions over one candidate list can share one slice, which nobody
+// may modify afterwards; queue, health and obs are copied, so the
+// caller may reuse them.
 func RankLoadedHealth(sel float64, ests []Estimate, queue []float64, health []Health, obs []float64) (*Decision, error) {
 	if len(ests) == 0 {
 		return nil, fmt.Errorf("cost: no candidate estimates")
@@ -240,7 +243,7 @@ func RankLoadedHealth(sel float64, ests []Estimate, queue []float64, health []He
 	}
 	d := &Decision{
 		Selectivity: sel,
-		Estimates:   append([]Estimate(nil), ests...),
+		Estimates:   ests,
 		QueueCycles: append([]float64(nil), queue...),
 		ChosenIndex: -1,
 	}

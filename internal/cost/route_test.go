@@ -170,6 +170,36 @@ func TestRankLoadedHealthFailover(t *testing.T) {
 	}
 }
 
+// TestRankLoadedHealthKeepsEstimates pins the input contract: the
+// decision keeps the estimate slice it is given, so decisions over one
+// candidate list share it, and copies the queue penalties, health and
+// observations, which the caller may then overwrite.
+func TestRankLoadedHealthKeepsEstimates(t *testing.T) {
+	ests := []cost.Estimate{
+		{Plan: bestPlan(query.HIPE), Cycles: 1000},
+		{Plan: bestPlan(query.X86), Cycles: 3000},
+	}
+	queue := []float64{0, 500}
+	health := []cost.Health{{}, {Slowdown: 2}}
+	obs := []float64{0, 2500}
+	a, err := cost.RankLoadedHealth(0.02, ests, queue, health, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cost.RankLoadedHealth(0.02, ests, queue, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Estimates[0] != &ests[0] || &b.Estimates[0] != &ests[0] {
+		t.Error("a decision copied its estimates instead of keeping the slice it was given")
+	}
+	queue[0], health[0], obs[0] = 9999, cost.Health{Down: true}, 9999
+	if a.QueueCycles[0] != 0 || a.Health[0].Down || a.ObsCycles[0] != 0 || b.QueueCycles[0] != 0 {
+		t.Errorf("overwriting the caller's inputs reached the decisions: queue %v, health %v, obs %v",
+			a.QueueCycles, a.Health, a.ObsCycles)
+	}
+}
+
 // TestRankLoadedHealthAllDownUnequalRecovery pins the all-down
 // contract end to end: the health-aware rank refuses the panel with
 // ErrAllDown, and the caller's documented fallback — health-blind

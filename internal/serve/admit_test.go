@@ -144,3 +144,51 @@ func TestFleetAdmissionMemoMatchesPerRequest(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetDecisionsShareListEstimates: every routing decision of a
+// fleet load test keeps its candidate list's one estimate slice.
+// Requests of one plan share it, requests of different plans do not,
+// and it holds the candidates' estimates in pool order — for shed
+// classes, faults with hedging and failover, adaptive routing, a
+// closed loop and estimate mode.
+func TestFleetDecisionsShareListEstimates(t *testing.T) {
+	f := testFleet(t, 4, query.HIPE, query.X86, query.HMC)
+	pr := f.costParams()
+	for name, tc := range admitSpecs() {
+		t.Run(name, func(t *testing.T) {
+			r, err := f.LoadTest(tc.spec, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byPlan := map[query.Plan]*cost.Estimate{}
+			planOf := map[*cost.Estimate]query.Plan{}
+			for _, tr := range r.Requests {
+				req := tc.spec.Requests[tr.Index]
+				cands, err := f.candidatesFor(req, pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ests := tr.Routing.Estimates
+				if len(ests) != len(cands) {
+					t.Fatalf("request %d: %d estimates for %d candidates", tr.Index, len(ests), len(cands))
+				}
+				for i, c := range cands {
+					if ests[i] != c.est {
+						t.Fatalf("request %d: estimate %d is %+v, candidate %+v", tr.Index, i, ests[i], c.est)
+					}
+				}
+				first := &ests[0]
+				if prev, ok := byPlan[req.Plan]; ok && prev != first {
+					t.Fatalf("request %d keeps its own copy of plan %s's estimates", tr.Index, req.Plan)
+				}
+				if p, ok := planOf[first]; ok && p != req.Plan {
+					t.Fatalf("request %d shares plan %s's estimates for plan %s", tr.Index, p, req.Plan)
+				}
+				byPlan[req.Plan], planOf[first] = first, req.Plan
+			}
+			if len(byPlan) < 2 {
+				t.Errorf("only %d distinct plans routed", len(byPlan))
+			}
+		})
+	}
+}

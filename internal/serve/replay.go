@@ -29,13 +29,15 @@ import (
 // candidate is one routable (replica pool, plan) pair with its cached
 // cost estimate. loadTest numbers it before the replay: slot is the
 // plan's index among the load test's distinct plans (byPlan, planResp),
-// and numbered marks slot as set.
+// list its candidate list's index among a fleet's distinct lists
+// (replay.lists), and numbered marks both as set.
 type candidate struct {
 	pool     int
 	plan     query.Plan
 	est      cost.Estimate
 	sel      float64
 	slot     int
+	list     int
 	numbered bool
 }
 
@@ -94,12 +96,20 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 	// order, each (plan, shard) simulated exactly once; merge + verify
 	// once per plan. Numbering each candidate with its plan's slot spares
 	// the replay a plan hash per request; a list shared by several
-	// requests is numbered at the first of them.
+	// requests is numbered at the first of them. A fleet, whose replay
+	// ranks every request, also gets each list's estimates here, once:
+	// every decision over the whole list keeps that one slice.
 	planIndex := make(map[query.Plan]int)
 	var plans []query.Plan
+	var lists [][]cost.Estimate
 	for _, cs := range cands {
 		if cs[0].numbered {
 			continue
+		}
+		var ests []cost.Estimate
+		if pools != nil {
+			ests = make([]cost.Estimate, len(cs))
+			lists = append(lists, ests)
 		}
 		for j := range cs {
 			slot, ok := planIndex[cs[j].plan]
@@ -108,7 +118,10 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 				planIndex[cs[j].plan] = slot
 				plans = append(plans, cs[j].plan)
 			}
-			cs[j].slot, cs[j].numbered = slot, true
+			cs[j].slot, cs[j].list, cs[j].numbered = slot, len(lists)-1, true
+			if ests != nil {
+				ests[j] = cs[j].est
+			}
 		}
 	}
 	byPlan, err := c.runPlanSet(plans, opt, pr)
@@ -154,6 +167,7 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 		static:   static,
 		byPlan:   byPlan,
 		planResp: planResp,
+		lists:    lists,
 		free:     make([][]uint64, nPools),
 		lanes:    make([][]ShardStats, nPools),
 		slow:     make([]float64, nPools),
@@ -271,9 +285,11 @@ type replay struct {
 	// static holds each request's admission-time routing decision; a
 	// cluster dispatches on it instead of ranking.
 	static []*cost.Decision
-	// byPlan and planResp are indexed by a candidate's slot.
+	// byPlan and planResp are indexed by a candidate's slot, lists (a
+	// fleet's candidate-list estimates, read-only) by its list.
 	byPlan   [][]ShardPartial
 	planResp []*Response
+	lists    [][]cost.Estimate
 	// buf holds the routing inputs of the ranking in progress.
 	buf routeBuf
 	// free is each pool's per-shard free time, in virtual cycles — the
@@ -312,14 +328,13 @@ type router struct {
 }
 
 // routeBuf is reusable storage for one ranking's inputs: the queue
-// penalties and health that loads fills, and the estimates and blended
-// observations that rank fills. cost.RankLoadedHealth copies every
-// input the decision keeps, so a replay ranks all its requests in one
-// routeBuf.
+// penalties and health that loads fills, and the blended observations
+// that rank fills. cost.RankLoadedHealth copies each of them into the
+// decision, so a replay ranks all its requests in one routeBuf. The
+// estimates are not among them: the decision keeps its estimate slice.
 type routeBuf struct {
 	queue  []float64
 	health []cost.Health
-	ests   []cost.Estimate
 	obs    []float64
 }
 
@@ -342,11 +357,18 @@ func sized[T any](s []T, n int) []T {
 // floor may override the pick for this request index — never onto a
 // down replica, so the draw stays a pure function of (seed, index).
 // When every candidate is down the pick falls back to health-blind
-// ranking: queue for the earliest recovery. buf supplies the estimate
-// and observation inputs.
-func (rt *router) rank(index int, cands []candidate, queue []float64, health []cost.Health, buf *routeBuf) (*cost.Decision, error) {
-	buf.ests = sized(buf.ests, len(cands))
-	ests := buf.ests
+// ranking: queue for the earliest recovery. ests holds the candidates'
+// estimates in order and becomes the decision's: a ranking of a whole
+// candidate list passes the list's shared slice (replay.lists), and nil
+// ranks on a fresh one, which a subset of a list needs. buf supplies
+// the observation inputs.
+func (rt *router) rank(index int, cands []candidate, ests []cost.Estimate, queue []float64, health []cost.Health, buf *routeBuf) (*cost.Decision, error) {
+	if ests == nil {
+		ests = make([]cost.Estimate, len(cands))
+		for i, c := range cands {
+			ests[i] = c.est
+		}
+	}
 	var obsCycles []float64
 	var samples []uint64
 	if rt != nil {
@@ -355,9 +377,8 @@ func (rt *router) rank(index int, cands []candidate, queue []float64, health []c
 		// The decision keeps the sample counts without a copy.
 		samples = make([]uint64, len(cands))
 	}
-	for i, c := range cands {
-		ests[i] = c.est
-		if rt != nil {
+	if rt != nil {
+		for i, c := range cands {
 			blended, _, n := rt.ad.Blended(c.plan.Kind, c.plan.Arch, c.sel, c.est.Cycles)
 			if n > 0 {
 				obsCycles[i] = blended
@@ -393,7 +414,7 @@ func (rt *router) rankNext(cands []candidate) (*cost.Decision, error) {
 		index = rt.seq
 		rt.seq++
 	}
-	return rt.rank(index, cands, make([]float64, len(cands)), nil, &routeBuf{})
+	return rt.rank(index, cands, nil, make([]float64, len(cands)), nil, &routeBuf{})
 }
 
 // observe feeds one completed request's service cycles into the cell of
@@ -452,7 +473,7 @@ func (rp *replay) route(index int, cands []candidate, t uint64) (*cost.Decision,
 		return rp.static[index], cands[0], false, nil
 	}
 	queue, health := rp.loads(cands, t)
-	d, err := rp.ad.rank(index, cands, queue, health, &rp.buf)
+	d, err := rp.ad.rank(index, cands, rp.lists[cands[0].list], queue, health, &rp.buf)
 	if err != nil {
 		return nil, candidate{}, false, err
 	}
@@ -479,8 +500,10 @@ func (rp *replay) hedgeCandidate(cands []candidate, primary int, t uint64) (cand
 		return candidate{}, false
 	}
 	queue, health := rp.loads(others, t)
+	// others is a subset of the request's list, so the list's shared
+	// estimates do not line up with it: rank on a fresh slice.
 	var static *router
-	d, err := static.rank(0, others, queue, health, &rp.buf)
+	d, err := static.rank(0, others, nil, queue, health, &rp.buf)
 	if err != nil || (health != nil && health[d.ChosenIndex].Down) {
 		return candidate{}, false
 	}
