@@ -245,8 +245,9 @@ type (
 	// a deterministic exploration floor drawn from a decorrelated seeded
 	// stream. Set LoadSpec.Adaptive for a fleet load test (replayed
 	// single-threaded, so exports stay byte-identical at any worker
-	// count) or pass it to Cluster.EnableAdaptive for the online Query
-	// path. The zero value of each knob selects its documented default.
+	// count) or pass it to Cluster.EnableAdaptive, whose state serves
+	// online Query calls only: Admit and load tests never read it. The
+	// zero value of each knob selects its documented default.
 	AdaptiveSpec = cost.AdaptiveConfig
 	// WorkloadProfile is the selectivity profile the model consumes.
 	WorkloadProfile = cost.Profile

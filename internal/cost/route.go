@@ -22,8 +22,8 @@ type Decision struct {
 	// Estimates holds one estimate per candidate, in input order.
 	Estimates []Estimate
 	// QueueCycles holds the per-candidate queue-depth penalty a loaded
-	// pick (RankLoaded) added to each estimate, in candidate order. Nil
-	// for unloaded decisions, so pre-fleet exports are unchanged.
+	// pick (RankLoadedHealth) added to each estimate, in candidate order.
+	// Nil for unloaded decisions, so pre-fleet exports are unchanged.
 	QueueCycles []float64 `json:",omitempty"`
 	// Health holds the per-candidate replica health a health-aware pick
 	// (RankLoadedHealth) ranked under, in candidate order. Nil for
@@ -98,42 +98,41 @@ func PickSharded(pr Params, shards []*db.Table, candidates []query.Plan) (*Decis
 	})
 }
 
-// pick is Pick's and PickSharded's ranking loop: estimate each
+// pick is Pick's and PickSharded's candidate loop: estimate each
 // candidate, skip the ones est rejects, take the first survivor's
-// selectivity and keep the earliest minimum. what names the workload in
-// the error returned when no candidate survives. est does not escape,
-// so the callers' closures stay on their stacks.
+// selectivity and rank the survivors as an unloaded RankLoadedHealth
+// pick. what names the workload in the error returned when no candidate
+// survives. est does not escape, so the callers' closures stay on their
+// stacks.
 func pick(candidates []query.Plan, what string, est func(query.Plan) (Estimate, float64, error)) (*Decision, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("cost: no candidate plans")
 	}
-	d := &Decision{ChosenIndex: -1}
+	var ests []Estimate
+	var sel float64
 	for _, p := range candidates {
-		e, sel, err := est(p)
+		e, s, err := est(p)
 		if err != nil {
 			continue
 		}
-		if d.Estimates == nil {
-			d.Selectivity = sel
+		if ests == nil {
+			sel = s
 		}
-		d.Estimates = append(d.Estimates, e)
-		if d.ChosenIndex < 0 || e.Cycles < d.Estimates[d.ChosenIndex].Cycles {
-			d.ChosenIndex = len(d.Estimates) - 1
-		}
+		ests = append(ests, e)
 	}
-	if d.ChosenIndex < 0 {
+	if ests == nil {
 		return nil, fmt.Errorf("cost: no candidate plan fits the %s (%d candidates rejected)", what, len(candidates))
 	}
-	d.Chosen = d.Estimates[d.ChosenIndex].Plan
-	return d, nil
+	return RankLoadedHealth(sel, ests, nil, nil, nil)
 }
 
 // EstimateSharded aggregates one plan's estimate over a horizontally
 // partitioned table — max-shard (critical path) cycles, summed DRAM
 // traffic and energy — and the whole-table row-weighted selectivity.
-// This is the fleet router's cacheable per-(pool, plan) input: it is a
-// pure function of (shards, plan), so the serving layer computes it
-// once per distinct plan and re-ranks per request as queues move.
+// This is the serving router's per-candidate input: it is a pure
+// function of (params, shards, plan), so the serving layer memoises it
+// per distinct plan under one cost model and re-ranks per request as
+// queues move.
 func EstimateSharded(pr Params, shards []*db.Table, p query.Plan) (Estimate, float64, error) {
 	if len(shards) == 0 {
 		return Estimate{}, 0, fmt.Errorf("cost: no shards")
@@ -174,22 +173,6 @@ func estimateShardedWith(pr Params, shards []*db.Table, caches []*profileCache, 
 	return agg, sel, nil
 }
 
-// RankLoaded is the fleet router's joint (replica, backend) pick: it
-// ranks pre-computed candidate estimates by predicted critical path
-// PLUS the candidate replica's current virtual-time queue depth, so an
-// idle slower pool can beat a backed-up faster one. Estimates keep the
-// pure model predictions; the queue penalties are recorded on the
-// decision (QueueCycles) so every pick stays auditable. The obs slice
-// carries per-candidate blended observed cycles from adaptive routing
-// (Adaptive.Blended); a positive entry replaces that candidate's
-// analytic prediction in the score, a zero entry means the bucket was
-// cold and the prior stands, and a nil slice is a fully static pick.
-// Ties break toward the earlier candidate — deterministic for a fixed
-// candidate order at any worker count.
-func RankLoaded(sel float64, ests []Estimate, queue []float64, obs []float64) (*Decision, error) {
-	return RankLoadedHealth(sel, ests, queue, nil, obs)
-}
-
 // Health is one candidate replica's observed health at routing time:
 // whether it is down (crashed and not yet recovered) and the observed
 // multiplicative service slowdown its recent work showed (1 = nominal;
@@ -212,27 +195,36 @@ func (h Health) penalty() float64 {
 // earliest recovery or fail the request.
 var ErrAllDown = errors.New("cost: every candidate replica is down")
 
-// RankLoadedHealth is RankLoaded made failover-aware: candidates whose
-// replica is down are excluded outright, and candidates on straggling
-// replicas have their predicted critical path inflated by the observed
-// slowdown factor before the queue penalty is added — so a nominally
-// faster but straggling pool loses to a healthy one the model ranks
-// close. A nil health slice degenerates to RankLoaded exactly, and a
-// nil obs slice keeps the analytic prediction as every candidate's
-// base cost (see RankLoaded for the obs contract). The health snapshot
-// and blended observations are recorded on the decision
-// (Decision.Health, Decision.ObsCycles, Decision.RouteMode) so
-// failover and adaptive picks stay auditable; when every candidate is
-// down the error wraps ErrAllDown. Ties break toward the earlier
-// candidate. The decision keeps ests itself as its Estimates, so many
-// decisions over one candidate list can share one slice, which nobody
-// may modify afterwards; queue, health and obs are copied, so the
-// caller may reuse them.
+// RankLoadedHealth is the one ranking loop: every routing decision,
+// Pick's and PickSharded's included, is made here. It ranks
+// pre-computed candidate estimates by predicted critical path PLUS the
+// candidate replica's current virtual-time queue depth, so an idle
+// slower pool can beat a backed-up faster one; a nil queue is an
+// unloaded pick, and the decision's QueueCycles stays nil. Candidates
+// whose replica is down are excluded outright, and candidates on
+// straggling replicas have their predicted critical path inflated by
+// the observed slowdown factor before the queue penalty is added — so a
+// nominally faster but straggling pool loses to a healthy one the model
+// ranks close; a nil health slice is a health-blind pick. The obs slice
+// carries per-candidate blended observed cycles from adaptive routing
+// (Adaptive.Blended): a positive entry replaces that candidate's
+// analytic prediction in the score, a zero entry means the bucket was
+// cold and the prior stands, and a nil slice is a fully static pick.
+// Estimates keep the pure model predictions; the queue penalties,
+// health snapshot and blended observations are recorded on the decision
+// (Decision.QueueCycles, Decision.Health, Decision.ObsCycles,
+// Decision.RouteMode) so every pick stays auditable. When every
+// candidate is down the error wraps ErrAllDown. Ties break toward the
+// earlier candidate — deterministic for a fixed candidate order at any
+// worker count. The decision keeps ests itself as its Estimates, so
+// many decisions over one candidate list can share one slice, which
+// nobody may modify afterwards; queue, health and obs are copied, so
+// the caller may reuse them.
 func RankLoadedHealth(sel float64, ests []Estimate, queue []float64, health []Health, obs []float64) (*Decision, error) {
 	if len(ests) == 0 {
 		return nil, fmt.Errorf("cost: no candidate estimates")
 	}
-	if len(queue) != len(ests) {
+	if queue != nil && len(queue) != len(ests) {
 		return nil, fmt.Errorf("cost: %d queue penalties for %d candidates", len(queue), len(ests))
 	}
 	if health != nil && len(health) != len(ests) {
@@ -263,9 +255,13 @@ func RankLoadedHealth(sel float64, ests []Estimate, queue []float64, health []He
 		if obs != nil && obs[i] > 0 {
 			base = obs[i]
 		}
-		score := base + queue[i]
+		var q float64
+		if queue != nil {
+			q = queue[i]
+		}
+		score := base + q
 		if health != nil {
-			score = base*health[i].penalty() + queue[i]
+			score = base*health[i].penalty() + q
 		}
 		if d.ChosenIndex < 0 || score < best {
 			best = score

@@ -2,6 +2,7 @@ package cost_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/cost"
@@ -58,14 +59,14 @@ func TestRankLoadedQueueAwareness(t *testing.T) {
 		{Plan: bestPlan(query.HIPE), Cycles: 1000},
 		{Plan: bestPlan(query.X86), Cycles: 3000},
 	}
-	d, err := cost.RankLoaded(0.02, ests, []float64{0, 0}, nil)
+	d, err := cost.RankLoadedHealth(0.02, ests, []float64{0, 0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.ChosenIndex != 0 || d.Chosen.Arch != query.HIPE {
 		t.Fatalf("idle pick %d (%s), want the fast candidate", d.ChosenIndex, d.Chosen.Arch)
 	}
-	d, err = cost.RankLoaded(0.02, ests, []float64{5000, 0}, nil)
+	d, err = cost.RankLoadedHealth(0.02, ests, []float64{5000, 0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestRankLoadedQueueAwareness(t *testing.T) {
 		t.Fatal("estimates must stay the pure model predictions")
 	}
 	// Exact tie: earlier candidate wins.
-	d, err = cost.RankLoaded(0.02, ests, []float64{2000, 0}, nil)
+	d, err = cost.RankLoadedHealth(0.02, ests, []float64{2000, 0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,19 +90,93 @@ func TestRankLoadedQueueAwareness(t *testing.T) {
 }
 
 func TestRankLoadedRejectsMalformedInput(t *testing.T) {
-	if _, err := cost.RankLoaded(0, nil, nil, nil); err == nil {
+	if _, err := cost.RankLoadedHealth(0, nil, nil, nil, nil); err == nil {
 		t.Fatal("empty candidate list accepted")
 	}
 	ests := []cost.Estimate{{Plan: bestPlan(query.HIPE), Cycles: 1}}
-	if _, err := cost.RankLoaded(0, ests, []float64{1, 2}, nil); err == nil {
+	if _, err := cost.RankLoadedHealth(0, ests, []float64{1, 2}, nil, nil); err == nil {
 		t.Fatal("mismatched queue slice accepted")
 	}
+	if _, err := cost.RankLoadedHealth(0, ests, []float64{}, nil, nil); err == nil {
+		t.Fatal("empty, non-nil queue slice accepted")
+	}
+}
+
+// TestRankLoadedHealthNilQueueIsUnloadedPick: a nil queue is the
+// unloaded pick Pick and PickSharded rank through — QueueCycles stays
+// nil, so a cluster's routing exports carry no queue column, ties keep
+// the earliest minimum, and over the same candidates the decision is
+// the one Pick and PickSharded return.
+func TestRankLoadedHealthNilQueueIsUnloadedPick(t *testing.T) {
+	tied := []cost.Estimate{
+		{Plan: bestPlan(query.HIPE), Cycles: 2000},
+		{Plan: bestPlan(query.X86), Cycles: 1000},
+		{Plan: bestPlan(query.HMC), Cycles: 1000},
+	}
+	d, err := cost.RankLoadedHealth(0.02, tied, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.QueueCycles != nil {
+		t.Fatalf("an unloaded pick recorded queue penalties %v", d.QueueCycles)
+	}
+	if d.ChosenIndex != 1 || d.Chosen != tied[1].Plan {
+		t.Fatalf("tie broke to %d (%s), want the earliest minimum 1", d.ChosenIndex, d.Chosen)
+	}
+
+	pr := cost.DefaultParams()
+	tab := db.GenerateClusteredMemo(4096, 42, 10)
+	shards, err := db.Partition(tab, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []query.Plan
+	for _, a := range []query.Arch{query.X86, query.HMC, query.HIVE, query.HIPE} {
+		cands = append(cands, bestPlan(a))
+	}
+	same := func(what string, got *cost.Decision, ests []cost.Estimate, sel float64) {
+		t.Helper()
+		want, err := cost.RankLoadedHealth(sel, ests, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s decision %+v, the unloaded rank of its candidates %+v", what, got, want)
+		}
+	}
+	var ests, shardedEsts []cost.Estimate
+	var shardedSel float64
+	for i, p := range cands {
+		est, err := cost.EstimatePlan(pr, p, cost.ProfileFor(tab, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ests = append(ests, est)
+		e, sel, err := cost.EstimateSharded(pr, shards, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			shardedSel = sel
+		}
+		shardedEsts = append(shardedEsts, e)
+	}
+	picked, err := cost.Pick(pr, tab, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Pick", picked, ests, cost.ProfileFor(tab, cands[0]).Sel)
+	sharded, err := cost.PickSharded(pr, shards, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("PickSharded", sharded, shardedEsts, shardedSel)
 }
 
 // TestRankLoadedHealthFailover: down candidates are excluded, observed
 // straggler slowdowns inflate the model estimate before the queue
-// penalty, a nil health slice reproduces RankLoaded exactly, and an
-// all-down panel reports ErrAllDown.
+// penalty, a nil health slice ranks every replica healthy without
+// recording health, and an all-down panel reports ErrAllDown.
 func TestRankLoadedHealthFailover(t *testing.T) {
 	ests := []cost.Estimate{
 		{Plan: bestPlan(query.HIPE), Cycles: 1000},
@@ -109,8 +184,8 @@ func TestRankLoadedHealthFailover(t *testing.T) {
 	}
 	queue := []float64{0, 0}
 
-	// Nil health degenerates to RankLoaded, including the decision.
-	plain, err := cost.RankLoaded(0.02, ests, queue, nil)
+	// Nil health ranks as an all-healthy panel and records no health.
+	healthy, err := cost.RankLoadedHealth(0.02, ests, queue, []cost.Health{{}, {}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +193,9 @@ func TestRankLoadedHealthFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nilHealth.ChosenIndex != plain.ChosenIndex || nilHealth.Health != nil {
-		t.Fatalf("nil health pick %d (health %v), want RankLoaded's %d with no health recorded",
-			nilHealth.ChosenIndex, nilHealth.Health, plain.ChosenIndex)
+	if nilHealth.ChosenIndex != healthy.ChosenIndex || nilHealth.Health != nil {
+		t.Fatalf("nil health pick %d (health %v), want the healthy panel's %d with no health recorded",
+			nilHealth.ChosenIndex, nilHealth.Health, healthy.ChosenIndex)
 	}
 
 	// The fast candidate down: routing must exclude it outright even
@@ -216,7 +291,7 @@ func TestRankLoadedHealthAllDownUnequalRecovery(t *testing.T) {
 	if _, err := cost.RankLoadedHealth(0.02, ests, queue, health, nil); !errors.Is(err, cost.ErrAllDown) {
 		t.Fatalf("all-down error = %v, want ErrAllDown", err)
 	}
-	d, err := cost.RankLoaded(0.02, ests, queue, nil)
+	d, err := cost.RankLoadedHealth(0.02, ests, queue, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +300,7 @@ func TestRankLoadedHealthAllDownUnequalRecovery(t *testing.T) {
 	}
 	// Waits close enough that the model estimate still matters: 1000+4000
 	// beats 3000+2500.
-	d, err = cost.RankLoaded(0.02, ests, []float64{4_000, 2_500}, nil)
+	d, err = cost.RankLoadedHealth(0.02, ests, []float64{4_000, 2_500}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +365,7 @@ func TestRankLoadedHealthTieBreakAcrossOrderings(t *testing.T) {
 	for oi, ests := range orders {
 		queue := []float64{0, 0, 0}
 		for run := 0; run < 3; run++ {
-			d, err := cost.RankLoaded(0.02, ests, queue, nil)
+			d, err := cost.RankLoadedHealth(0.02, ests, queue, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +399,7 @@ func TestRankLoadedObservedCycles(t *testing.T) {
 
 	// The model thinks HIPE is 3x faster, but observation says it costs
 	// 5000 cycles here: the pick must flip to x86's analytic prior.
-	d, err := cost.RankLoaded(0.02, ests, queue, []float64{5000, 0})
+	d, err := cost.RankLoadedHealth(0.02, ests, queue, nil, []float64{5000, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +423,7 @@ func TestRankLoadedObservedCycles(t *testing.T) {
 	}
 
 	// Nil observations: byte-identical static decision, no provenance.
-	d, err = cost.RankLoaded(0.02, ests, queue, nil)
+	d, err = cost.RankLoadedHealth(0.02, ests, queue, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +431,7 @@ func TestRankLoadedObservedCycles(t *testing.T) {
 		t.Fatalf("static decision grew adaptive provenance: %+v", d)
 	}
 
-	if _, err := cost.RankLoaded(0.02, ests, queue, []float64{1}); err == nil {
+	if _, err := cost.RankLoadedHealth(0.02, ests, queue, nil, []float64{1}); err == nil {
 		t.Fatal("mismatched observed-cycles slice accepted")
 	}
 }

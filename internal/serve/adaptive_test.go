@@ -36,14 +36,6 @@ func misCalibrate(p cost.Params, k float64, cheapCPU bool) cost.Params {
 	return p
 }
 
-// resetEstimates drops the fleet's cached analytic priors so a params
-// change takes effect.
-func (f *Fleet) resetEstimates() {
-	f.estMu.Lock()
-	f.ests = make(map[query.Plan]poolEstimate)
-	f.estMu.Unlock()
-}
-
 func sumService(rep *Report) uint64 {
 	var total uint64
 	for i := range rep.Requests {
@@ -110,8 +102,7 @@ func TestFleetAdaptiveBeatsStaticWhenMisCalibrated(t *testing.T) {
 		canFlip := (4*eSlow.Cycles+12*rSlow)/16 > eFast.Cycles
 		staysFlipped := (4*eFast.Cycles+rFast)/5 < rSlow
 		if mispicks && canFlip && staysFlipped {
-			f.params = cand
-			f.resetEstimates()
+			f.Calibrate(cand)
 			calibrated = true
 			break
 		}
@@ -349,10 +340,7 @@ func TestClusterAdaptiveQueryLearns(t *testing.T) {
 	req := Request{Plan: DefaultPlan(ArchAuto, q)}
 	var first *Response
 	for _, k := range []float64{3, 6, 9, 13, 20} {
-		c.params = misCalibrate(truth, k, slowArch == query.X86)
-		c.mu.Lock()
-		c.routes = make(map[routeKey]*cost.Decision)
-		c.mu.Unlock()
+		c.Calibrate(misCalibrate(truth, k, slowArch == query.X86))
 		if err := c.EnableAdaptive(cost.AdaptiveConfig{Seed: 4}); err != nil {
 			t.Fatal(err)
 		}
@@ -390,5 +378,61 @@ func TestClusterAdaptiveQueryLearns(t *testing.T) {
 	}
 	if warmed == 0 {
 		t.Error("bucket samples never recorded on the decision")
+	}
+}
+
+// TestClusterLoadTestIgnoresOnlineAdaptiveState: EnableAdaptive's state
+// serves online Query calls only. A cluster with it on writes the same
+// load-test CSV and JSON as a fresh cluster, and neither LoadTest nor
+// Admit advances its exploration sequence; a Query does.
+func TestClusterLoadTestIgnoresOnlineAdaptiveState(t *testing.T) {
+	tab := db.GenerateClusteredMemo(512, 42, 10)
+	newCluster := func() *Cluster {
+		t.Helper()
+		c, err := New(sweep.Default(), tab, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	reqs, err := StreamSpec{N: 24, Seed: 5, Archs: []query.Arch{ArchAuto}}.Requests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, opt := ClosedLoop(reqs, 3), Options{Workers: 2, Exec: sweep.ExecEstimate}
+	want, err := newCluster().LoadTest(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster()
+	if err := c.EnableAdaptive(cost.AdaptiveConfig{Seed: 4, ExplorePct: 50}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.LoadTest(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCSV, gotJSON := exports(t, got)
+	wantCSV, wantJSON := exports(t, want)
+	if !bytes.Equal(gotCSV, wantCSV) || !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("the load test read the online adaptive state: CSV %d bytes, a fresh cluster's %d", len(gotCSV), len(wantCSV))
+	}
+	if seq := c.adapt.seq; seq != 0 {
+		t.Errorf("the load test advanced the online exploration sequence to %d", seq)
+	}
+	for _, req := range reqs[:3] {
+		if err := c.Admit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seq := c.adapt.seq; seq != 0 {
+		t.Errorf("Admit advanced the online exploration sequence to %d", seq)
+	}
+	resp, err := c.Query(reqs[0], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.adapt.seq != 1 || resp.Routing.RouteMode != "adaptive" {
+		t.Errorf("an online query left the sequence at %d with route mode %q", c.adapt.seq, resp.Routing.RouteMode)
 	}
 }

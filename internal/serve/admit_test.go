@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/hipe-sim/hipe/internal/cost"
@@ -77,6 +78,41 @@ func admitSpecs() map[string]struct {
 	}
 }
 
+// checkAdmissionMemo fails t unless memo, a load test admitting each
+// distinct request plan once (admitOnce), wrote the same CSV, JSON and
+// span CSV as fresh, the same replay admitting every request afresh,
+// and HIPE served the shared predicate of admitStream both with and
+// without Aggregate, so a memo that merged the two would show.
+func checkAdmissionMemo(t *testing.T, memo, fresh *Report) {
+	t.Helper()
+	gotCSV, gotJSON := exports(t, memo)
+	wantCSV, wantJSON := exports(t, fresh)
+	var gotSpans, wantSpans bytes.Buffer
+	if err := memo.WriteSpanCSV(&gotSpans); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.WriteSpanCSV(&wantSpans); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want []byte
+	}{{"CSV", gotCSV, wantCSV}, {"JSON", gotJSON, wantJSON}, {"span CSV", gotSpans.Bytes(), wantSpans.Bytes()}} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s differs with the admission memo", c.what)
+		}
+	}
+	aggregate := map[bool]bool{}
+	for _, tr := range memo.Requests {
+		if tr.Plan.Arch == query.HIPE && tr.Plan.Kind == query.Q6Select && tr.Plan.Q == db.DefaultQ06() {
+			aggregate[tr.Plan.Aggregate] = true
+		}
+	}
+	if !aggregate[false] || !aggregate[true] {
+		t.Errorf("HIPE served the shared predicate with Aggregate in %v only", aggregate)
+	}
+}
+
 // TestFleetAdmissionMemoMatchesPerRequest: Fleet.LoadTest, which admits
 // each distinct request plan once and shares its candidate list, writes
 // the same CSV, JSON and span CSV as the same replay admitting every
@@ -90,42 +126,11 @@ func TestFleetAdmissionMemoMatchesPerRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr := f.costParams()
-			fresh, err := f.loadTest(tc.spec, tc.opt, pr, f.pools, func(req Request) ([]candidate, *cost.Decision, error) {
-				cs, err := f.candidatesFor(req, pr)
-				return cs, nil, err
-			})
+			fresh, err := f.loadTest(tc.spec, tc.opt, f.costParams(), f.pools, f.admit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCSV, gotJSON := exports(t, memo)
-			wantCSV, wantJSON := exports(t, fresh)
-			var gotSpans, wantSpans bytes.Buffer
-			if err := memo.WriteSpanCSV(&gotSpans); err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.WriteSpanCSV(&wantSpans); err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []struct {
-				what      string
-				got, want []byte
-			}{{"CSV", gotCSV, wantCSV}, {"JSON", gotJSON, wantJSON}, {"span CSV", gotSpans.Bytes(), wantSpans.Bytes()}} {
-				if !bytes.Equal(c.got, c.want) {
-					t.Errorf("%s differs with the admission memo", c.what)
-				}
-			}
-			// Both Aggregate variants of the shared predicate reach HIPE,
-			// so a memo that merged them would show.
-			aggregate := map[bool]bool{}
-			for _, tr := range memo.Requests {
-				if tr.Plan.Arch == query.HIPE && tr.Plan.Kind == query.Q6Select && tr.Plan.Q == db.DefaultQ06() {
-					aggregate[tr.Plan.Aggregate] = true
-				}
-			}
-			if !aggregate[false] || !aggregate[true] {
-				t.Errorf("HIPE served the shared predicate with Aggregate in %v only", aggregate)
-			}
+			checkAdmissionMemo(t, memo, fresh)
 			switch name {
 			case "shed":
 				if memo.Shed == 0 {
@@ -142,6 +147,81 @@ func TestFleetAdmissionMemoMatchesPerRequest(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterAdmissionMemoMatchesPerRequest: Cluster.LoadTest, which
+// admits and routes each distinct request plan once, writes the same
+// CSV, JSON and span CSV as the same replay admitting every request
+// afresh — open and closed loops, estimate mode, and counters with the
+// tracer on, over a stream that mixes auto, fixed, Aggregate and Q01
+// plans.
+func TestClusterAdmissionMemoMatchesPerRequest(t *testing.T) {
+	c := testCluster(t, 4)
+	reqs := admitStream(60)
+	for i := range reqs {
+		// A cluster serves one admission class.
+		reqs[i].Class = 0
+	}
+	open, closed := OpenLoop(reqs, 3_000, 0, 9), ClosedLoop(reqs, 3)
+	for name, tc := range map[string]struct {
+		spec LoadSpec
+		opt  Options
+	}{
+		"open":     {open, Options{Workers: 2}},
+		"closed":   {closed, Options{Workers: 2}},
+		"estimate": {open, Options{Workers: 2, Exec: sweep.ExecEstimate}},
+		"counters": {closed, Options{Workers: 2, Counters: true, Trace: true}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			memo, err := c.LoadTest(tc.spec, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := c.loadTest(tc.spec, tc.opt, c.costParams(), nil, c.admit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAdmissionMemo(t, memo, fresh)
+			if !memo.HasRouting() {
+				t.Error("no auto request was routed")
+			}
+		})
+	}
+}
+
+// TestClusterLoadTestDoNotAllocatePerRequest: a warm cluster's load
+// test allocates as often at 1,000 requests as at 250, in exact and in
+// estimate mode — the requests of one plan share one admission, one
+// candidate list and one routing decision. It counts allocations, not
+// bytes: the report's trace slice is sized to the request count.
+func TestClusterLoadTestDoNotAllocatePerRequest(t *testing.T) {
+	c, err := New(sweep.Default(), db.GenerateClusteredMemo(4096, 42, 10), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := StreamSpec{N: 1_000, Seed: 3, Archs: []query.Arch{ArchAuto, query.HIPE}, Q1Every: 4}.Requests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{{Workers: 1}, {Workers: 1, Exec: sweep.ExecEstimate}} {
+		allocs := func(n int) float64 {
+			spec := ClosedLoop(reqs[:n], 1)
+			run := func() {
+				// The runtime publishes small allocations at its next
+				// collection, so each run starts with one: otherwise a
+				// collection inside one size's runs counts allocations made
+				// before them.
+				runtime.GC()
+				if _, err := c.LoadTest(spec, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(3, run)
+		}
+		if small, large := allocs(250), allocs(1_000); small != large {
+			t.Errorf("%s load test allocates %v times at 250 requests, %v at 1,000", opt.Exec, small, large)
+		}
 	}
 }
 
@@ -164,7 +244,7 @@ func TestFleetDecisionsShareListEstimates(t *testing.T) {
 			planOf := map[*cost.Estimate]query.Plan{}
 			for _, tr := range r.Requests {
 				req := tc.spec.Requests[tr.Index]
-				cands, err := f.candidatesFor(req, pr)
+				cands, err := f.candidates(req, pr, f.pools)
 				if err != nil {
 					t.Fatal(err)
 				}

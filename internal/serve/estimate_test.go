@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/hipe-sim/hipe/internal/cost"
 	"github.com/hipe-sim/hipe/internal/db"
 	"github.com/hipe-sim/hipe/internal/query"
 	"github.com/hipe-sim/hipe/internal/sweep"
@@ -233,6 +235,145 @@ func TestCalibrateDuringEstimateQueries(t *testing.T) {
 			if _, err := run(Request{Plan: DefaultPlan(ArchAuto, q)}, opt); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestCalibrateLeavesNoStaleEstimate: a caller that snapshots the cost
+// model, loses the race to Calibrate and then prices, prices with its
+// own snapshot but stores nothing, so every later caller — the fleet's
+// candidates and a cluster's resolve alike — reads the new model's
+// estimate.
+func TestCalibrateLeavesNoStaleEstimate(t *testing.T) {
+	f := testFleet(t, 2, query.HIPE, query.X86)
+	p := DefaultPlan(query.HIPE, db.DefaultQ06())
+	old := f.costParams()
+	drift := misCalibrate(old, 9, true)
+	f.Calibrate(drift)
+	stale, _, err := f.estimate(p, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOld, _, err := cost.EstimateSharded(old, f.shards, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale != wantOld {
+		t.Fatalf("a stale snapshot priced %+v, its own model %+v", stale, wantOld)
+	}
+	want, _, err := cost.EstimateSharded(drift, f.shards, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cycles == stale.Cycles {
+		t.Fatal("the drifted model prices the plan as the old one did")
+	}
+	got, _, err := f.estimate(p, f.costParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("after a stale caller, the fleet prices %s at %g cycles, the new model %g", p, got.Cycles, want.Cycles)
+	}
+	// With the new model's estimate memoised, a stale caller still
+	// prices with its own snapshot.
+	if again, _, err := f.estimate(p, old); err != nil || again != wantOld {
+		t.Fatalf("a stale snapshot read %+v (error %v) from the memo, its own model %+v", again, err, wantOld)
+	}
+
+	c := testCluster(t, 2)
+	auto := Request{Plan: DefaultPlan(ArchAuto, db.DefaultQ06())}
+	c.Calibrate(drift)
+	if _, _, _, err := c.resolve(auto, old); err != nil {
+		t.Fatal(err)
+	}
+	_, _, d, err := c.resolve(auto, c.costParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range d.Estimates {
+		want, _, err := cost.EstimateSharded(drift, c.shards, e.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e != want {
+			t.Errorf("after a stale resolve, the cluster routes %s at %g cycles, the new model %g", e.Plan, e.Cycles, want.Cycles)
+		}
+	}
+}
+
+// TestFleetLoadTestsDuringCalibrate runs fleet load tests while another
+// goroutine calibrates the fleet among three models. Each load test
+// prices with its own snapshot, and one that a Calibrate overtook must
+// store nothing: afterwards, one more load test writes the same CSV as
+// a fresh fleet calibrated to the final model. Under -race it also
+// checks the memo's locking.
+func TestFleetLoadTestsDuringCalibrate(t *testing.T) {
+	tab := db.GenerateMemo(1024, 42)
+	pools := []query.Arch{query.HIPE, query.X86, query.HMC}
+	newFleet := func() *Fleet {
+		t.Helper()
+		f, err := NewFleet(sweep.Config{Tuples: 1024, Seed: 42}, tab, 2, pools)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	reqs, err := StreamSpec{N: 60, Seed: 13, Archs: []query.Arch{ArchAuto, query.HIPE},
+		QtyHi: []int32{6, 10, 14, 18, 24, 30, 40, 50}, Q1Every: 5}.Requests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, opt := ClosedLoop(reqs, 2), Options{Workers: 2, Exec: sweep.ExecEstimate}
+	truth := newFleet().costParams()
+	models := []cost.Params{truth, misCalibrate(truth, 3, true), misCalibrate(truth, 3, false)}
+	// Each model's reference CSV comes from a fresh fleet calibrated to it.
+	wantCSV := make([][]byte, len(models))
+	for i, m := range models {
+		ref := newFleet()
+		ref.Calibrate(m)
+		r, err := ref.LoadTest(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCSV[i], _ = exports(t, r)
+	}
+	for round := range 12 {
+		f := newFleet()
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if _, err := f.LoadTest(spec, opt); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		// Calibrations spaced out over several load tests, ending on the
+		// round's model at an arbitrary point of one.
+		final := round % len(models)
+		for i := range 30 {
+			time.Sleep(50 * time.Microsecond)
+			f.Calibrate(models[(final+1+i)%len(models)])
+		}
+		close(done)
+		wg.Wait()
+		r, err := f.LoadTest(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := exports(t, r); !bytes.Equal(got, wantCSV[final]) {
+			t.Fatalf("round %d: after load tests raced Calibrate, the fleet's CSV differs from a fresh fleet's under the final model", round)
 		}
 	}
 }

@@ -41,12 +41,39 @@ type candidate struct {
 	numbered bool
 }
 
-// admitFunc expands one request into its routable candidates, in pool
-// order, plus the static routing decision made at admission (nil when
-// the request is routed at dispatch, or needs no routing). Requests may
-// share one candidate list; loadTest numbers it once and the replay
-// only reads it.
-type admitFunc func(Request) ([]candidate, *cost.Decision, error)
+// admitFunc expands one request into its routable candidates under a
+// cost-model snapshot, in pool order, plus the static routing decision
+// made at admission (nil when the request is routed at dispatch, or
+// needs no routing): Cluster.admit and Fleet.admit. Requests may share
+// one candidate list; loadTest numbers it once and the replay only
+// reads it.
+type admitFunc func(Request, cost.Params) ([]candidate, *cost.Decision, error)
+
+// admitOnce wraps admit for one load test so that each distinct request
+// plan is admitted once: a request's candidates and static decision are
+// pure functions of its whole plan under the load test's one snapshot,
+// so the requests of one plan share one candidate list and one
+// decision, and the load test allocates none per request. The memo is
+// keyed by the plan alone because loadTest checks each request's class
+// itself. It stays outside loadTest so that tests can run the same
+// replay with the bare admit as the per-request reference.
+func admitOnce(admit admitFunc) admitFunc {
+	type admission struct {
+		cands []candidate
+		d     *cost.Decision
+	}
+	memo := make(map[query.Plan]admission)
+	return func(req Request, pr cost.Params) ([]candidate, *cost.Decision, error) {
+		if a, ok := memo[req.Plan]; ok {
+			return a.cands, a.d, nil
+		}
+		cands, d, err := admit(req, pr)
+		if err == nil {
+			memo[req.Plan] = admission{cands, d}
+		}
+		return cands, d, err
+	}
+}
 
 // loadTest runs spec over the cluster's shards with cost-model snapshot
 // pr, the one admit routes with. pools names a fleet's replica pools;
@@ -73,7 +100,7 @@ func (c *Cluster) loadTest(spec LoadSpec, opt Options, pr cost.Params, pools []q
 			return nil, fmt.Errorf("serve: request %d: class %d outside the %d declared classes",
 				i, req.Class, len(classes))
 		}
-		cs, d, err := admit(req)
+		cs, d, err := admit(req, pr)
 		if err != nil {
 			return nil, fmt.Errorf("serve: request %d: %w", i, err)
 		}
@@ -388,7 +415,7 @@ func (rt *router) rank(index int, cands []candidate, ests []cost.Estimate, queue
 	}
 	d, err := cost.RankLoadedHealth(cands[0].sel, ests, queue, health, obsCycles)
 	if errors.Is(err, cost.ErrAllDown) {
-		d, err = cost.RankLoaded(cands[0].sel, ests, queue, obsCycles)
+		d, err = cost.RankLoadedHealth(cands[0].sel, ests, queue, nil, obsCycles)
 	}
 	if err != nil {
 		return nil, err

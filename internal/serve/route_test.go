@@ -139,7 +139,7 @@ func TestAutoResolutionRespectsShardEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Plan: DefaultQ1Plan(ArchAuto, db.DefaultQ01())}
-	resolved, d, err := c.resolve(req, c.costParams())
+	resolved, _, d, err := c.resolve(req, c.costParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAutoResolutionRespectsShardEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dBig, err := cBig.resolve(req, cBig.costParams())
+	_, _, dBig, err := cBig.resolve(req, cBig.costParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,10 +238,10 @@ func (o Options) EffectiveWorkers() int {
 // shards, each scanned by its own simulated machine. Its machine and
 // energy models and its shards are fixed at New. Its caches fill as it
 // serves and are never evicted: reference answers per (table,
-// predicate), routing decisions per (kind, predicate) and verified
-// exact shard legs per (plan, shard, counters), one entry per distinct
-// key served. A Cluster is safe for concurrent Query and LoadTest
-// calls.
+// predicate), sharded cost estimates per plan under the current cost
+// model (Calibrate drops them) and verified exact shard legs per (plan,
+// shard, counters), one entry per distinct key served. A Cluster is
+// safe for concurrent Query and LoadTest calls.
 type Cluster struct {
 	// cfg holds the shard machines' model (Machine is always set: the
 	// configuration every shard leg draws from the process-wide machine
@@ -258,12 +258,12 @@ type Cluster struct {
 	// answers memoises reference answers per (table, predicate), for
 	// the whole table and for each shard.
 	answers map[answerKey]answer
-	// routes caches routing decisions per distinct (kind, predicate):
-	// profiling the table is O(rows), so repeated predicates — the
-	// common case in serving streams — route from the cache. Decisions
-	// are pure functions of (table, predicate, candidates), hence
-	// deterministic at any worker count.
-	routes map[routeKey]*cost.Decision
+	// ests memoises each routing candidate's sharded estimate per plan
+	// under params (estimate): profiling the shards is O(rows), so the
+	// plans of repeated predicates — the common case in serving streams —
+	// route from the memo. An estimate is a pure function of (params,
+	// shards, plan), hence deterministic at any worker count.
+	ests map[query.Plan]planEstimate
 	// legs memoises verified exact shard partials per (plan, shard,
 	// counters): an exact leg is a pure function of the models fixed at
 	// New, the shard and the plan, so repeated load tests and queries
@@ -271,10 +271,10 @@ type Cluster struct {
 	// stored, and entries are handed out as clones (runPlanSet).
 	legs map[legKey]ShardPartial
 
-	// adaptMu guards the online feedback-routing state used by the
-	// concurrent Query paths (EnableAdaptive; nil when off). Load-test
-	// replays never touch it — they build per-run state from
-	// LoadSpec.Adaptive so a load test stays a pure function of its
+	// adaptMu guards the online feedback-routing state only the
+	// concurrent Query paths read (EnableAdaptive; nil when off). Admit
+	// and load tests never touch it — a load test builds per-run state
+	// from LoadSpec.Adaptive — so they stay pure functions of their
 	// inputs.
 	adaptMu sync.Mutex
 	adapt   *router
@@ -307,20 +307,20 @@ func New(cfg sweep.Config, tab *db.Table, nShards int) (*Cluster, error) {
 		shards:  shards,
 		params:  cost.ParamsFor(mc, em),
 		answers: make(map[answerKey]answer),
-		routes:  make(map[routeKey]*cost.Decision),
+		ests:    make(map[query.Plan]planEstimate),
 		legs:    make(map[legKey]ShardPartial),
 	}, nil
 }
 
 // EnableAdaptive turns feedback-driven routing on for the online Query
-// paths: subsequent ArchAuto resolutions (and Fleet.Query routes) blend
-// each candidate's analytic prior with the observed-cycles EWMA of its
+// paths: subsequent Cluster.Query and Fleet.Query routes blend each
+// candidate's analytic prior with the observed-cycles EWMA of its
 // (kind, backend, selectivity-bucket) cell, completed queries feed
 // their observed service cycles back in, and the deterministic
 // exploration floor keeps sampling the candidates the blend would
-// starve. Load tests do not read this state — they take a per-run
-// cost.AdaptiveConfig on the LoadSpec instead, so a load test stays a
-// pure function of (spec, options).
+// starve. Admit and load tests do not read this state — a load test
+// takes a per-run cost.AdaptiveConfig on the LoadSpec instead — so a
+// load test stays a pure function of (spec, options).
 func (c *Cluster) EnableAdaptive(cfg cost.AdaptiveConfig) error {
 	a, err := cost.NewAdaptive(cfg)
 	if err != nil {
@@ -333,7 +333,7 @@ func (c *Cluster) EnableAdaptive(cfg cost.AdaptiveConfig) error {
 }
 
 // Calibrate replaces the routing planner's cost model and drops every
-// cached routing decision. Answers and exact-mode service times are
+// memoised routing estimate. Answers and exact-mode service times are
 // untouched — the simulated machines keep their real timing, and the
 // memo of verified exact legs survives — so a drifted calibration
 // changes only which backend the planner predicts fastest. This is the
@@ -344,7 +344,7 @@ func (c *Cluster) EnableAdaptive(cfg cost.AdaptiveConfig) error {
 func (c *Cluster) Calibrate(p cost.Params) {
 	c.mu.Lock()
 	c.params = p
-	c.routes = make(map[routeKey]*cost.Decision)
+	c.ests = make(map[query.Plan]planEstimate)
 	c.mu.Unlock()
 }
 
@@ -362,14 +362,6 @@ type legKey struct {
 	plan     query.Plan
 	shard    int
 	counters bool
-}
-
-// routeKey identifies one distinct routable query.
-type routeKey struct {
-	kind query.QueryKind
-	q    db.Q06
-	q1   db.Q01
-	agg  bool
 }
 
 // Shards reports the shard count.
@@ -396,7 +388,7 @@ func (c *Cluster) Admit(req Request) error {
 		return err
 	}
 	if req.Plan.Auto() {
-		_, _, err := c.resolve(req, c.costParams())
+		_, _, _, err := c.resolve(req, c.costParams())
 		return err
 	}
 	if err := req.Plan.ValidateFor(c.maxShardRows()); err != nil {
@@ -415,59 +407,122 @@ func (c *Cluster) maxShardRows() int {
 	return maxRows
 }
 
+// admit is a cluster load test's admission under cost-model snapshot
+// pr: the request's resolved plan as its one candidate (the cluster's
+// one pool runs every backend) and, for an ArchAuto request, its static
+// routing decision.
+func (c *Cluster) admit(req Request, pr cost.Params) ([]candidate, *cost.Decision, error) {
+	r, _, d, err := c.resolve(req, pr)
+	if err == nil {
+		err = c.Admit(r)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return []candidate{{plan: r.Plan}}, d, nil
+}
+
+// backendArchs lists every registered backend's architecture, in
+// architecture order: the pools a cluster ranks an ArchAuto request
+// over, its one pool running every backend.
+var backendArchs = func() []query.Arch {
+	var archs []query.Arch
+	for _, b := range query.Backends() {
+		archs = append(archs, b.Arch())
+	}
+	return archs
+}()
+
 // resolve routes an ArchAuto request to the predicted-fastest backend:
-// the candidates are every backend's best serving shape over
-// the request's predicate, trimmed to the plans every shard can
-// execute, ranked by the cost model against the served table's
-// selectivity profile. Fixed-architecture requests pass through
-// untouched. Decisions are cached per distinct predicate and are pure
-// functions of the cluster's table, so routing is deterministic and
-// auditable (the decision lands in Response.Routing and the report's
-// routing columns). pr is the caller's cost-model snapshot.
-func (c *Cluster) resolve(req Request, pr cost.Params) (Request, *cost.Decision, error) {
+// the candidates are every backend's best serving shape over the
+// request's predicate that every shard can execute, ranked by their
+// sharded estimates as an unloaded pick. Fixed-architecture requests
+// pass through untouched. The decision is a pure function of the
+// cluster's table, the plan and pr, the caller's cost-model snapshot,
+// so routing is deterministic and auditable (the decision lands in
+// Response.Routing and the report's routing columns); only Query
+// re-ranks the returned candidates with EnableAdaptive's online state.
+func (c *Cluster) resolve(req Request, pr cost.Params) (Request, []candidate, *cost.Decision, error) {
 	if !req.Plan.Auto() {
-		return req, nil, nil
+		return req, nil, nil, nil
 	}
-	key := routeKey{kind: req.Plan.Kind, q: req.Plan.Q, q1: req.Plan.Q1, agg: req.Plan.Aggregate}
-	c.mu.Lock()
-	d, ok := c.routes[key]
-	c.mu.Unlock()
-	if !ok {
-		maxRows := c.maxShardRows()
-		var candidates []query.Plan
-		for _, b := range query.Backends() {
-			if p := servingShape(b, req.Plan); p.ValidateFor(maxRows) == nil {
-				candidates = append(candidates, p)
-			}
-		}
-		var err error
-		d, err = cost.PickSharded(pr, c.shards, candidates)
-		if err != nil {
-			return req, nil, fmt.Errorf("serve: routing %s: %w", req.Plan, err)
-		}
-		c.mu.Lock()
-		c.routes[key] = d
-		c.mu.Unlock()
+	cands, err := c.candidates(req, pr, backendArchs)
+	if err != nil {
+		return req, nil, nil, err
 	}
-	// With online adaptive routing enabled, the cached static decision
-	// only supplies the candidate set and analytic priors; the pick
-	// itself is re-made against the current observation state, so it can
-	// evolve as completed queries feed cycles back in. Re-ranking builds a
-	// fresh decision (the cached one stays untouched) with zero queue
-	// penalties: a cluster has no replica backlog to weigh.
-	c.adaptMu.Lock()
-	if c.adapt != nil {
-		cands := make([]candidate, len(d.Estimates))
-		for i, e := range d.Estimates {
-			cands[i] = candidate{plan: e.Plan, est: e, sel: d.Selectivity}
-		}
-		if nd, err := c.adapt.rankNext(cands); err == nil {
-			d = nd
-		}
+	var static *router
+	d, err := static.rank(0, cands, nil, nil, nil, nil)
+	if err != nil {
+		return req, nil, nil, err
 	}
-	c.adaptMu.Unlock()
 	req.Plan = d.Chosen
-	return req, d, nil
+	return req, cands, d, nil
+}
+
+// candidates expands one request into its routable (pool, plan)
+// candidates over pools pinned to archs, in pool order: a fleet's
+// replica pools, or every backend for a cluster's resolve. An ArchAuto
+// request is a candidate on every pool (the pool's backend's best
+// serving shape over the request's predicate); a fixed-architecture
+// request only on pools pinned to its architecture. Plans the envelope
+// or the cost model rejects are skipped; an error is returned only when
+// no pool survives. pr is the caller's cost-model snapshot.
+func (c *Cluster) candidates(req Request, pr cost.Params, archs []query.Arch) ([]candidate, error) {
+	maxRows := c.maxShardRows()
+	var cands []candidate
+	for pi, arch := range archs {
+		p := req.Plan
+		if p.Auto() {
+			b, _ := query.BackendFor(arch)
+			p = servingShape(b, req.Plan)
+		} else if p.Arch != arch {
+			continue
+		}
+		if p.ValidateFor(maxRows) != nil {
+			continue
+		}
+		est, sel, err := c.estimate(p, pr)
+		if err != nil {
+			continue
+		}
+		cands = append(cands, candidate{pool: pi, plan: p, est: est, sel: sel})
+	}
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("serve: no replica pool can serve %s", req.Plan)
+	}
+	return cands, nil
+}
+
+// planEstimate is one memoised sharded estimate with the whole-table
+// selectivity it was profiled at.
+type planEstimate struct {
+	est cost.Estimate
+	sel float64
+}
+
+// estimate returns plan p's sharded estimate (cost.EstimateSharded)
+// under cost-model snapshot pr, memoised per plan. The memo is read and
+// written only while pr is still the cluster's model: a caller whose
+// snapshot a Calibrate has since replaced prices without caching, so no
+// old-model estimate outlives the Calibrate that dropped the memo.
+func (c *Cluster) estimate(p query.Plan, pr cost.Params) (cost.Estimate, float64, error) {
+	c.mu.Lock()
+	e, ok := c.ests[p]
+	ok = ok && c.params == pr
+	c.mu.Unlock()
+	if ok {
+		return e.est, e.sel, nil
+	}
+	est, sel, err := cost.EstimateSharded(pr, c.shards, p)
+	if err != nil {
+		return cost.Estimate{}, 0, err
+	}
+	c.mu.Lock()
+	if c.params == pr {
+		c.ests[p] = planEstimate{est: est, sel: sel}
+	}
+	c.mu.Unlock()
+	return est, sel, nil
 }
 
 // answer is the reference evaluator's answer for one table and
@@ -552,10 +607,23 @@ func (c *Cluster) Query(req Request, opt Options) (*Response, error) {
 		return nil, err
 	}
 	pr := c.costParams()
-	req, routing, err := c.resolve(req, pr)
+	req, cands, routing, err := c.resolve(req, pr)
 	if err != nil {
 		return nil, err
 	}
+	// With online adaptive routing enabled, the static decision only
+	// supplies the candidates and their analytic priors: the pick is
+	// re-made against the current observation state, so it evolves as
+	// completed queries feed cycles back in. Re-ranking builds a fresh
+	// decision with zero queue penalties: a cluster has no replica
+	// backlog to weigh.
+	c.adaptMu.Lock()
+	if c.adapt != nil && routing != nil {
+		if d, err := c.adapt.rankNext(cands); err == nil {
+			req.Plan, routing = d.Chosen, d
+		}
+	}
+	c.adaptMu.Unlock()
 	resp, err := c.run(req, opt, pr)
 	if err != nil {
 		return nil, err

@@ -414,11 +414,14 @@ func (s LoadSpec) arrivals() []uint64 {
 // shard) service time on the bounded executor pool (an exact one only
 // if the cluster has not verified it before, runPlanSet), verifies every
 // merged answer against the unsharded reference evaluator, replays the
-// serving timeline in virtual time, and returns the report.
-// Deterministic at any worker count (routing happens once,
+// serving timeline in virtual time, and returns the report. Each
+// distinct request plan is admitted and routed once (admitOnce),
 // single-threaded, before any worker runs, and decisions are pure
-// functions of the served table). Admission classes, shedding, faults,
-// recovery and adaptive routing need a replicated Fleet.
+// functions of the served table and the cost model — EnableAdaptive's
+// online state is never read — so the report is a pure function of
+// (spec, options), byte-identical at any worker count. Admission
+// classes, shedding, faults, recovery and adaptive routing need a
+// replicated Fleet.
 func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if len(spec.Classes) > 0 || spec.Shed {
 		return nil, fmt.Errorf("serve: admission classes need a replicated fleet (use Fleet.LoadTest)")
@@ -429,17 +432,7 @@ func (c *Cluster) LoadTest(spec LoadSpec, opt Options) (*Report, error) {
 	if spec.Adaptive != nil {
 		return nil, fmt.Errorf("serve: adaptive routing needs a replicated fleet (use Fleet.LoadTest)")
 	}
-	pr := c.costParams()
-	return c.loadTest(spec, opt, pr, nil, func(req Request) ([]candidate, *cost.Decision, error) {
-		r, d, err := c.resolve(req, pr)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := c.Admit(r); err != nil {
-			return nil, nil, err
-		}
-		return []candidate{{plan: r.Plan}}, d, nil
-	})
+	return c.loadTest(spec, opt, c.costParams(), nil, admitOnce(c.admit))
 }
 
 // runPlanSet computes the per-shard partials for a set of distinct
