@@ -261,8 +261,8 @@ func main() {
 	if stdoutClaims > 1 {
 		fail("two exports both claim stdout; pick one")
 	}
-	if *noise < 0 {
-		fail("-noise %d must not be negative", *noise)
+	if *noise < 0 || *noise > math.MaxInt32 {
+		fail("-noise %d must not be negative or exceed %d days", *noise, math.MaxInt32)
 	}
 	emode, ok := hipe.ParseExecMode(*execMode)
 	if !ok {

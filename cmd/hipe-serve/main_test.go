@@ -32,6 +32,7 @@ func TestQ1FlagValidation(t *testing.T) {
 		{"cut without cadence", []string{"-q1-cut", "100"}, "no effect without -q1-every"},
 		{"cut past range", []string{"-q1-every", "2", "-q1-cut", "9999"}, "outside the generated"},
 		{"negative cut", []string{"-q1-every", "2", "-q1-cut", "-3"}, "outside the generated"},
+		{"noise past 32 bits", []string{"-noise", "4294967306"}, "must not be negative or exceed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

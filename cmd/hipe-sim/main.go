@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -81,6 +82,9 @@ func main() {
 	}
 	if *tuples <= 0 || *tuples%64 != 0 {
 		fail("-tuples %d must be a positive multiple of 64", *tuples)
+	}
+	if *opsize > math.MaxUint32 {
+		fail("-opsize %d outside the 16..256 byte range", *opsize)
 	}
 	plan := hipe.Plan{Arch: a, Strategy: s, OpSize: uint32(*opsize),
 		Unroll: *unroll, Fused: *fused, Q: hipe.DefaultQ06()}

@@ -36,6 +36,7 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown strategy", []string{"-strategy", "vector"}, `unknown strategy "vector"`},
 		{"bad tuples", []string{"-tuples", "100"}, "positive multiple of 64"},
 		{"bad plan shape", []string{"-opsize", "7"}, "usage of hipe-sim"},
+		{"opsize past 32 bits", []string{"-opsize", "4294967552"}, "outside the 16..256 byte range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

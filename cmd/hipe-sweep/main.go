@@ -57,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -128,8 +129,8 @@ func main() {
 	if *workers <= 0 {
 		fail("-workers %d must be positive", *workers)
 	}
-	if *noise < 0 {
-		fail("-noise %d must not be negative", *noise)
+	if *noise < 0 || *noise > math.MaxInt32 {
+		fail("-noise %d must not be negative or exceed %d days", *noise, math.MaxInt32)
 	}
 	if *disclo < 0 || *dischi > 10 || *disclo > *dischi {
 		fail("-disclo %d / -dischi %d outside the generated 0..10 discount range", *disclo, *dischi)
@@ -181,10 +182,10 @@ func main() {
 	if len(grid.Strategies) == 0 {
 		fail("-strategies selects no scan strategy")
 	}
-	for _, qh := range parseInts(*qtyhi, "qtyhi") {
+	for _, qh := range parseI32s(*qtyhi, "qtyhi") {
 		q := hipe.DefaultQ06()
 		q.DiscLo, q.DiscHi = int32(*disclo), int32(*dischi)
-		q.QtyHi = int32(qh)
+		q.QtyHi = qh
 		grid.Queries = append(grid.Queries, q)
 	}
 	for _, cut := range parseInts(*q1cuts, "q1cuts") {
@@ -262,36 +263,41 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s, name string) []int {
-	var out []int
+// parseList parses a comma list entry by entry, failing with usage on
+// the first entry parse rejects.
+func parseList[T any](s, name string, parse func(string) (T, error)) []T {
+	var out []T
 	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
+		v, err := parse(f)
 		if err != nil {
 			fail("bad -%s entry %q", name, f)
 		}
 		out = append(out, v)
 	}
 	return out
+}
+
+func parseInts(s, name string) []int { return parseList(s, name, strconv.Atoi) }
+
+// The fixed-width axes parse at their width, so an entry that does not
+// fit fails instead of wrapping into a valid value.
+
+func parseI32s(s, name string) []int32 {
+	return parseList(s, name, func(f string) (int32, error) {
+		v, err := strconv.ParseInt(f, 10, 32)
+		return int32(v), err
+	})
 }
 
 func parseU32s(s, name string) []uint32 {
-	var out []uint32
-	for _, v := range parseInts(s, name) {
-		out = append(out, uint32(v))
-	}
-	return out
+	return parseList(s, name, func(f string) (uint32, error) {
+		v, err := strconv.ParseUint(f, 10, 32)
+		return uint32(v), err
+	})
 }
 
 func parseU64s(s, name string) []uint64 {
-	var out []uint64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			fail("bad -%s entry %q", name, f)
-		}
-		out = append(out, v)
-	}
-	return out
+	return parseList(s, name, func(f string) (uint64, error) { return strconv.ParseUint(f, 10, 64) })
 }
 
 func parseBools(s, name string) []bool {

@@ -22,6 +22,9 @@ func runBinary(t *testing.T, args ...string) (int, string) {
 	return ee.ExitCode(), string(out)
 }
 
+// TestQ1CutsFlagValidation pins the usage errors of the workload axes:
+// Q01 cutoffs outside the generated date range, and integer entries
+// that do not fit their axis.
 func TestQ1CutsFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,6 +35,13 @@ func TestQ1CutsFlagValidation(t *testing.T) {
 		{"negative cutoff", []string{"-q1cuts", "-5"}, "outside the generated"},
 		{"cutoff past range", []string{"-q1cuts", "9999"}, "outside the generated"},
 		{"garbage cutoff", []string{"-q1cuts", "abc"}, "bad -q1cuts entry"},
+		// Integer axes parse at their target width instead of wrapping
+		// into a valid value (4294967552 = 2^32 + 256, 4294967320 =
+		// 2^32 + 24, 4294967306 = 2^32 + 10).
+		{"opsize past 32 bits", []string{"-opsizes", "4294967552"}, "bad -opsizes entry"},
+		{"negative opsize", []string{"-opsizes", "-4294967040"}, "bad -opsizes entry"},
+		{"qtyhi past 32 bits", []string{"-qtyhi", "4294967320"}, "bad -qtyhi entry"},
+		{"noise past 32 bits", []string{"-noise", "4294967306"}, "must not be negative or exceed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

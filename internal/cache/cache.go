@@ -99,10 +99,10 @@ type waiter struct {
 }
 
 // mshr is one miss-status holding register. MSHRs are pooled: a miss
-// draws one from the cache's free list and the fill's arrival returns
-// it, so steady-state miss handling allocates nothing. The embedded
-// fill request's Done callback is pre-bound once, when the mshr is
-// first constructed.
+// draws one from the cache's pool and the fill's arrival returns it, so
+// steady-state miss handling allocates nothing. The embedded fill
+// request's Done callback is pre-bound once, when the mshr is first
+// constructed.
 type mshr struct {
 	c        *Cache
 	lineAddr mem.Addr
@@ -149,8 +149,8 @@ type Cache struct {
 	lruClock uint64
 
 	pending    map[mem.Addr]*mshr
-	mshrFree   []*mshr
-	wbFree     []*wbOp
+	mshrs      sim.Pool[mshr]
+	wbs        sim.Pool[wbOp]
 	readInUse  int
 	writeInUse int
 	evictInUse int
@@ -234,7 +234,7 @@ func (c *Cache) Reset() {
 	c.lruClock = 0
 	for la, m := range c.pending {
 		m.waiters = m.waiters[:0]
-		c.mshrFree = append(c.mshrFree, m)
+		c.mshrs.Put(m)
 		delete(c.pending, la)
 	}
 	c.readInUse, c.writeInUse, c.evictInUse = 0, 0, 0
@@ -358,18 +358,18 @@ func (c *Cache) Version() uint64 { return c.version }
 
 // newMSHR draws a pooled MSHR, resetting it for line la.
 func (c *Cache) newMSHR(la mem.Addr) *mshr {
-	var m *mshr
-	if n := len(c.mshrFree); n > 0 {
-		m = c.mshrFree[n-1]
-		c.mshrFree = c.mshrFree[:n-1]
-	} else {
-		m = &mshr{c: c}
-		m.fillFn = func(now sim.Cycle) { m.c.fillArrived(m) }
-	}
+	m := c.mshrs.Get(c.freshMSHR)
 	m.lineAddr = la
 	m.waiters = m.waiters[:0]
 	m.isWrite = false
 	m.prefetch = false
+	return m
+}
+
+// freshMSHR builds a pooled MSHR with its fill callback pre-bound.
+func (c *Cache) freshMSHR() *mshr {
+	m := &mshr{c: c}
+	m.fillFn = func(now sim.Cycle) { m.c.fillArrived(m) }
 	return m
 }
 
@@ -409,7 +409,7 @@ func (c *Cache) fillArrived(m *mshr) {
 		c.readInUse--
 	}
 	m.waiters = m.waiters[:0]
-	c.mshrFree = append(c.mshrFree, m)
+	c.mshrs.Put(m)
 	c.version++
 }
 
@@ -452,17 +452,7 @@ place:
 func (c *Cache) writeback(la mem.Addr) {
 	c.writebacks.Inc()
 	c.evictInUse++
-	var w *wbOp
-	if n := len(c.wbFree); n > 0 {
-		w = c.wbFree[n-1]
-		c.wbFree = c.wbFree[:n-1]
-	} else {
-		w = &wbOp{c: c}
-		w.doneFn = func(now sim.Cycle) {
-			w.c.evictInUse--
-			w.c.wbFree = append(w.c.wbFree, w)
-		}
-	}
+	w := c.wbs.Get(c.freshWriteback)
 	w.req = mem.Request{
 		Addr: la,
 		Size: c.cfg.LineBytes,
@@ -474,6 +464,17 @@ func (c *Cache) writeback(la mem.Addr) {
 	if !c.next.Access(&w.req) {
 		c.engine.AfterEvent(1, w, 0)
 	}
+}
+
+// freshWriteback builds a pooled writeback whose completion frees its
+// eviction slot and returns it to the pool.
+func (c *Cache) freshWriteback() *wbOp {
+	w := &wbOp{c: c}
+	w.doneFn = func(now sim.Cycle) {
+		w.c.evictInUse--
+		w.c.wbs.Put(w)
+	}
+	return w
 }
 
 // invalidate removes a line (if present), reporting whether it was dirty.

@@ -82,7 +82,9 @@ type Config struct {
 	// style) instead of leaving it unchanged. This lets plans chain
 	// predicates (stage 3 predicated on stage 2's result even when stage
 	// 2 was itself squashed) without reading stale flags. The paper does
-	// not pin this down; the ablation bench compares both.
+	// not pin this down. No benchmark turns it off; only
+	// TestNonZeroingSquashPreservesDst and TestQ1RequiresZeroingSquash
+	// run the engine without it.
 	ZeroingSquash bool
 }
 
@@ -139,7 +141,7 @@ type register struct {
 // rowFetch tracks one logic-layer row read and the mask loads waiting on
 // it. A superseded fetch (the buffer moved to another row) still
 // completes its own waiters when its DRAM read returns. Fetches are
-// pooled: one returns to the free list once it is both finished and no
+// pooled: one returns to the pool once it is both finished and no
 // longer the engine's current read buffer.
 type rowFetch struct {
 	e       *Engine
@@ -159,7 +161,7 @@ func (f *rowFetch) fetchDone(now sim.Cycle) {
 	f.waiting = f.waiting[:0]
 	if f.e.maskRead != f {
 		// Superseded while in flight: nothing references it any more.
-		f.e.rfFree = append(f.e.rfFree, f)
+		f.e.fetches.Put(f)
 	}
 }
 
@@ -208,66 +210,42 @@ func (op *subOp) deliver(now sim.Cycle) {
 
 func (op *subOp) release() {
 	op.inst, op.done = isa.OffloadInst{}, nil
-	op.e.subFree = append(op.e.subFree, op)
+	op.e.subs.Put(op)
 }
 
-// ldOp is one pooled vector-load completion: fills the destination
-// register from the image when the DRAM fan-out finishes.
-type ldOp struct {
+// writeback is one pooled register write: it commits a VLoad, VMaskLoad
+// or VALU result to its destination once the result is ready, setting
+// the zero flag and clearing the interlock. A load's data comes from the
+// image when its DRAM read completes (a mask load expands the packed
+// bitmask); an ALU result is computed at issue into buf, since later
+// instructions may overwrite its sources before the FU latency
+// elapses. The interlock allows one pending write per register, so an
+// engine holds at most isa.NumRegisters writebacks.
+type writeback struct {
 	e    *Engine
 	dst  *register
+	op   isa.OffloadOp
 	addr mem.Addr
 	size uint32
-	fn   func(now sim.Cycle) // pre-bound completion
+	buf  [isa.RegisterBytes]byte
+	fn   func(now sim.Cycle) // pre-bound commit
 }
 
-func (op *ldOp) complete(sim.Cycle) {
-	dst := op.dst
-	copy(dst.data[:op.size], op.e.image[op.addr:uint64(op.addr)+uint64(op.size)])
-	dst.zero = isa.IsZero(dst.data[:], int(op.size))
+func (w *writeback) commit(sim.Cycle) {
+	dst, n := w.dst, int(w.size)
+	switch w.op {
+	case isa.VLoad:
+		copy(dst.data[:n], w.e.image[w.addr:uint64(w.addr)+uint64(w.size)])
+	case isa.VMaskLoad:
+		packed := w.e.image[w.addr : uint64(w.addr)+uint64(isa.MaskBytes(w.size))]
+		isa.ExpandMask(dst.data[:], packed, n)
+	default: // isa.VALU writes the whole register
+		dst.data, n = w.buf, len(dst.data)
+	}
+	dst.zero = isa.IsZero(dst.data[:], n)
 	dst.pending = false
-	op.dst = nil
-	op.e.ldFree = append(op.e.ldFree, op)
-}
-
-// mlOp is one pooled mask-load fill: expands the packed bitmask into
-// the destination register when its row data is available.
-type mlOp struct {
-	e    *Engine
-	dst  *register
-	addr mem.Addr
-	nb   uint32
-	size uint32
-	fn   func(now sim.Cycle) // pre-bound fill
-}
-
-func (op *mlOp) fill(sim.Cycle) {
-	dst := op.dst
-	packed := op.e.image[op.addr : uint64(op.addr)+uint64(op.nb)]
-	isa.ExpandMask(dst.data[:], packed, int(op.size))
-	dst.zero = isa.IsZero(dst.data[:], int(op.size))
-	dst.pending = false
-	op.dst = nil
-	op.e.mlFree = append(op.e.mlFree, op)
-}
-
-// aluOp is one pooled ALU completion: the result buffer plus the
-// register writeback scheduled after the FU latency.
-type aluOp struct {
-	e   *Engine
-	dst *register
-	buf [isa.RegisterBytes]byte
-}
-
-// OnEvent implements sim.Handler: the FU latency elapsed; commit the
-// result.
-func (op *aluOp) OnEvent(sim.Cycle, uint64) {
-	dst := op.dst
-	copy(dst.data[:], op.buf[:])
-	dst.zero = isa.IsZero(dst.data[:], len(dst.data))
-	dst.pending = false
-	op.dst = nil
-	op.e.aluFree = append(op.e.aluFree, op)
+	w.dst = nil
+	w.e.writebacks.Put(w)
 }
 
 // fanOp tracks one (possibly row-straddling) DRAM fan-out: the chunk
@@ -286,7 +264,7 @@ func (op *fanOp) chunkDone(now sim.Cycle) {
 	if op.remaining == 0 {
 		done := op.done
 		op.done = nil
-		op.e.fanFree = append(op.e.fanFree, op)
+		op.e.fans.Put(op)
 		done(now)
 	}
 }
@@ -311,16 +289,13 @@ type Engine struct {
 	// adds them again for each tick the engine skipped.
 	stalls struct{ interlock, pred uint64 }
 
-	// Free lists for the pooled event objects of the hot instruction
-	// path, plus pre-bound shared callbacks and the mask scratch buffer
-	// (valid only within one VMaskStore; the checker compares and
-	// discards it).
-	subFree        []*subOp
-	ldFree         []*ldOp
-	mlFree         []*mlOp
-	aluFree        []*aluOp
-	fanFree        []*fanOp
-	rfFree         []*rowFetch
+	// Pools for the event objects of the hot instruction path, plus
+	// pre-bound shared callbacks and the mask scratch buffer (valid only
+	// within one VMaskStore; the checker compares and discards it).
+	subs           sim.Pool[subOp]
+	writebacks     sim.Pool[writeback]
+	fans           sim.Pool[fanOp]
+	fetches        sim.Pool[rowFetch]
 	storeDrainedFn func(now sim.Cycle)
 	maskScratch    [isa.RegisterBytes / 8]byte
 
@@ -393,76 +368,31 @@ func New(engine *sim.Engine, cfg Config, links *link.Controller, vaults *dram.HM
 	return e, nil
 }
 
-// Pool accessors: each draws a free object or constructs one with its
-// callbacks pre-bound (a one-time cost per pooled object).
+// Pool constructors: each builds an object with its callbacks pre-bound
+// (a one-time cost per pooled object).
 
-func (e *Engine) getSub() *subOp {
-	if n := len(e.subFree); n > 0 {
-		op := e.subFree[n-1]
-		e.subFree = e.subFree[:n-1]
-		return op
-	}
+func (e *Engine) freshSub() *subOp {
 	op := &subOp{e: e}
 	op.execFn = op.exec
 	op.deliverFn = op.deliver
 	return op
 }
 
-func (e *Engine) getLd() *ldOp {
-	if n := len(e.ldFree); n > 0 {
-		op := e.ldFree[n-1]
-		e.ldFree = e.ldFree[:n-1]
-		return op
-	}
-	op := &ldOp{e: e}
-	op.fn = op.complete
-	return op
+func (e *Engine) freshWriteback() *writeback {
+	w := &writeback{e: e}
+	w.fn = w.commit
+	return w
 }
 
-func (e *Engine) getMl() *mlOp {
-	if n := len(e.mlFree); n > 0 {
-		op := e.mlFree[n-1]
-		e.mlFree = e.mlFree[:n-1]
-		return op
-	}
-	op := &mlOp{e: e}
-	op.fn = op.fill
-	return op
-}
-
-func (e *Engine) getAlu() *aluOp {
-	if n := len(e.aluFree); n > 0 {
-		op := e.aluFree[n-1]
-		e.aluFree = e.aluFree[:n-1]
-		return op
-	}
-	return &aluOp{e: e}
-}
-
-func (e *Engine) getFan() *fanOp {
-	if n := len(e.fanFree); n > 0 {
-		op := e.fanFree[n-1]
-		e.fanFree = e.fanFree[:n-1]
-		return op
-	}
+func (e *Engine) freshFan() *fanOp {
 	op := &fanOp{e: e}
 	op.chunkFn = op.chunkDone
 	return op
 }
 
-func (e *Engine) getRowFetch(row mem.Addr) *rowFetch {
-	var f *rowFetch
-	if n := len(e.rfFree); n > 0 {
-		f = e.rfFree[n-1]
-		e.rfFree = e.rfFree[:n-1]
-	} else {
-		f = &rowFetch{e: e}
-		f.doneFn = f.fetchDone
-	}
-	f.row = row
-	f.done = false
-	f.doneAt = 0
-	f.waiting = f.waiting[:0]
+func (e *Engine) freshRowFetch() *rowFetch {
+	f := &rowFetch{e: e}
+	f.doneFn = f.fetchDone
 	return f
 }
 
@@ -487,7 +417,7 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 		panic("core: invalid instruction: " + err.Error())
 	}
 	acked := inst.Op == isa.Unlock
-	op := e.getSub()
+	op := e.subs.Get(e.freshSub)
 	op.inst = *inst
 	op.acked = acked
 	op.pkt = link.Packet{
@@ -657,39 +587,32 @@ func (e *Engine) issue(q *subOp, now sim.Cycle) {
 	case isa.VLoad:
 		e.loads.Inc()
 		e.dramReadBytes.Add(uint64(inst.Size))
-		dst := &e.regs[inst.Dst]
-		dst.pending = true
-		op := e.getLd()
-		op.dst, op.addr, op.size = dst, inst.Addr, inst.Size
-		e.fanOut(inst.Addr, inst.Size, mem.Read, op.fn)
+		w := e.pend(inst)
+		e.fanOut(inst.Addr, inst.Size, mem.Read, w.fn)
 		q.complete()
 
 	case isa.VMaskLoad:
 		e.loads.Inc()
-		nb := isa.MaskBytes(inst.Size)
-		dst := &e.regs[inst.Dst]
-		dst.pending = true
-		op := e.getMl()
-		op.dst, op.addr, op.nb, op.size = dst, inst.Addr, nb, inst.Size
+		w := e.pend(inst)
 		row := e.geom.RowBase(inst.Addr)
 		switch {
 		case e.maskBuf.valid && e.maskBuf.row == row:
 			// Forwarded from the write-combine buffer: no DRAM access.
 			e.maskBufHits.Inc()
-			e.engine.ScheduleCall(now+e.cfg.ClockDivider, op.fn)
+			e.engine.ScheduleCall(now+e.cfg.ClockDivider, w.fn)
 		case e.maskRead != nil && e.maskRead.row == row:
 			e.maskBufHits.Inc()
 			f := e.maskRead
 			if !f.done {
 				// The row fetch is still in flight: coalesce onto it.
-				f.waiting = append(f.waiting, op.fn)
+				f.waiting = append(f.waiting, w.fn)
 				break
 			}
 			at := now + e.cfg.ClockDivider
 			if f.doneAt > at {
 				at = f.doneAt
 			}
-			e.engine.ScheduleCall(at, op.fn)
+			e.engine.ScheduleCall(at, w.fn)
 		default:
 			// Miss: fetch the whole row once into the logic layer.
 			e.maskBufMisses.Inc()
@@ -697,10 +620,11 @@ func (e *Engine) issue(q *subOp, now sim.Cycle) {
 			if old := e.maskRead; old != nil && old.done {
 				// The superseded fetch has completed its waiters; it
 				// becomes reusable the moment it loses currency.
-				e.rfFree = append(e.rfFree, old)
+				e.fetches.Put(old)
 			}
-			f := e.getRowFetch(row)
-			f.waiting = append(f.waiting, op.fn)
+			f := e.fetches.Get(e.freshRowFetch)
+			f.row, f.done, f.doneAt = row, false, 0
+			f.waiting = append(f.waiting[:0], w.fn)
 			e.maskRead = f
 			e.fanOut(row, e.geom.RowBytes, mem.Read, f.doneFn)
 		}
@@ -738,23 +662,30 @@ func (e *Engine) issue(q *subOp, now sim.Cycle) {
 
 	case isa.VALU:
 		e.aluOps.Inc()
-		dst := &e.regs[inst.Dst]
 		src1 := &e.regs[inst.Src1]
 		n := int(isa.RegisterBytes)
-		op := e.getAlu()
+		w := e.pend(inst)
 		if inst.UseImm {
-			isa.LaneOpImm(inst.ALU, op.buf[:], src1.data[:], inst.Imm, n)
+			isa.LaneOpImm(inst.ALU, w.buf[:], src1.data[:], inst.Imm, n)
 		} else {
-			isa.LaneOp(inst.ALU, op.buf[:], src1.data[:], e.regs[inst.Src2].data[:], n)
+			isa.LaneOp(inst.ALU, w.buf[:], src1.data[:], e.regs[inst.Src2].data[:], n)
 		}
-		dst.pending = true
-		op.dst = dst
-		e.engine.ScheduleEvent(now+e.aluLatency(inst), op, 0)
+		e.engine.ScheduleCall(now+e.aluLatency(inst), w.fn)
 		q.complete()
 
 	default:
 		panic(fmt.Sprintf("core: cannot execute %s", inst.Op))
 	}
+}
+
+// pend interlocks inst's destination register and draws the writeback
+// that commits its result.
+func (e *Engine) pend(inst *isa.OffloadInst) *writeback {
+	w := e.writebacks.Get(e.freshWriteback)
+	w.dst = &e.regs[inst.Dst]
+	w.dst.pending = true
+	w.op, w.addr, w.size = inst.Op, inst.Addr, inst.Size
+	return w
 }
 
 // aluLatency maps an ALU kind to its Table I latency.
@@ -786,36 +717,21 @@ func (e *Engine) flushMaskBuf() {
 }
 
 // fanOut issues the DRAM accesses for a (possibly row-straddling) engine
-// memory operation and invokes done when all complete. The row walk is
-// inlined (no chunk slice) and every chunk reuses the fan-out's one
-// request struct: the vault consumes a request synchronously, retaining
-// only its Done callback.
+// memory operation, one per row-contained chunk, and invokes done when
+// all complete. Every chunk reuses the fan-out's one request struct: the
+// vault consumes a request synchronously, retaining only its Done
+// callback. Chunks are counted as they issue, which is safe because the
+// vault schedules every completion and never calls Done inside Access.
 func (e *Engine) fanOut(addr mem.Addr, size uint32, kind mem.Kind, done func(now sim.Cycle)) {
-	rowBytes := mem.Addr(e.geom.RowBytes)
-	// First walk: count the row-contained chunks.
-	n := 0
-	for a, s := addr, size; s > 0; {
-		c := uint32(e.geom.RowBase(a) + rowBytes - a)
-		if c > s {
-			c = s
-		}
-		n++
-		a += mem.Addr(c)
-		s -= c
-	}
-	op := e.getFan()
-	op.remaining = n
-	op.done = done
-	// Second walk: issue the accesses.
-	for a, s := addr, size; s > 0; {
-		c := uint32(e.geom.RowBase(a) + rowBytes - a)
-		if c > s {
-			c = s
-		}
-		op.req = mem.Request{Addr: a, Size: c, Kind: kind, Done: op.chunkFn}
+	op := e.fans.Get(e.freshFan)
+	op.remaining, op.done = 0, done
+	for size > 0 {
+		n := e.geom.RowSpan(addr, size)
+		op.remaining++
+		op.req = mem.Request{Addr: addr, Size: n, Kind: kind, Done: op.chunkFn}
 		e.vaults.Access(&op.req)
-		a += mem.Addr(c)
-		s -= c
+		addr += mem.Addr(n)
+		size -= n
 	}
 }
 
@@ -834,7 +750,7 @@ func (e *Engine) Reset() {
 	if e.maskRead != nil {
 		// Nothing can complete the read buffer's fetch any more: its
 		// DRAM read went with the event queue.
-		e.rfFree = append(e.rfFree, e.maskRead)
+		e.fetches.Put(e.maskRead)
 		e.maskRead = nil
 	}
 	e.domain.Reset()

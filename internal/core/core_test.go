@@ -401,17 +401,43 @@ func TestUnlockWaitsForStores(t *testing.T) {
 	}
 }
 
+// TestRowStraddlingLoadFansOut: a load that crosses a row boundary reads
+// both rows, and its destination stays interlocked until the later of
+// the two reads completes.
 func TestRowStraddlingLoadFansOut(t *testing.T) {
+	// 256B load at offset 0x80 crosses a row boundary: two vault accesses,
+	// 0x80 in vault 0 and 0x100 in vault 1.
+	straddle := &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VLoad, Dst: 0, Addr: 0x80, Size: 256}
 	e, eng, image, reg := newEngine(t, DefaultHIPE())
 	isa.SetLane(image[0x80:], 0, 5)
-	// 256B load at offset 0x80 crosses a row boundary: two vault accesses.
-	submit(t, eng, &isa.OffloadInst{Target: isa.TargetHIPE, Op: isa.VLoad, Dst: 0, Addr: 0x80, Size: 256})
+	submit(t, eng, straddle)
+	for !eng.RegisterPending(0) && e.Step() {
+	}
+	for eng.RegisterPending(0) && e.Step() {
+	}
+	// Both vaults were idle, so both reads completed at this cycle.
+	firstDone := e.Now()
 	e.Run()
 	if reg.Total("dram.", "reads") != 2 {
 		t.Fatalf("straddling load issued %d reads, want 2", reg.Total("dram.", "reads"))
 	}
 	if isa.LaneAt(eng.RegisterData(0), 0) != 5 {
 		t.Fatal("straddling load data wrong")
+	}
+
+	// Again with vault 1's bank busy on another row: the vault-0 read
+	// still completes at firstDone, the vault-1 read later.
+	e, eng, image, _ = newEngine(t, DefaultHIPE())
+	isa.SetLane(image[0x80:], 0, 5)
+	eng.vaults.Access(&mem.Request{Addr: 0x100 + 1<<16, Size: 256, Kind: mem.Read})
+	submit(t, eng, straddle)
+	e.RunUntil(firstDone)
+	if !eng.RegisterPending(0) {
+		t.Fatalf("destination committed at cycle %d, before its second row arrived", firstDone)
+	}
+	e.Run()
+	if eng.RegisterPending(0) || isa.LaneAt(eng.RegisterData(0), 0) != 5 {
+		t.Fatal("straddling load behind a busy bank did not commit its data")
 	}
 }
 

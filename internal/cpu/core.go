@@ -102,7 +102,7 @@ const (
 )
 
 // robEntry is one in-flight µop. Entries are pooled: the core draws
-// them from a free list at dispatch and returns them after commit (for
+// them from its pool at dispatch and returns them after commit (for
 // stores, after the drained write completes), so steady-state execution
 // allocates nothing per µop. The embedded request and the pre-bound
 // callbacks (created once, when the entry is first constructed) replace
@@ -127,7 +127,7 @@ type robEntry struct {
 
 	// Pre-bound completion callbacks (one-time per pooled entry).
 	loadDone  func(now sim.Cycle) // load/offload response: frees MOB read slot
-	storeDone func(now sim.Cycle) // store drain: frees MOB write slot, releases entry
+	storeDone func(now sim.Cycle) // store drain: frees MOB write slot, returns entry to the pool
 }
 
 // OnEvent implements sim.Handler: FU completions and branch resolution
@@ -174,7 +174,7 @@ type Core struct {
 	readyQ    []*robEntry
 	readyKeep []*robEntry // scratch for issue's keep list, swapped each cycle
 
-	entryFree []*robEntry
+	entries sim.Pool[robEntry]
 
 	producers renameTable
 
@@ -273,23 +273,7 @@ func New(engine *sim.Engine, cfg Config, dcache, umem mem.Port, offloadPort Offl
 
 // newEntry draws a pooled entry and initialises it for f.
 func (c *Core) newEntry(f fetchedOp) *robEntry {
-	var e *robEntry
-	if n := len(c.entryFree); n > 0 {
-		e = c.entryFree[n-1]
-		c.entryFree = c.entryFree[:n-1]
-	} else {
-		e = &robEntry{c: c}
-		e.loadDone = func(now sim.Cycle) {
-			e.c.dirty = true
-			e.c.mobReads--
-			e.c.complete(e)
-		}
-		e.storeDone = func(now sim.Cycle) {
-			e.c.dirty = true
-			e.c.mobWrites--
-			e.c.release(e)
-		}
-	}
+	e := c.entries.Get(c.freshEntry)
 	e.fetchedOp = f
 	e.state = stWaiting
 	e.deps = 0
@@ -299,10 +283,22 @@ func (c *Core) newEntry(f fetchedOp) *robEntry {
 	return e
 }
 
-// release returns an entry to the pool. Callers must guarantee nothing
-// still references it (see commit and storeDone).
-func (c *Core) release(e *robEntry) {
-	c.entryFree = append(c.entryFree, e)
+// freshEntry builds a pooled entry with its completion callbacks
+// pre-bound. An entry returns to the pool only once nothing references
+// it (see commit and storeDone).
+func (c *Core) freshEntry() *robEntry {
+	e := &robEntry{c: c}
+	e.loadDone = func(now sim.Cycle) {
+		e.c.dirty = true
+		e.c.mobReads--
+		e.c.complete(e)
+	}
+	e.storeDone = func(now sim.Cycle) {
+		e.c.dirty = true
+		e.c.mobWrites--
+		e.c.entries.Put(e)
+	}
+	return e
 }
 
 // Reset returns the core to its post-New state: pipeline empty,
@@ -318,10 +314,10 @@ func (c *Core) Reset() {
 	c.fetchBuf.Reset()
 	c.decodeBuf.Reset()
 	for c.rob.Len() > 0 {
-		c.release(c.rob.Pop())
+		c.entries.Put(c.rob.Pop())
 	}
 	for c.pendingStores.Len() > 0 {
-		c.release(c.pendingStores.Pop())
+		c.entries.Put(c.pendingStores.Pop())
 	}
 	c.readyQ = c.readyQ[:0]
 	c.readyKeep = c.readyKeep[:0]
@@ -788,7 +784,7 @@ func (c *Core) commit(now sim.Cycle) {
 		c.committed.Inc()
 		c.progressed = true
 		if e.uop.Class != isa.Store {
-			c.release(e)
+			c.entries.Put(e)
 		}
 		n--
 	}

@@ -183,7 +183,7 @@ func GenerateClustered(n int, seed uint64, noiseDays int32) *Table {
 		base := int64(i) * ShipDateDays / int64(n)
 		jitter := int64(0)
 		if noiseDays > 0 {
-			jitter = r.Intn(int64(2*noiseDays+1)) - int64(noiseDays)
+			jitter = r.Intn(2*int64(noiseDays)+1) - int64(noiseDays)
 		}
 		d := base + jitter
 		if d < 0 {

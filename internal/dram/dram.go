@@ -213,9 +213,10 @@ func (h *HMC) Vault(i uint32) *Vault { return h.vaults[i] }
 func (h *HMC) NumVaults() uint32 { return uint32(len(h.vaults)) }
 
 // Access routes a row-contained request to its vault. It panics if the
-// request crosses a row boundary: callers must pre-split with
-// Geometry.Split. Access always accepts; queueing delay is modelled by
-// resource reservation inside the vault.
+// request crosses a row boundary: callers must walk a larger access in
+// Geometry.RowSpan pieces. Access always accepts; queueing delay is
+// modelled by resource reservation inside the vault, and Done is always
+// scheduled, never called inside Access.
 func (h *HMC) Access(req *mem.Request) bool {
 	if req.Size == 0 {
 		panic("dram: zero-size request")

@@ -43,7 +43,7 @@ func TestRunRejectsBadPlan(t *testing.T) {
 }
 
 func TestFig3d(t *testing.T) {
-	table, err := Fig3d(small())
+	table, err := Figure(small(), "3d")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ type Engine struct {
 	image  []byte
 
 	inFlight int
-	opFree   []*hmcOp
+	ops      sim.Pool[hmcOp]
 	checker  isa.Checker
 
 	// Scratch for apply's lane expansion and mask compaction. Valid
@@ -133,13 +133,9 @@ func New(engine *sim.Engine, cfg Config, links *link.Controller, vaults *dram.HM
 	}, nil
 }
 
-// getOp draws a pooled instruction context.
-func (e *Engine) getOp() *hmcOp {
-	if n := len(e.opFree); n > 0 {
-		op := e.opFree[n-1]
-		e.opFree = e.opFree[:n-1]
-		return op
-	}
+// freshOp builds a pooled instruction context with its callbacks
+// pre-bound.
+func (e *Engine) freshOp() *hmcOp {
 	op := &hmcOp{e: e}
 	op.execFn = op.exec
 	op.readDoneFn = op.readDone
@@ -174,7 +170,7 @@ func (e *Engine) Submit(inst *isa.OffloadInst, done func(now sim.Cycle)) bool {
 	if inst.Op == isa.CmpRead {
 		respPayload = isa.MaskBytes(inst.Size)
 	}
-	op := e.getOp()
+	op := e.ops.Get(e.freshOp)
 	op.inst = *inst
 	op.done = done
 	op.pkt = link.Packet{
@@ -212,7 +208,7 @@ func (op *hmcOp) deliver(now sim.Cycle) {
 	e := op.e
 	done := op.done
 	op.inst, op.done = isa.OffloadInst{}, nil
-	e.opFree = append(e.opFree, op)
+	e.ops.Put(op)
 	e.inFlight--
 	done(now)
 }

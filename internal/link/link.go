@@ -51,7 +51,7 @@ func (c Config) Validate() error {
 // itself is the scheduler event for both link traversals (request
 // arrival at the cube, response delivery at the requester), so sending
 // one allocates nothing beyond what the caller provides; hot callers
-// keep packets in free lists and reuse them.
+// keep packets in pooled operation objects and reuse them.
 type Packet struct {
 	// Vault selects the destination vault, which determines the link.
 	Vault uint32
@@ -152,8 +152,8 @@ func (c *Controller) Reset() {
 	}
 }
 
-// Reset drops the port's in-flight state. Pooled free ops survive; ops
-// that were in flight are abandoned with the engine's event queue.
+// Reset drops the port's in-flight state. Pooled ops survive; ops that
+// were in flight are abandoned with the engine's event queue.
 func (m *MemPort) Reset() {}
 
 // linkFor maps a vault to its link (vault quadrants).
@@ -194,15 +194,15 @@ func (c *Controller) Send(p *Packet) {
 // payload request and a header-only acknowledgement.
 //
 // MemPort pools its in-flight operation state: each access draws a
-// memOp (packet + inner DRAM request + pre-bound callbacks) from a free
-// list and returns it when the response delivers, so the steady-state
+// memOp (packet + inner DRAM request + pre-bound callbacks) from its
+// pool and returns it when the response delivers, so the steady-state
 // uncacheable path allocates nothing.
 type MemPort struct {
 	Ctl   *Controller
 	Geom  mem.Geometry
 	Inner mem.Port
 
-	free []*memOp
+	ops sim.Pool[memOp]
 }
 
 // memOp is one pooled in-flight MemPort access.
@@ -218,12 +218,8 @@ type memOp struct {
 	deliverFn   func(now sim.Cycle)
 }
 
-func (m *MemPort) getOp() *memOp {
-	if n := len(m.free); n > 0 {
-		op := m.free[n-1]
-		m.free = m.free[:n-1]
-		return op
-	}
+// freshOp builds a pooled op with its callbacks pre-bound.
+func (m *MemPort) freshOp() *memOp {
 	op := &memOp{m: m}
 	op.execFn = op.exec
 	op.innerDoneFn = op.innerDone
@@ -245,7 +241,7 @@ func (op *memOp) innerDone(sim.Cycle) { op.pkt.Complete() }
 func (op *memOp) deliver(now sim.Cycle) {
 	done := op.done
 	op.done = nil
-	op.m.free = append(op.m.free, op)
+	op.m.ops.Put(op)
 	if done != nil {
 		done(now)
 	}
@@ -261,7 +257,7 @@ func (m *MemPort) Access(req *mem.Request) bool {
 	} else {
 		respPayload = req.Size
 	}
-	op := m.getOp()
+	op := m.ops.Get(m.freshOp)
 	op.inner = mem.Request{Addr: req.Addr, Size: req.Size, Kind: req.Kind}
 	op.done = req.Done
 	op.pkt = Packet{

@@ -37,8 +37,8 @@ func (k Kind) String() string {
 }
 
 // Request is one memory access as seen by the DRAM subsystem. A request
-// must not cross a DRAM row boundary; use Geometry.Split to break larger
-// or misaligned accesses into row-sized pieces.
+// must not cross a DRAM row boundary; walk a larger or misaligned access
+// with Geometry.RowSpan to break it into row-contained pieces.
 type Request struct {
 	Addr Addr
 	Size uint32
@@ -130,31 +130,17 @@ func (g Geometry) RowBase(a Addr) Addr {
 	return a &^ Addr(g.RowBytes-1)
 }
 
-// Chunk is one row-contained piece of a larger access.
-type Chunk struct {
-	Addr Addr
-	Size uint32
-}
-
-// Split breaks [addr, addr+size) into chunks that each stay within a
-// single DRAM row. Sequential chunks land in consecutive vaults thanks to
-// the low-order vault interleave.
-func (g Geometry) Split(addr Addr, size uint32) []Chunk {
-	if size == 0 {
-		return nil
+// RowSpan returns the size of the row-contained piece of [a, a+size)
+// that starts at a: size itself when the access ends inside a's row,
+// else the bytes up to that row's end. Advancing a by each span until
+// size is spent walks an access in pieces that each stay within a single
+// DRAM row; sequential pieces land in consecutive vaults thanks to the
+// low-order vault interleave.
+func (g Geometry) RowSpan(a Addr, size uint32) uint32 {
+	if n := uint32(g.RowBase(a) + Addr(g.RowBytes) - a); n < size {
+		return n
 	}
-	var out []Chunk
-	for size > 0 {
-		rowEnd := g.RowBase(addr) + Addr(g.RowBytes)
-		n := uint32(rowEnd - addr)
-		if n > size {
-			n = size
-		}
-		out = append(out, Chunk{Addr: addr, Size: n})
-		addr += Addr(n)
-		size -= n
-	}
-	return out
+	return size
 }
 
 // Port is anything that accepts memory requests: a cache level, the HMC

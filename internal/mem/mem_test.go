@@ -97,45 +97,66 @@ func TestRowBase(t *testing.T) {
 	}
 }
 
+// piece is one row-contained piece of a larger access.
+type piece struct {
+	Addr Addr
+	Size uint32
+}
+
+// rowWalk walks [addr, addr+size) in RowSpan pieces, as the engines'
+// DRAM fan-out does.
+func rowWalk(g Geometry, addr Addr, size uint32) []piece {
+	var out []piece
+	for size > 0 {
+		n := g.RowSpan(addr, size)
+		out = append(out, piece{addr, n})
+		addr += Addr(n)
+		size -= n
+	}
+	return out
+}
+
+// TestSplit walks accesses into row-contained pieces with RowSpan.
 func TestSplit(t *testing.T) {
 	g := HMC21()
-	if got := g.Split(0, 0); got != nil {
-		t.Fatalf("Split size 0 = %v", got)
+	if got := rowWalk(g, 0, 0); got != nil {
+		t.Fatalf("walk of size 0 = %v", got)
 	}
 	// Fully within a row.
-	cs := g.Split(10, 100)
-	if len(cs) != 1 || cs[0] != (Chunk{Addr: 10, Size: 100}) {
-		t.Fatalf("Split(10,100) = %v", cs)
+	cs := rowWalk(g, 10, 100)
+	if len(cs) != 1 || cs[0] != (piece{Addr: 10, Size: 100}) {
+		t.Fatalf("walk(10,100) = %v", cs)
 	}
 	// Exactly one row.
-	cs = g.Split(256, 256)
-	if len(cs) != 1 || cs[0] != (Chunk{Addr: 256, Size: 256}) {
-		t.Fatalf("Split(256,256) = %v", cs)
+	cs = rowWalk(g, 256, 256)
+	if len(cs) != 1 || cs[0] != (piece{Addr: 256, Size: 256}) {
+		t.Fatalf("walk(256,256) = %v", cs)
 	}
 	// Straddling a boundary.
-	cs = g.Split(200, 100)
-	if len(cs) != 2 || cs[0] != (Chunk{Addr: 200, Size: 56}) || cs[1] != (Chunk{Addr: 256, Size: 44}) {
-		t.Fatalf("Split(200,100) = %v", cs)
+	cs = rowWalk(g, 200, 100)
+	if len(cs) != 2 || cs[0] != (piece{Addr: 200, Size: 56}) || cs[1] != (piece{Addr: 256, Size: 44}) {
+		t.Fatalf("walk(200,100) = %v", cs)
 	}
 	// Multi-row.
-	cs = g.Split(0, 1024)
+	cs = rowWalk(g, 0, 1024)
 	if len(cs) != 4 {
-		t.Fatalf("Split(0,1024) = %v", cs)
+		t.Fatalf("walk(0,1024) = %v", cs)
 	}
 	for i, c := range cs {
 		if c.Size != 256 || c.Addr != Addr(i*256) {
-			t.Fatalf("chunk %d = %+v", i, c)
+			t.Fatalf("piece %d = %+v", i, c)
 		}
 	}
 }
 
-// Property: Split chunks are contiguous, within-row, and cover the range.
+// Property: RowSpan pieces are contiguous, within-row, and cover the
+// range.
 func TestSplitProperty(t *testing.T) {
 	g := HMC21()
 	f := func(rawAddr uint32, rawSize uint16) bool {
 		addr := Addr(rawAddr)
 		size := uint32(rawSize)
-		cs := g.Split(addr, size)
+		cs := rowWalk(g, addr, size)
 		var covered uint32
 		next := addr
 		for _, c := range cs {
@@ -143,7 +164,7 @@ func TestSplitProperty(t *testing.T) {
 				return false
 			}
 			if g.RowBase(c.Addr) != g.RowBase(c.Addr+Addr(c.Size-1)) {
-				return false // chunk crosses a row
+				return false // piece crosses a row
 			}
 			next += Addr(c.Size)
 			covered += c.Size

@@ -385,10 +385,14 @@ func (r *cellRun) finish(c int) {
 
 // ForEach calls fn(i) for every i in [0, n) on a pool of workers
 // goroutines (capped at n, at least one) and returns once every call
-// has returned. fn must write its outcome to an index-addressed slot,
-// so results cannot depend on scheduling. It is the one fan-out under
+// has returned; with nothing to do it starts none and allocates
+// nothing. fn must write its outcome to an index-addressed slot, so
+// results cannot depend on scheduling. It is the one fan-out under
 // every sweep cell and every serving shard task.
 func ForEach(n, workers int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
 	indices := make(chan int)
 	var wg sync.WaitGroup
 	for range max(1, min(workers, n)) {

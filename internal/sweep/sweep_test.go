@@ -171,6 +171,22 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestEmptyForEachZeroAlloc: a fan-out over no tasks, as a warm
+// cluster's load test makes when every leg comes from its memo, calls
+// nothing and allocates no channel, WaitGroup or worker.
+func TestEmptyForEachZeroAlloc(t *testing.T) {
+	calls := 0
+	fn := func(int) { calls++ }
+	for _, workers := range []int{1, 4} {
+		if n := testing.AllocsPerRun(100, func() { ForEach(0, workers, fn) }); n != 0 {
+			t.Errorf("ForEach(0, %d) allocates %.0f times per call, want 0", workers, n)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("ForEach(0, ...) called fn %d times", calls)
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	g := Grid{Archs: []query.Arch{query.HIPE}, Unrolls: []int{1, 32}, Tuples: []int{128}}
 	seen := 0
